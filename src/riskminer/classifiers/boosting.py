@@ -6,13 +6,24 @@ import numpy as np
 
 from ..errors import SingleClassError
 from .linear import sigmoid
-from .tree import TreeNode, grow_regression_tree, tree_from_dict, tree_to_dict, tree_value
+from .tree import (
+    TreeNode,
+    TreeTable,
+    category_codes,
+    grow_regression_tree,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 
 def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
     eps = 1e-15
     p = np.clip(prob, eps, 1 - eps)
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+
+
+def _leaf_value(leaf: TreeNode) -> float:
+    return leaf.value
 
 
 class GradientBoostingLearner:
@@ -36,11 +47,13 @@ class GradientBoostingLearner:
         self.seed = seed
         self.init_score = 0.0
         self.trees: list[TreeNode] = []
+        self.table: TreeTable | None = None
         self.train_losses: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(set(y.tolist())) < 2:
             raise SingleClassError("gradient boosting")
+        codes = category_codes(X)
         y = y.astype(np.float64)
         prior = float(y.mean())
         self.init_score = float(np.log(prior / (1.0 - prior)))
@@ -50,18 +63,22 @@ class GradientBoostingLearner:
         for _ in range(self.n_estimators):
             prob = sigmoid(raw)
             residual = y - prob
-            root, leaves = grow_regression_tree(X, residual, max_depth=self.max_depth)
+            root, leaves = grow_regression_tree(codes, residual, max_depth=self.max_depth)
+            # the leaves' index sets partition the rows, so step is each row's tree output
+            step = np.empty(X.shape[0])
             for leaf, idx in leaves:
                 hessian = float((prob[idx] * (1.0 - prob[idx])).sum())
                 leaf.value = float(residual[idx].sum()) / max(hessian, 1e-12)
+                step[idx] = leaf.value
             self.trees.append(root)
-            raw = raw + self.learning_rate * np.array([tree_value(root, row) for row in X])
+            raw = raw + self.learning_rate * step
             self.train_losses.append(log_loss(y, sigmoid(raw)))
+        self.table = TreeTable(self.trees, _leaf_value)
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.full(X.shape[0], self.init_score)
-        for root in self.trees:
-            raw += self.learning_rate * np.array([tree_value(root, row) for row in X])
+        for step in self.table.leaf_values(X).T:  # tree by tree, in fit order
+            raw += self.learning_rate * step
         return raw
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
@@ -85,4 +102,5 @@ class GradientBoostingLearner:
         learner.init_score = float(params["init_score"])
         learner.trees = [tree_from_dict(doc) for doc in params["trees"]]
         learner.train_losses = [float(v) for v in params["train_losses"]]
+        learner.table = TreeTable(learner.trees, _leaf_value)
         return learner

@@ -6,11 +6,17 @@ import numpy as np
 
 from .tree import (
     TreeNode,
+    TreeTable,
+    category_codes,
     grow_classification_tree,
     tree_from_dict,
     tree_to_dict,
-    tree_victim_fraction,
+    victim_fraction,
 )
+
+
+def _majority_vote(leaf: TreeNode) -> float:
+    return 1.0 if victim_fraction(leaf) >= 0.5 else 0.0
 
 
 class DecisionTreeLearner:
@@ -24,12 +30,14 @@ class DecisionTreeLearner:
         self.min_samples_split = min_samples_split
         self.seed = seed
         self.root: TreeNode | None = None
+        self.table: TreeTable | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self.root = grow_classification_tree(X, y, min_samples_split=self.min_samples_split)
+        self.root = grow_classification_tree(category_codes(X), y, min_samples_split=self.min_samples_split)
+        self.table = TreeTable([self.root], victim_fraction)
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
-        return np.array([tree_victim_fraction(self.root, row) for row in X])
+        return self.table.leaf_values(X)[:, 0]
 
     def to_params(self) -> dict:
         return {"tree": tree_to_dict(self.root)}
@@ -38,6 +46,7 @@ class DecisionTreeLearner:
     def from_params(cls, params: dict, hyper: dict) -> "DecisionTreeLearner":
         learner = cls(min_samples_split=hyper["min_samples_split"], seed=hyper["seed"])
         learner.root = tree_from_dict(params["tree"])
+        learner.table = TreeTable([learner.root], victim_fraction)
         return learner
 
 
@@ -54,8 +63,10 @@ class RandomForestLearner:
         self.seed = seed
         self.min_samples_split = min_samples_split
         self.trees: list[TreeNode] = []
+        self.table: TreeTable | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        codes = category_codes(X)
         n = X.shape[0]
         max_features = max(1, int(np.sqrt(X.shape[1])))
         self.trees = []
@@ -64,21 +75,19 @@ class RandomForestLearner:
             sample = rng.integers(0, n, size=n)
             self.trees.append(
                 grow_classification_tree(
-                    X[sample],
+                    codes[sample],
                     y[sample],
                     min_samples_split=self.min_samples_split,
                     max_features=max_features,
                     rng=rng,
                 )
             )
+        self.table = TreeTable(self.trees, _majority_vote)
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         # Fraction of trees voting victim; each tree votes its leaf majority
         # with the 0.5 tie going to the victim class.
-        votes = np.zeros(X.shape[0])
-        for root in self.trees:
-            votes += [1.0 if tree_victim_fraction(root, row) >= 0.5 else 0.0 for row in X]
-        return votes / len(self.trees)
+        return self.table.leaf_values(X).sum(axis=1) / len(self.trees)
 
     def to_params(self) -> dict:
         return {"trees": [tree_to_dict(t) for t in self.trees]}
@@ -91,4 +100,5 @@ class RandomForestLearner:
             min_samples_split=hyper["min_samples_split"],
         )
         learner.trees = [tree_from_dict(doc) for doc in params["trees"]]
+        learner.table = TreeTable(learner.trees, _majority_vote)
         return learner

@@ -8,10 +8,11 @@ from itertools import combinations
 import pytest
 
 from conftest import toy_dataset
-from riskminer.classifiers import ClassifierSpec, design_matrix, predict_rows, train
+from riskminer.classifiers import KINDS, ClassifierSpec, design_matrix, predict_rows, train
 from riskminer.dataset import split_dataset
 from riskminer.elimination import backward_eliminate, evaluate_learners
 from riskminer.errors import ConfigError
+from riskminer.pipeline import config_from_dict, run_pipeline
 
 FAST_LEARNERS = (ClassifierSpec("DT"), ClassifierSpec("GNB"))
 
@@ -135,3 +136,46 @@ def test_elimination_deterministic():
     a = backward_eliminate(splits, FAST_LEARNERS, min_size=1)
     b = backward_eliminate(splits, FAST_LEARNERS, min_size=1)
     assert a == b
+
+
+SIX_LEARNER_FACTORS = ("weak-password", "compulsive-buyer", "shared-email-access", "receive-phishing-email")
+
+
+def _six_learner_doc():
+    # four strongly planted features survive the (strict) significance filter,
+    # which is above min_size, so the pipeline runs real elimination steps
+    return {
+        "seed": 9,
+        "alpha": 0.001,
+        "generator": {
+            "n_records": 160,
+            "class_balance": 0.5,
+            "seed": 3,
+            "planted_factors": [
+                {"feature": f, "value": 1, "victim_prob": 0.9} for f in SIX_LEARNER_FACTORS
+            ],
+        },
+        "smote": {"balance": False},
+        "elimination": {"min_size": 2},
+    }
+
+
+def test_six_learner_elimination_steps():
+    report = run_pipeline(config_from_dict(_six_learner_doc()))
+    survivors = len(report.survivors)
+    assert survivors > 2
+    baseline, *steps = report.elimination_rows
+    assert baseline["baseline"] is True
+    assert [row["n_features"] for row in steps] == list(range(survivors, 1, -1))
+    for row in report.elimination_rows:
+        assert set(row["accuracies"]) == set(KINDS)
+        assert all(0.0 <= acc <= 1.0 for acc in row["accuracies"].values())
+    for earlier, later in zip(steps, steps[1:]):
+        assert earlier["removed"] in earlier["features"]
+        assert set(later["features"]) == set(earlier["features"]) - {earlier["removed"]}
+    assert steps[-1]["removed"] is None
+    assert list(report.final_selection) in [row["features"] for row in steps]
+
+    again = run_pipeline(config_from_dict(_six_learner_doc()))
+    assert again.elimination_rows == report.elimination_rows
+    assert again.final_selection == report.final_selection
