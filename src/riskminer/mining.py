@@ -6,6 +6,14 @@ victim item when its label is 1. Apriori enumerates the frequent itemsets
 level-wise, and rules are read off the lattice for a fixed consequent
 (normally the victim item), so a rule's confidence is exactly
 P(consequent | antecedent) over the transaction list.
+
+Apriori counts on vertical tidsets, as Eclat does (Zaki 2000): every
+frequent itemset carries a Python ``int`` bitset of the transaction
+positions that contain it, and a candidate's support count is the
+``bit_count`` of the AND of its two parents' tidsets, so no candidate is
+tested against the transaction list. Candidates join only inside each run of
+equal (k-2)-prefixes of the sorted level, which yields the same candidates in
+the same order as pairing every two itemsets of the level.
 """
 
 from __future__ import annotations
@@ -13,7 +21,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, groupby
+
+import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, UnmappedFeatureError, ZeroAntecedentSupportError
@@ -101,12 +111,30 @@ def dissolve(record: dict, label: int, fm: FactorMap) -> frozenset:
 
 
 def dissolve_dataset(ds: Dataset, fm: FactorMap) -> list[frozenset]:
-    idx = {feature: ds.schema.index_of(feature) for feature in fm.features}
+    """Transactions for every record, as ``dissolve`` builds them one at a
+    time: items go in feature order, then the victim item."""
+    factors: dict[str, dict[int, int]] = {}  # features in fm.features order
+    for e in fm.entries:
+        factors.setdefault(e.feature, {}).setdefault(e.value, e.factor_id)  # first wins, as in factor_for
+    table = [(feature, ds.schema.index_of(feature), codes) for feature, codes in factors.items()]
     out = []
     for rec, lab in zip(ds.records, ds.labels):
-        row = {feature: rec[j] for feature, j in idx.items()}
-        out.append(dissolve(row, lab, fm))
+        items = set()
+        for feature, j, codes in table:
+            try:
+                items.add(codes[rec[j]])
+            except KeyError:
+                raise UnmappedFeatureError(feature) from None
+        if lab == 1:
+            items.add(fm.victim_item)
+        out.append(frozenset(items))
     return out
+
+
+def _tidset(positions: list[int], n: int) -> int:
+    flags = np.zeros(n, dtype=bool)
+    flags[positions] = True
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def apriori(transactions, min_support: float) -> dict[frozenset, float]:
@@ -114,47 +142,40 @@ def apriori(transactions, min_support: float) -> dict[frozenset, float]:
 
     Support is the fraction of transactions containing the itemset. Candidate
     (k)-itemsets join frequent (k-1)-itemsets sharing a (k-2)-prefix and are
-    pruned unless every (k-1)-subset is frequent.
+    pruned unless every (k-1)-subset is frequent. Singletons come first in
+    the order their items are first seen, then each level in sorted order.
     """
     if not transactions:
         raise ConfigError("no transactions to mine")
     if not 0.0 < min_support <= 1.0:
         raise ConfigError("min_support must lie in (0, 1]")
     n = len(transactions)
-    counts: dict[frozenset, int] = {}
-    for t in transactions:
+    tidlists: dict = {}  # item -> its transaction positions, items in first-seen order
+    for pos, t in enumerate(transactions):
         for item in t:
-            key = frozenset((item,))
-            counts[key] = counts.get(key, 0) + 1
-    frequent = {s: c / n for s, c in counts.items() if c / n >= min_support}
-    result = dict(frequent)
-    current = sorted(tuple(sorted(s)) for s in frequent)
+            tidlists.setdefault(item, []).append(pos)
+    result = {}
+    level = {}  # sorted itemset tuple -> tidset
+    for item, positions in tidlists.items():
+        support = len(positions) / n
+        if support >= min_support:
+            result[frozenset((item,))] = support
+            level[(item,)] = _tidset(positions, n)
     k = 2
-    while current:
-        survivors = set(map(frozenset, current))
-        candidates = []
-        for a, b in combinations(sorted(current), 2):
-            if a[: k - 2] != b[: k - 2]:
-                continue
-            joined = tuple(sorted(set(a) | set(b)))
-            if len(joined) != k:
-                continue
-            if all(frozenset(sub) in survivors for sub in combinations(joined, k - 1)):
-                candidates.append(joined)
-        if not candidates:
-            break
-        tally = {c: 0 for c in candidates}
-        cand_sets = {c: frozenset(c) for c in candidates}
-        for t in transactions:
-            for c in candidates:
-                if cand_sets[c] <= t:
-                    tally[c] += 1
-        current = []
-        for c, hit in tally.items():
-            support = hit / n
-            if support >= min_support:
-                result[cand_sets[c]] = support
-                current.append(c)
+    while level:
+        frontier = {}
+        for _, run in groupby(sorted(level), key=lambda s: s[: k - 2]):
+            run = list(run)
+            for i, a in enumerate(run):
+                for b in run[i + 1:]:
+                    joined = a + b[-1:]
+                    if all(sub in level for sub in combinations(joined, k - 1)):
+                        tids = level[a] & level[b]
+                        support = tids.bit_count() / n
+                        if support >= min_support:
+                            result[frozenset(joined)] = support
+                            frontier[joined] = tids
+        level = frontier
         k += 1
     return result
 

@@ -1,10 +1,26 @@
 """Categorical SMOTE: grow a dataset to per-class targets.
 
 Classic SMOTE interpolates real-valued vectors; survey answers are integer
-codes, so this is the nominal variant: neighbours are found by Hamming
-distance and each synthetic attribute is copied from either the seed record
-or one of its k same-class neighbours with a fair coin. Synthetic values
-therefore always stay inside the legal code set.
+codes, so this is the nominal variant (SMOTE-N, Chawla et al. 2002):
+neighbours are found by Hamming distance and each synthetic attribute is
+copied from either the seed record or one of its k same-class neighbours
+with a fair coin. Synthetic values therefore always stay inside the legal
+code set.
+
+The neighbour search works on the code matrix in blocks of query rows. Each
+block's distances to every record of the pool accumulate one feature at a
+time into an int16 array, so no rows x pool x features temporary is made,
+and the blocks are sized so that their temporaries stay near one megabyte
+whatever the pool size. Ties break toward the lower position: the k nearest
+are the k smallest keys ``distance * pool size + pool index``, taken with a
+partition instead of a full sort, and the query's own column gets a key past
+every real distance so it is never its own neighbour.
+
+``smote_n`` keeps the draw order of one ``random.Random(seed)``: for each
+class in ascending label order and each synthetic record, a seed member
+(``randrange(class size)``), a neighbour slot (``randrange(k)``) and one
+``random()`` coin per attribute. No draw depends on a neighbour, so all
+draws come first and neighbours are computed once for each distinct seed.
 """
 
 from __future__ import annotations
@@ -16,6 +32,11 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ClassTooSmallError, PoolTooSmallError, TargetBelowCurrentError
+
+# Bytes a neighbour block may hold: int16 distances, a bool scratch, and the
+# int64 keys with their partitioned copy, per query row and pool member.
+_BLOCK_BYTES = 1 << 20
+_BYTES_PER_CELL = 2 + 1 + 8 + 8
 
 
 @dataclass(frozen=True)
@@ -29,20 +50,50 @@ class SmoteConfig:
             raise ValueError("k must be >= 1")
 
 
+def nearest_in_pool(matrix: np.ndarray, pool: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
+    """The k Hamming-nearest pool members of each query, as positions.
+
+    *matrix* is the (records x features) code matrix, *pool* the ascending
+    positions searched, and *queries* indices into *pool*; each query skips
+    its own column. Row i of the result lists query i's neighbours nearest
+    first, ties toward the lower position. Needs ``k < len(pool)``.
+    """
+    size = len(pool)
+    columns = np.ascontiguousarray(matrix[pool].T)  # one row per feature
+    width = len(columns)
+    order = np.arange(size, dtype=np.int64)
+    rows = max(1, _BLOCK_BYTES // (_BYTES_PER_CELL * size))
+    dist = np.empty((rows, size), dtype=np.int16)
+    differs = np.empty((rows, size), dtype=bool)
+    out = np.empty((len(queries), k), dtype=np.int64)
+    for start in range(0, len(queries), rows):
+        block = queries[start:start + rows]
+        b = len(block)
+        dist[:b] = 0
+        for codes in columns:
+            np.not_equal(codes[block, None], codes, out=differs[:b])
+            dist[:b] += differs[:b]
+        keys = dist[:b].astype(np.int64)
+        keys *= size
+        keys += order
+        keys[np.arange(b), block] = (width + 1) * size + block  # past every real distance
+        nearest = np.partition(keys, k - 1, axis=1)[:, :k]
+        nearest.sort(axis=1)
+        out[start:start + b] = pool[nearest % size]
+    return out
+
+
 def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = True) -> list[int]:
     """Positions of the k records closest to ``ds.records[index]`` by Hamming
     distance, excluding *index*; ties break toward the lower position."""
+    index = range(len(ds))[index]
+    labels = np.asarray(ds.labels)
+    pool = np.flatnonzero(labels == labels[index]) if same_class_only else np.arange(len(ds))
+    if len(pool) - 1 < k:
+        raise PoolTooSmallError(k, len(pool) - 1)
     matrix = np.asarray(ds.records, dtype=np.int16)
-    query = matrix[index]
-    if same_class_only:
-        pool = [i for i, lab in enumerate(ds.labels) if lab == ds.labels[index] and i != index]
-    else:
-        pool = [i for i in range(len(ds)) if i != index]
-    if len(pool) < k:
-        raise PoolTooSmallError(k, len(pool))
-    dists = (matrix[pool] != query).sum(axis=1)
-    order = np.argsort(dists, kind="stable")  # pool is ascending, so ties stay ascending
-    return [pool[i] for i in order[:k]]
+    column = np.searchsorted(pool, [index])
+    return nearest_in_pool(matrix, pool, column, k)[0].tolist()
 
 
 def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
@@ -58,31 +109,34 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
             if current < cfg.k + 1:
                 raise ClassTooSmallError(label, current, cfg.k)
             grow[label] = target - current
+    if not grow:
+        return ds  # immutable, nothing to add
 
     rng = random.Random(cfg.seed)
-    positions = {label: [i for i, lab in enumerate(ds.labels) if lab == label] for label in grow}
-    neighbour_cache: dict[int, list[int]] = {}
-
-    new_records: list[tuple[int, ...]] = []
+    matrix = np.asarray(ds.records, dtype=np.int16)
+    labels = np.asarray(ds.labels)
+    width = matrix.shape[1]
+    new_records: list[np.ndarray] = []
     new_labels: list[int] = []
     for label in sorted(grow):
-        members = positions[label]
-        for _ in range(grow[label]):
-            seed_pos = members[rng.randrange(len(members))]
-            if seed_pos not in neighbour_cache:
-                neighbour_cache[seed_pos] = knn_categorical(ds, seed_pos, cfg.k, same_class_only=True)
-            donor_pos = neighbour_cache[seed_pos][rng.randrange(cfg.k)]
-            seed_rec = ds.records[seed_pos]
-            donor_rec = ds.records[donor_pos]
-            synthetic = tuple(
-                s if rng.random() < 0.5 else d for s, d in zip(seed_rec, donor_rec)
-            )
-            new_records.append(synthetic)
-            new_labels.append(label)
+        members = np.flatnonzero(labels == label)
+        seeds, slots = [], []
+        coins = np.empty((grow[label], width))
+        for row in coins:
+            seeds.append(rng.randrange(len(members)))
+            slots.append(rng.randrange(cfg.k))
+            row[:] = [rng.random() for _ in range(width)]
+        distinct, seed_of = np.unique(seeds, return_inverse=True)
+        neighbours = nearest_in_pool(matrix, members, distinct, cfg.k)
+        seed_rows = matrix[members[seeds]]
+        donor_rows = matrix[neighbours[seed_of, slots]]
+        new_records.append(np.where(coins < 0.5, seed_rows, donor_rows))
+        new_labels.extend([label] * grow[label])
 
+    synthetic = np.concatenate(new_records).tolist()
     return Dataset(
         schema=ds.schema,
-        records=ds.records + tuple(new_records),
+        records=ds.records + tuple(map(tuple, synthetic)),
         labels=ds.labels + tuple(new_labels),
     )
 

@@ -1,0 +1,139 @@
+"""Reference oracle for the data layer's neighbour search and Apriori count.
+
+These are the per-record implementations that the block neighbour search in
+``riskminer.smote`` and the tidset Apriori in ``riskminer.mining`` replaced,
+kept verbatim: ``knn_categorical`` rebuilds the code matrix and a pool list
+for one seed, ``smote_n`` calls it once per distinct seed, ``apriori`` tests
+every candidate against every transaction, and ``dissolve_dataset`` dissolves
+one record at a time through ``dissolve``. The differential tests compare the
+library against them.
+"""
+
+from __future__ import annotations
+
+import random
+from itertools import combinations
+
+import numpy as np
+
+from riskminer.dataset import Dataset
+from riskminer.errors import ClassTooSmallError, ConfigError, PoolTooSmallError, TargetBelowCurrentError
+from riskminer.mining import FactorMap, dissolve
+from riskminer.smote import SmoteConfig
+
+
+def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = True) -> list[int]:
+    """Positions of the k records closest to ``ds.records[index]`` by Hamming
+    distance, excluding *index*; ties break toward the lower position."""
+    matrix = np.asarray(ds.records, dtype=np.int16)
+    query = matrix[index]
+    if same_class_only:
+        pool = [i for i, lab in enumerate(ds.labels) if lab == ds.labels[index] and i != index]
+    else:
+        pool = [i for i in range(len(ds)) if i != index]
+    if len(pool) < k:
+        raise PoolTooSmallError(k, len(pool))
+    dists = (matrix[pool] != query).sum(axis=1)
+    order = np.argsort(dists, kind="stable")  # pool is ascending, so ties stay ascending
+    return [pool[i] for i in order[:k]]
+
+
+def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
+    """Return *ds* with synthetic records appended until each class reaches
+    its configured target count. Original records come first, untouched."""
+    counts = ds.class_counts()
+    grow: dict[int, int] = {}
+    for label, target in sorted(cfg.target_per_class.items()):
+        current = counts.get(label, 0)
+        if target < current:
+            raise TargetBelowCurrentError(label, target, current)
+        if target > current:
+            if current < cfg.k + 1:
+                raise ClassTooSmallError(label, current, cfg.k)
+            grow[label] = target - current
+
+    rng = random.Random(cfg.seed)
+    positions = {label: [i for i, lab in enumerate(ds.labels) if lab == label] for label in grow}
+    neighbour_cache: dict[int, list[int]] = {}
+
+    new_records: list[tuple[int, ...]] = []
+    new_labels: list[int] = []
+    for label in sorted(grow):
+        members = positions[label]
+        for _ in range(grow[label]):
+            seed_pos = members[rng.randrange(len(members))]
+            if seed_pos not in neighbour_cache:
+                neighbour_cache[seed_pos] = knn_categorical(ds, seed_pos, cfg.k, same_class_only=True)
+            donor_pos = neighbour_cache[seed_pos][rng.randrange(cfg.k)]
+            seed_rec = ds.records[seed_pos]
+            donor_rec = ds.records[donor_pos]
+            synthetic = tuple(
+                s if rng.random() < 0.5 else d for s, d in zip(seed_rec, donor_rec)
+            )
+            new_records.append(synthetic)
+            new_labels.append(label)
+
+    return Dataset(
+        schema=ds.schema,
+        records=ds.records + tuple(new_records),
+        labels=ds.labels + tuple(new_labels),
+    )
+
+
+def dissolve_dataset(ds: Dataset, fm: FactorMap) -> list[frozenset]:
+    idx = {feature: ds.schema.index_of(feature) for feature in fm.features}
+    out = []
+    for rec, lab in zip(ds.records, ds.labels):
+        row = {feature: rec[j] for feature, j in idx.items()}
+        out.append(dissolve(row, lab, fm))
+    return out
+
+
+def apriori(transactions, min_support: float) -> dict[frozenset, float]:
+    """All itemsets with support >= min_support, found level-wise.
+
+    Support is the fraction of transactions containing the itemset. Candidate
+    (k)-itemsets join frequent (k-1)-itemsets sharing a (k-2)-prefix and are
+    pruned unless every (k-1)-subset is frequent.
+    """
+    if not transactions:
+        raise ConfigError("no transactions to mine")
+    if not 0.0 < min_support <= 1.0:
+        raise ConfigError("min_support must lie in (0, 1]")
+    n = len(transactions)
+    counts: dict[frozenset, int] = {}
+    for t in transactions:
+        for item in t:
+            key = frozenset((item,))
+            counts[key] = counts.get(key, 0) + 1
+    frequent = {s: c / n for s, c in counts.items() if c / n >= min_support}
+    result = dict(frequent)
+    current = sorted(tuple(sorted(s)) for s in frequent)
+    k = 2
+    while current:
+        survivors = set(map(frozenset, current))
+        candidates = []
+        for a, b in combinations(sorted(current), 2):
+            if a[: k - 2] != b[: k - 2]:
+                continue
+            joined = tuple(sorted(set(a) | set(b)))
+            if len(joined) != k:
+                continue
+            if all(frozenset(sub) in survivors for sub in combinations(joined, k - 1)):
+                candidates.append(joined)
+        if not candidates:
+            break
+        tally = {c: 0 for c in candidates}
+        cand_sets = {c: frozenset(c) for c in candidates}
+        for t in transactions:
+            for c in candidates:
+                if cand_sets[c] <= t:
+                    tally[c] += 1
+        current = []
+        for c, hit in tally.items():
+            support = hit / n
+            if support >= min_support:
+                result[cand_sets[c]] = support
+                current.append(c)
+        k += 1
+    return result

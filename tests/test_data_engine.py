@@ -1,0 +1,240 @@
+"""Differential tests: the block neighbour search, the vectorised SMOTE, the
+table-driven dissolution and the tidset Apriori against the per-record
+implementations kept in ``data_oracle``."""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import data_oracle as oracle
+from conftest import toy_dataset, toy_schema
+from riskminer import smote
+from riskminer.errors import (
+    ClassTooSmallError,
+    PoolTooSmallError,
+    TargetBelowCurrentError,
+    UnmappedFeatureError,
+)
+from riskminer.mining import FactorEntry, FactorMap, apriori, dissolve_dataset
+from riskminer.smote import SmoteConfig, knn_categorical, nearest_in_pool, smote_n
+
+# -- neighbours --------------------------------------------------------------
+
+
+@st.composite
+def coded_datasets(draw, min_rows=2, max_rows=40):
+    """Records of width 2-8 over 2-4 codes, with some rows copied so that
+    equal records force distance ties, and both classes present."""
+    width = draw(st.integers(2, 8))
+    n_codes = draw(st.integers(2, 4))
+    n = draw(st.integers(max(min_rows, 2), max_rows))
+    code = st.integers(0, n_codes - 1)
+    records = draw(st.lists(st.lists(code, min_size=width, max_size=width), min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, n // 2))):
+        src, dst = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        records[dst] = list(records[src])
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    labels[0], labels[1] = 0, 1
+    return toy_dataset(records, labels, schema=toy_schema(width, values=tuple(range(n_codes))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(coded_datasets(), st.data())
+def test_knn_matches_oracle_for_every_member(ds, data):
+    for index in range(len(ds)):
+        pool = ds.class_counts()[ds.labels[index]] - 1
+        for k in {1, 2, pool, pool + 1}:
+            if k < 1:
+                continue
+            if k > pool:
+                with pytest.raises(PoolTooSmallError):
+                    knn_categorical(ds, index, k)
+                with pytest.raises(PoolTooSmallError):
+                    oracle.knn_categorical(ds, index, k)
+                continue
+            assert knn_categorical(ds, index, k) == oracle.knn_categorical(ds, index, k)
+        k = data.draw(st.integers(1, len(ds) - 1))
+        assert knn_categorical(ds, index, k, same_class_only=False) == oracle.knn_categorical(
+            ds, index, k, same_class_only=False
+        )
+
+
+@settings(max_examples=150, deadline=None)
+@given(coded_datasets(min_rows=4), st.integers(1, 6), st.sampled_from([1, 64, 1 << 20]))
+def test_block_search_matches_oracle_whatever_the_block_size(ds, k, block_bytes):
+    # a tiny byte budget makes one-row blocks, so block edges are crossed
+    matrix = np.asarray(ds.records, dtype=np.int16)
+    labels = np.asarray(ds.labels)
+    for label in (0, 1):
+        pool = np.flatnonzero(labels == label)
+        if len(pool) <= k:
+            continue
+        with mock.patch.object(smote, "_BLOCK_BYTES", block_bytes):
+            got = nearest_in_pool(matrix, pool, np.arange(len(pool)), k)
+        want = [oracle.knn_categorical(ds, int(p), k) for p in pool]
+        assert got.tolist() == want
+
+
+def test_knn_duplicates_tie_to_lower_positions():
+    # every record equals the query: the nearest are the lowest other positions
+    ds = toy_dataset([[1, 0, 1]] * 6 + [[0, 0, 0]], [1] * 7)
+    assert knn_categorical(ds, 3, k=4) == [0, 1, 2, 4]
+    assert knn_categorical(ds, 0, k=6) == [1, 2, 3, 4, 5, 6]
+    with pytest.raises(PoolTooSmallError):
+        knn_categorical(ds, 0, k=7)
+
+
+# -- SMOTE -------------------------------------------------------------------
+
+
+@st.composite
+def smote_problems(draw):
+    ds = draw(coded_datasets(min_rows=2, max_rows=50))
+    counts = ds.class_counts()
+    k = draw(st.integers(1, 4))
+    # mostly valid targets; sometimes below the current count or on a class
+    # too small for k, so both implementations must raise the same error
+    targets = {c: counts[c] + draw(st.integers(-2, 40)) for c in counts}
+    seed = draw(st.integers(0, 2**32 - 1))
+    return ds, SmoteConfig(target_per_class=targets, k=k, seed=seed)
+
+
+def _outcome(fn, ds, cfg):
+    try:
+        return fn(ds, cfg)
+    except (ClassTooSmallError, TargetBelowCurrentError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(smote_problems())
+def test_smote_matches_oracle_record_for_record(problem):
+    ds, cfg = problem
+    got = _outcome(smote_n, ds, cfg)
+    want = _outcome(oracle.smote_n, ds, cfg)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.records == want.records
+        assert got.labels == want.labels
+
+
+def test_smote_errors_match_oracle():
+    ds = toy_dataset([[0, 0], [1, 1], [1, 0], [0, 1]], [0, 1, 1, 1])
+    below = SmoteConfig(target_per_class={1: 2}, k=1, seed=0)
+    small = SmoteConfig(target_per_class={0: 5}, k=1, seed=0)
+    for cfg, error in ((below, TargetBelowCurrentError), (small, ClassTooSmallError)):
+        for fn in (smote_n, oracle.smote_n):
+            with pytest.raises(error):
+                fn(ds, cfg)
+
+
+def test_smote_matches_oracle_on_a_generated_survey():
+    from riskminer.generate import GenSpec, generate_synthetic
+
+    ds = generate_synthetic(GenSpec(n_records=1200, class_balance=0.3, seed=19))
+    cfg = SmoteConfig(target_per_class=smote.balanced_targets(ds), k=5, seed=8)
+    got, want = smote_n(ds, cfg), oracle.smote_n(ds, cfg)
+    assert got.records == want.records and got.labels == want.labels
+
+
+# -- dissolution -------------------------------------------------------------
+
+
+def test_dissolve_dataset_matches_oracle_item_order():
+    from riskminer.generate import GenSpec, generate_synthetic
+    from riskminer.mining import default_factor_map
+
+    ds = generate_synthetic(GenSpec(n_records=400, seed=3))
+    fm = default_factor_map()
+    got, want = dissolve_dataset(ds, fm), oracle.dissolve_dataset(ds, fm)
+    assert got == want
+    assert [list(t) for t in got] == [list(t) for t in want]
+
+
+def test_dissolve_dataset_first_entry_wins_and_unmapped_codes_raise():
+    fm = FactorMap(
+        entries=(
+            FactorEntry(7, "f1", 1, "f1 yes"),
+            FactorEntry(3, "f0", 0, "f0 no"),
+            FactorEntry(4, "f0", 1, "f0 yes"),
+            FactorEntry(5, "f0", 1, "f0 yes again"),
+            FactorEntry(8, "f1", 0, "f1 no"),
+        ),
+        victim_item=9,
+    )
+    ds = toy_dataset([[1, 0, 2], [0, 1, 0]], [1, 0], schema=toy_schema(3, values=(0, 1, 2)))
+    assert dissolve_dataset(ds, fm) == oracle.dissolve_dataset(ds, fm) == [
+        frozenset({4, 8, 9}),
+        frozenset({3, 7}),
+    ]
+    bad = toy_dataset([[1, 2, 0]], [0], schema=toy_schema(3, values=(0, 1, 2)))
+    for fn in (dissolve_dataset, oracle.dissolve_dataset):
+        with pytest.raises(UnmappedFeatureError, match="f1"):
+            fn(bad, fm)
+
+
+# -- Apriori -----------------------------------------------------------------
+
+
+@st.composite
+def mining_problems(draw):
+    n_items = draw(st.integers(1, 10))
+    item = st.integers(1, n_items)
+    transactions = draw(
+        st.lists(st.frozensets(item, max_size=n_items), min_size=1, max_size=60)
+    )
+    n = len(transactions)
+    # supports on a count boundary c / n, the top 1.0, and arbitrary fractions
+    min_support = draw(
+        st.one_of(
+            st.integers(1, n).map(lambda c: c / n),
+            st.just(1.0),
+            st.floats(0.01, 1.0, allow_nan=False),
+        )
+    )
+    return transactions, min_support
+
+
+def _assert_same_lattice(transactions, min_support):
+    got = apriori(transactions, min_support)
+    want = oracle.apriori(transactions, min_support)
+    assert got == want
+    assert list(got) == list(want)
+    return got
+
+
+@settings(max_examples=400, deadline=None)
+@given(mining_problems())
+def test_apriori_matches_oracle(problem):
+    _assert_same_lattice(*problem)
+
+
+def test_apriori_lattice_that_stops_after_singletons():
+    # every item is frequent alone but no two ever meet
+    transactions = [frozenset({i % 4}) for i in range(20)]
+    got = _assert_same_lattice(transactions, 0.25)
+    assert got == {frozenset({i}): 0.25 for i in range(4)}
+
+
+def test_apriori_support_exactly_on_a_count():
+    transactions = [frozenset({1, 2})] * 3 + [frozenset({1})] * 4
+    got = _assert_same_lattice(transactions, 3 / 7)
+    assert got[frozenset({1, 2})] == 3 / 7
+    assert _assert_same_lattice(transactions, 1.0) == {frozenset({1}): 1.0}
+
+
+def test_apriori_matches_oracle_on_a_dissolved_survey():
+    from riskminer.generate import GenSpec, generate_synthetic
+    from riskminer.mining import default_factor_map
+
+    ds = generate_synthetic(GenSpec(n_records=300, seed=11))
+    fm = default_factor_map()
+    transactions = dissolve_dataset(ds, fm.restrict(fm.features[:8]))
+    got = _assert_same_lattice(transactions, 0.1)
+    assert max(map(len, got)) >= 3
