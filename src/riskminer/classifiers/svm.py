@@ -51,7 +51,12 @@ class PolySVCLearner:
         return float(self.gamma)
 
     def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-        return (self.gamma_value * (A @ B.T) + self.coef0) ** self.degree
+        # in place: the n x n kernel of a fit is the largest array of a run
+        K = A @ B.T
+        K *= self.gamma_value
+        K += self.coef0
+        K **= self.degree
+        return K
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(set(y.tolist())) < 2:

@@ -5,12 +5,14 @@ dropping one active feature, scores accuracy on the test split, and removes
 the feature whose removal gives the highest best-learner accuracy (ties drop
 the lowest-schema-index feature). Training is a pure function of
 (spec, data, features), so candidate evaluations are order-independent and
-could run in parallel without changing the trace.
+could run in parallel without changing the trace. Each visited set keeps the
+models it was scored with, so later stages can score them again instead of
+re-training; the models of candidates that are not kept are dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +28,7 @@ class StepRecord:
     accuracies: dict  # learner kind -> test accuracy
     aucs: dict  # learner kind -> test AUC (used only for tie-breaks downstream)
     removed: str | None  # feature removed to reach the next step
+    models: dict = field(default_factory=dict, compare=False, repr=False)  # kind -> Model
 
 
 @dataclass(frozen=True)
@@ -67,9 +70,10 @@ def backward_eliminate(
     """Run the wrapper search from *features* (default: the full schema)
     down to *min_size* active features.
 
-    The trace records one step per visited active set; the last step has
-    ``removed=None``. ``final_selection`` is the visited set whose best
-    learner scored highest on the test split, ties going to the smaller set.
+    The trace records one step per visited active set, with the models
+    trained on it; the last step has ``removed=None``. ``final_selection``
+    is the visited set whose best learner scored highest on the test split,
+    ties going to the smaller set.
     """
     if min_size < 1:
         raise ConfigError("min_size must be >= 1")
@@ -82,23 +86,23 @@ def backward_eliminate(
     else:
         active = sorted(features, key=schema.index_of)
 
-    accuracies, aucs, _ = evaluate_learners(splits, learners, tuple(active), positive=positive)
+    accuracies, aucs, models = evaluate_learners(splits, learners, tuple(active), positive=positive)
     steps: list[StepRecord] = []
     while len(active) > min_size:
         best_removal = None  # (best-learner accuracy, -schema index) to maximize
         best_payload = None
         for feature in active:
             candidate = tuple(f for f in active if f != feature)
-            cand_acc, cand_auc, _ = evaluate_learners(splits, learners, candidate, positive=positive)
+            cand_acc, cand_auc, cand_models = evaluate_learners(splits, learners, candidate, positive=positive)
             key = (max(cand_acc.values()), -schema.index_of(feature))
             if best_removal is None or key > best_removal:
                 best_removal = key
-                best_payload = (feature, candidate, cand_acc, cand_auc)
-        removed, next_active, next_acc, next_auc = best_payload
-        steps.append(StepRecord(tuple(active), accuracies, aucs, removed))
+                best_payload = (feature, candidate, cand_acc, cand_auc, cand_models)
+        removed, next_active, next_acc, next_auc, next_models = best_payload
+        steps.append(StepRecord(tuple(active), accuracies, aucs, removed, models))
         active = list(next_active)
-        accuracies, aucs = next_acc, next_auc
-    steps.append(StepRecord(tuple(active), accuracies, aucs, None))
+        accuracies, aucs, models = next_acc, next_auc, next_models
+    steps.append(StepRecord(tuple(active), accuracies, aucs, None, models))
 
     best_step = max(steps, key=lambda s: (max(s.accuracies.values()), -len(s.features)))
     return EliminationTrace(steps=tuple(steps), final_selection=best_step.features)

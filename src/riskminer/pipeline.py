@@ -1,5 +1,5 @@
 """End-to-end orchestration: load or generate, augment, rank, eliminate,
-train, evaluate, and mine, with deterministic report emission.
+evaluate, and mine, with deterministic report emission.
 
 Stages run strictly in that order; any failure surfaces as a StageError
 naming the stage, and no report files are written for a failed run. Two runs
@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 from .chisq import rank_features
-from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows, train
+from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows
 from .dataset import Dataset, load_dataset, split_dataset
 from .elimination import StepRecord, backward_eliminate, evaluate_learners
 from .errors import ConfigError, StageError
@@ -194,7 +194,7 @@ class PipelineReport:
     elimination_rows: list  # dicts: n_features/features/accuracies/aucs/removed/baseline
     final_selection: tuple[str, ...]
     best: dict  # learner / features / test_accuracy / test_auc
-    validation: dict  # kind -> {"metrics": MetricsReport, "auc": float, "accuracy": float}
+    validation: dict  # kind -> {"metrics": MetricsReport, "auc", "accuracy", "warnings"}
     roc_curves: dict  # kind -> RocCurve
     headline_confusion: object
     rules: list  # of Rule
@@ -210,6 +210,7 @@ class PipelineReport:
                 "weighted_f1": report.weighted_f1,
                 "auc": entry["auc"],
                 "flags": list(report.flags),
+                "warnings": list(entry["warnings"]),
                 "per_class": {
                     str(label): {
                         "precision": m.precision,
@@ -298,10 +299,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
     # eliminate (with the all-features baseline recorded first)
     def _eliminate():
-        base_acc, base_auc, _ = evaluate_learners(
+        base_acc, base_auc, base_models = evaluate_learners(
             splits, cfg.learners, cfg.schema.feature_names, positive=cfg.positive_class
         )
-        baseline = StepRecord(cfg.schema.feature_names, base_acc, base_auc, None)
+        baseline = StepRecord(cfg.schema.feature_names, base_acc, base_auc, None, base_models)
         trace = backward_eliminate(
             splits,
             cfg.learners,
@@ -312,12 +313,13 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         return baseline, trace
 
     baseline, trace = _stage("eliminate", _eliminate)
+    steps = (baseline,) + trace.steps
 
     rows = []
-    for is_baseline, step in [(True, baseline)] + [(False, s) for s in trace.steps]:
+    for step in steps:
         rows.append(
             {
-                "baseline": is_baseline,
+                "baseline": step is baseline,
                 "n_features": len(step.features),
                 "features": list(step.features),
                 "removed": step.removed,
@@ -351,13 +353,15 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     best = _stage("select", _pick_best)
     selected = tuple(best["features"])
 
-    # train all learners on the selected set, evaluate on validation
+    # evaluate on validation the models that elimination trained on the
+    # selected set; training is pure, so re-training would give the same ones
     def _validate():
+        models = next(step.models for step in steps if step.features == selected)
         X_val, y_val = design_matrix(splits.validation, selected)
         validation, curves = {}, {}
         headline_cm = None
         for spec in cfg.learners:
-            model = train(spec, splits.train, selected)
+            model = models[spec.kind]
             scores = score_rows(model, X_val)
             predictions = (scores >= 0.5).astype(int)
             cm = confusion(y_val.tolist(), predictions.tolist(), cfg.positive_class)
@@ -368,6 +372,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
                 "metrics": report,
                 "auc": auc(curve),
                 "accuracy": report.accuracy,
+                "warnings": model.warnings,
             }
             curves[spec.kind] = curve
             if spec.kind == best["learner"]:

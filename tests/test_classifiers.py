@@ -343,3 +343,16 @@ def test_dt_leaf_tie_goes_to_victim():
     model = train(ClassifierSpec("DT"), ds)
     assert tree_victim_fraction(model.impl.root, [0, 0]) == 0.5
     assert predict(model, [0, 0]) == 1
+
+
+@pytest.mark.parametrize("degree, coef0", [(3, 0.0), (2, 1.0), (3, -0.5)])
+def test_svc_kernel_matches_the_plain_expression_bit_for_bit(degree, coef0):
+    from riskminer.classifiers.svm import PolySVCLearner
+
+    rng = np.random.default_rng(degree)
+    A = rng.integers(0, 5, size=(40, 7)).astype(np.float64)
+    B = A[:25]
+    learner = PolySVCLearner(degree=degree, coef0=coef0)
+    learner.gamma_value = 1.0 / (7 * A.var())
+    expected = (learner.gamma_value * (A @ B.T) + coef0) ** degree
+    assert np.array_equal(learner._kernel(A, B), expected)

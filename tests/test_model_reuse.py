@@ -1,0 +1,104 @@
+"""Validation scores the models that elimination trained: no (learner,
+feature set) pair is trained twice in a run, and the pipeline's output
+bytes for a roster without LR are pinned."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+
+from riskminer import cli, pipeline
+from riskminer.classifiers import train as real_train
+from riskminer.pipeline import config_from_dict, run_pipeline
+
+
+def small_doc(learners):
+    return {
+        "seed": 11,
+        "generator": {
+            "n_records": 420,
+            "class_balance": 0.5,
+            "seed": 3,
+            "planted_factors": [
+                {"feature": "weak-password", "value": 1, "victim_prob": 0.88},
+                {"feature": "compulsive-buyer", "value": 1, "victim_prob": 0.88},
+            ],
+            "planted_rule": {
+                "factors": [
+                    ["clicked-on-spam-email-links", 1],
+                    ["download-unauthorized-software", 1],
+                ],
+                "victim_prob": 0.9,
+                "coverage": 0.4,
+            },
+        },
+        "learners": learners,
+        "elimination": {"min_size": 2},
+        "apriori": {"min_support": 0.25, "min_confidence": 0.8},
+    }
+
+
+def _rebind(monkeypatch, original, replacement):
+    """Point every riskminer module attribute that holds *original* at
+    *replacement*, so the ``from .x import f`` copies see it too."""
+    for name, module in list(sys.modules.items()):
+        if name == "riskminer" or name.startswith("riskminer."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+def test_each_model_is_trained_once_and_validation_scores_elimination_models(monkeypatch):
+    trained = {}  # (kind, features) -> models
+
+    def counting_train(spec, ds, features=None):
+        model = real_train(spec, ds, features)
+        trained.setdefault((spec.kind, model.features), []).append(model)
+        return model
+
+    scored = {}
+    real_score_rows = pipeline.score_rows
+
+    def recording_score_rows(model, X):
+        scored[model.kind] = model
+        return real_score_rows(model, X)
+
+    _rebind(monkeypatch, real_train, counting_train)
+    monkeypatch.setattr(pipeline, "score_rows", recording_score_rows)
+
+    report = run_pipeline(config_from_dict(small_doc(["DT", "GNB", "LR"])))
+    assert len(report.survivors) < 26  # the baseline is a set of its own
+    repeated = {key: len(models) for key, models in trained.items() if len(models) > 1}
+    assert repeated == {}
+    selected = tuple(report.best["features"])
+    assert set(scored) == {"DT", "GNB", "LR"}
+    for kind, model in scored.items():
+        assert model is trained[(kind, selected)][0]
+
+
+def _digest(out_dir) -> str:
+    """sha256 over the output directory's file names and bytes, with the
+    ``warnings`` lists left out of report.json's validation entries."""
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        data = path.read_bytes()
+        if path.name == "report.json":
+            doc = json.loads(data)
+            for entry in doc["validation"].values():
+                entry.pop("warnings", None)
+            data = (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+        h.update(path.name.encode() + b"\0" + data + b"\0")
+    return h.hexdigest()
+
+
+# recorded when validation re-trained every learner on the selected set
+NO_LR_PIPELINE_SHA256 = "deb4357448f2308f8ca3b4bdf8be145c2da289987240918407d9c24287485e65"
+
+
+def test_pipeline_output_without_lr_matches_pin(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(small_doc(["RF", "DT", "SVC", "GB", "GNB"])))
+    out = tmp_path / "out"
+    assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
+    assert _digest(out) == NO_LR_PIPELINE_SHA256
