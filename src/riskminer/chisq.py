@@ -12,8 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset import Dataset
-from .errors import DegenerateTableError, UnknownFeatureError
+from .errors import ConfigError, DegenerateTableError, UnknownFeatureError
 
 _EPS = 1e-16
 _MAX_ITER = 10_000
@@ -45,12 +47,11 @@ def contingency(ds: Dataset, feature: str) -> ContingencyTable:
     """Tally feature level x label counts, rows in FeatureSpec value order."""
     if feature not in ds.schema:
         raise UnknownFeatureError(feature)
-    spec = ds.schema.feature(feature)
-    j = ds.schema.index_of(feature)
-    counts = {v: [0, 0] for v in spec.values}
-    for rec, lab in zip(ds.records, ds.labels):
-        counts[rec[j]][lab] += 1
-    return ContingencyTable.from_counts([counts[v] for v in spec.values])
+    values = ds.schema.feature(feature).values
+    order = np.argsort(values)
+    level = order[np.searchsorted(values, ds.codes[:, ds.schema.index_of(feature)], sorter=order)]
+    counts = np.bincount(2 * level + ds.y, minlength=2 * len(values)).reshape(-1, 2)
+    return ContingencyTable.from_counts(counts.tolist())
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -123,14 +124,18 @@ def chi_squared_test(table: ContingencyTable) -> ChiSqResult:
     return ChiSqResult(statistic=stat, dof=dof, p_value=p)
 
 
+def check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+
+
 def rank_features(ds: Dataset, alpha: float) -> list[tuple[str, float, bool]]:
     """(feature, p_value, keep) triples, ascending p, ties in schema order.
 
     Features whose contingency table is degenerate (a level or class holding
     all the mass) get p = 1 and keep = False.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     scored = []
     for idx, spec in enumerate(ds.schema.features):
         try:

@@ -13,6 +13,7 @@ deterministic given (kind, hyperparameters, data, features).
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -106,40 +107,23 @@ class Model:
 def design_matrix(ds: Dataset, features) -> tuple[np.ndarray, np.ndarray]:
     """Project *ds* onto *features* as a float matrix plus a label vector."""
     cols = [ds.schema.index_of(name) for name in features]
-    X = np.asarray(ds.records, dtype=np.float64)[:, cols] if len(ds) else np.zeros((0, len(cols)))
-    y = np.asarray(ds.labels, dtype=np.int64)
-    return X, y
+    return ds.codes[:, cols].astype(np.float64), ds.y
+
+
+_LEARNERS = {
+    "RF": RandomForestLearner,
+    "DT": DecisionTreeLearner,
+    "LR": LogisticLearner,
+    "SVC": PolySVCLearner,
+    "GB": GradientBoostingLearner,
+    "GNB": GaussianNBLearner,
+}
 
 
 def _build_learner(kind: str, hyper: dict):
-    if kind == "RF":
-        return RandomForestLearner(
-            n_estimators=hyper["n_estimators"],
-            seed=hyper["seed"],
-            min_samples_split=hyper["min_samples_split"],
-        )
-    if kind == "DT":
-        return DecisionTreeLearner(min_samples_split=hyper["min_samples_split"], seed=hyper["seed"])
-    if kind == "LR":
-        return LogisticLearner(C=hyper["C"], max_iter=hyper["max_iter"], tol=hyper["tol"], seed=hyper["seed"])
-    if kind == "SVC":
-        return PolySVCLearner(
-            C=hyper["C"],
-            degree=hyper["degree"],
-            coef0=hyper["coef0"],
-            gamma=hyper["gamma"],
-            tol=hyper["tol"],
-            max_passes=hyper["max_passes"],
-            seed=hyper["seed"],
-        )
-    if kind == "GB":
-        return GradientBoostingLearner(
-            n_estimators=hyper["n_estimators"],
-            learning_rate=hyper["learning_rate"],
-            max_depth=hyper["max_depth"],
-            seed=hyper["seed"],
-        )
-    return GaussianNBLearner(var_smoothing=hyper["var_smoothing"], seed=hyper["seed"])
+    """An unfitted learner of *kind*, given the hyperparameters its constructor names."""
+    learner = _LEARNERS[kind]
+    return learner(**{k: v for k, v in hyper.items() if k in inspect.signature(learner).parameters})
 
 
 def train(spec: ClassifierSpec, ds: Dataset, features=None) -> Model:
@@ -190,15 +174,6 @@ def predict_rows(model: Model, X: np.ndarray) -> np.ndarray:
     return (score_rows(model, X) >= 0.5).astype(np.int64)
 
 
-_LEARNERS = {
-    "RF": RandomForestLearner,
-    "DT": DecisionTreeLearner,
-    "LR": LogisticLearner,
-    "SVC": PolySVCLearner,
-    "GB": GradientBoostingLearner,
-    "GNB": GaussianNBLearner,
-}
-
 FORMAT_VERSION = 1
 
 
@@ -219,7 +194,8 @@ def model_from_dict(doc: dict) -> Model:
     kind = doc["kind"]
     if kind not in _LEARNERS:
         raise ConfigError(f"unknown classifier kind {kind!r}")
-    impl = _LEARNERS[kind].from_params(doc["params"], doc["hyperparameters"])
+    impl = _build_learner(kind, doc["hyperparameters"])
+    impl.load_params(doc["params"])
     return Model(
         kind=kind,
         hyperparameters=doc["hyperparameters"],

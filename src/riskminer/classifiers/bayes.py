@@ -62,11 +62,8 @@ class GaussianNBLearner:
             "var": self.var.tolist(),
         }
 
-    @classmethod
-    def from_params(cls, params: dict, hyper: dict) -> "GaussianNBLearner":
-        learner = cls(var_smoothing=hyper["var_smoothing"], seed=hyper["seed"])
-        learner.classes = [int(c) for c in params["classes"]]
-        learner.log_prior = np.asarray(params["log_prior"], dtype=np.float64)
-        learner.theta = np.asarray(params["theta"], dtype=np.float64)
-        learner.var = np.asarray(params["var"], dtype=np.float64)
-        return learner
+    def load_params(self, params: dict) -> None:
+        self.classes = [int(c) for c in params["classes"]]
+        self.log_prior = np.asarray(params["log_prior"], dtype=np.float64)
+        self.theta = np.asarray(params["theta"], dtype=np.float64)
+        self.var = np.asarray(params["var"], dtype=np.float64)

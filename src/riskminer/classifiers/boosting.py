@@ -91,16 +91,8 @@ class GradientBoostingLearner:
             "train_losses": self.train_losses,
         }
 
-    @classmethod
-    def from_params(cls, params: dict, hyper: dict) -> "GradientBoostingLearner":
-        learner = cls(
-            n_estimators=hyper["n_estimators"],
-            learning_rate=hyper["learning_rate"],
-            max_depth=hyper["max_depth"],
-            seed=hyper["seed"],
-        )
-        learner.init_score = float(params["init_score"])
-        learner.trees = [tree_from_dict(doc) for doc in params["trees"]]
-        learner.train_losses = [float(v) for v in params["train_losses"]]
-        learner.table = TreeTable(learner.trees, _leaf_value)
-        return learner
+    def load_params(self, params: dict) -> None:
+        self.init_score = float(params["init_score"])
+        self.trees = [tree_from_dict(doc) for doc in params["trees"]]
+        self.train_losses = [float(v) for v in params["train_losses"]]
+        self.table = TreeTable(self.trees, _leaf_value)

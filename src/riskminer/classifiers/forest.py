@@ -42,12 +42,9 @@ class DecisionTreeLearner:
     def to_params(self) -> dict:
         return {"tree": tree_to_dict(self.root)}
 
-    @classmethod
-    def from_params(cls, params: dict, hyper: dict) -> "DecisionTreeLearner":
-        learner = cls(min_samples_split=hyper["min_samples_split"], seed=hyper["seed"])
-        learner.root = tree_from_dict(params["tree"])
-        learner.table = TreeTable([learner.root], victim_fraction)
-        return learner
+    def load_params(self, params: dict) -> None:
+        self.root = tree_from_dict(params["tree"])
+        self.table = TreeTable([self.root], victim_fraction)
 
 
 class RandomForestLearner:
@@ -92,13 +89,6 @@ class RandomForestLearner:
     def to_params(self) -> dict:
         return {"trees": [tree_to_dict(t) for t in self.trees]}
 
-    @classmethod
-    def from_params(cls, params: dict, hyper: dict) -> "RandomForestLearner":
-        learner = cls(
-            n_estimators=hyper["n_estimators"],
-            seed=hyper["seed"],
-            min_samples_split=hyper["min_samples_split"],
-        )
-        learner.trees = [tree_from_dict(doc) for doc in params["trees"]]
-        learner.table = TreeTable(learner.trees, _majority_vote)
-        return learner
+    def load_params(self, params: dict) -> None:
+        self.trees = [tree_from_dict(doc) for doc in params["trees"]]
+        self.table = TreeTable(self.trees, _majority_vote)

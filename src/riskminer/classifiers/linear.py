@@ -133,10 +133,7 @@ class LogisticLearner:
             "converged": self.converged,
         }
 
-    @classmethod
-    def from_params(cls, params: dict, hyper: dict) -> "LogisticLearner":
-        learner = cls(C=hyper["C"], max_iter=hyper["max_iter"], tol=hyper["tol"], seed=hyper["seed"])
-        learner.weights = np.asarray(params["weights"], dtype=np.float64)
-        learner.bias = float(params["bias"])
-        learner.converged = bool(params["converged"])
-        return learner
+    def load_params(self, params: dict) -> None:
+        self.weights = np.asarray(params["weights"], dtype=np.float64)
+        self.bias = float(params["bias"])
+        self.converged = bool(params["converged"])

@@ -141,20 +141,9 @@ class PolySVCLearner:
             "converged": self.converged,
         }
 
-    @classmethod
-    def from_params(cls, params: dict, hyper: dict) -> "PolySVCLearner":
-        learner = cls(
-            C=hyper["C"],
-            degree=hyper["degree"],
-            coef0=hyper["coef0"],
-            gamma=hyper["gamma"],
-            tol=hyper["tol"],
-            max_passes=hyper["max_passes"],
-            seed=hyper["seed"],
-        )
-        learner.support_vectors = np.asarray(params["support_vectors"], dtype=np.float64)
-        learner.dual_coef = np.asarray(params["dual_coef"], dtype=np.float64)
-        learner.intercept = float(params["intercept"])
-        learner.gamma_value = float(params["gamma_value"])
-        learner.converged = bool(params["converged"])
-        return learner
+    def load_params(self, params: dict) -> None:
+        self.support_vectors = np.asarray(params["support_vectors"], dtype=np.float64)
+        self.dual_coef = np.asarray(params["dual_coef"], dtype=np.float64)
+        self.intercept = float(params["intercept"])
+        self.gamma_value = float(params["gamma_value"])
+        self.converged = bool(params["converged"])

@@ -2,10 +2,14 @@
 
 Subcommands mirror the pipeline stages (generate, augment, rank, eliminate,
 train, evaluate, mine) plus `pipeline`, which runs everything and emits the
-report file set. Stages compose through CSV/JSON files, so chaining the
-individual subcommands with the same seeds reproduces the pipeline's outputs.
+report file set. Each stage subcommand loads its files and calls the same
+stage function that ``run_pipeline`` calls (``augment``, ``survivors`` and
+``eliminate``, ``validate``, ``mine``), so chaining the individual
+subcommands with the same seeds reproduces the pipeline's outputs.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure.
+A value that cannot be used is reported where it is read, as a
+configuration error.
 """
 
 from __future__ import annotations
@@ -18,24 +22,27 @@ import sys
 from . import classifiers
 from .chisq import rank_features
 from .dataset import load_dataset, split_dataset, write_csv
-from .elimination import StepRecord, backward_eliminate, evaluate_learners
 from .errors import ConfigError, DataError, StageError
 from .generate import generate_synthetic
-from .metrics import auc, classification_metrics, confusion, roc_points
-from .mining import default_factor_map, derive_rules, dissolve_dataset
-from .mining import apriori as mine_apriori
 from .pipeline import (
+    augment,
     config_from_dict,
+    default_learners,
+    eliminate,
     elimination_csv,
     emit_report,
     genspec_from_dict,
+    metrics_doc,
+    mine,
+    parse_ratios,
     ranking_csv,
     roc_csv,
     rules_csv,
     run_pipeline,
+    survivors,
+    validate,
 )
 from .schema import default_schema, load_schema
-from .smote import SmoteConfig, resolve_targets, smote_n
 
 ENV_SEED = "RISKMINER_SEED"
 
@@ -68,19 +75,33 @@ def _load_input(path: str, schema):
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return doc
 
 
-def _learner_specs(names: str | None, params: dict | None = None):
-    kinds = tuple(n.strip() for n in names.split(",")) if names else classifiers.KINDS
-    params = params or {}
-    return tuple(
-        classifiers.ClassifierSpec(kind=k, hyperparameters=params.get(k, {})) for k in kinds
-    )
+def _names(text: str) -> list[str]:
+    return [n.strip() for n in text.split(",")]
+
+
+def _known_features(names, schema) -> list[str]:
+    if not isinstance(names, list) or not names or any(n not in schema for n in names):
+        raise ConfigError(f"features must be schema feature names, got {names!r}")
+    return names
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+
+def _write_json(path: str, doc: dict) -> None:
+    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -99,26 +120,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    schema = _schema_arg(args.schema)
-    ds = _load_input(args.input, schema)
-    targets = resolve_targets(ds, args.balance, args.target_total)
-    seed = _resolve_seed(args.seed)
-    if targets == ds.class_counts():
-        out = ds
-    else:
-        out = smote_n(ds, SmoteConfig(target_per_class=targets, k=args.k, seed=seed))
+    ds = _load_input(args.input, _schema_arg(args.schema))
+    out = augment(ds, args.balance, args.target_total, args.k, _resolve_seed(args.seed))
     write_csv(out, args.out)
     print(f"wrote {len(out)} records ({len(out) - len(ds)} synthetic) to {args.out}")
     return 0
 
 
 def cmd_rank(args) -> int:
-    schema = _schema_arg(args.schema)
-    ds = _load_input(args.input, schema)
+    ds = _load_input(args.input, _schema_arg(args.schema))
     ranking = rank_features(ds, args.alpha)
-    text = ranking_csv(ranking)
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    _write_text(args.out, ranking_csv(ranking))
     kept = sum(1 for _, _, keep in ranking if keep)
     print(f"ranked {len(ranking)} features, kept {kept} at alpha={args.alpha}")
     return 0
@@ -128,33 +140,13 @@ def cmd_eliminate(args) -> int:
     schema = _schema_arg(args.schema)
     ds = _load_input(args.input, schema)
     seed = _resolve_seed(args.seed)
-    ratios = tuple(float(r) for r in args.ratios.split(","))
-    splits = split_dataset(ds, ratios, seed, stratified=not args.no_stratify)
-    learners = _learner_specs(args.learners)
-    ranking = rank_features(ds, args.alpha)
-    survivors = [f for f, _, keep in ranking if keep]
-    survivors.sort(key=schema.index_of)
-    base_acc, base_auc, _ = evaluate_learners(splits, learners, schema.feature_names, positive=args.positive)
-    baseline = StepRecord(schema.feature_names, base_acc, base_auc, None)
-    trace = backward_eliminate(splits, learners, args.min_size, features=survivors, positive=args.positive)
-    rows = [
-        {
-            "baseline": step is baseline,
-            "n_features": len(step.features),
-            "features": list(step.features),
-            "removed": step.removed,
-            "accuracies": dict(step.accuracies),
-            "aucs": dict(step.aucs),
-        }
-        for step in (baseline, *trace.steps)
-    ]
-    kinds = [spec.kind for spec in learners]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(elimination_csv(rows, kinds))
+    splits = split_dataset(ds, parse_ratios(args.ratios), seed, stratified=not args.no_stratify)
+    learners = default_learners(kinds=_names(args.learners) if args.learners else classifiers.KINDS)
+    kept = survivors(rank_features(ds, args.alpha), schema)
+    rows, _, trace = eliminate(splits, learners, args.min_size, kept, args.positive)
+    _write_text(args.out, elimination_csv(rows, [spec.kind for spec in learners]))
     if args.selection:
-        with open(args.selection, "w", encoding="utf-8") as fh:
-            json.dump({"final_selection": list(trace.final_selection)}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(args.selection, {"final_selection": list(trace.final_selection)})
     print(f"eliminated down to {len(trace.steps[-1].features)} features; "
           f"selected {len(trace.final_selection)}")
     return 0
@@ -164,10 +156,9 @@ def cmd_train(args) -> int:
     schema = _schema_arg(args.schema)
     ds = _load_input(args.input, schema)
     if args.features_file:
-        with open(args.features_file, encoding="utf-8") as fh:
-            features = json.load(fh)["final_selection"]
+        features = _known_features(_load_config(args.features_file).get("final_selection"), schema)
     elif args.features:
-        features = [f.strip() for f in args.features.split(",")]
+        features = _known_features(_names(args.features), schema)
     else:
         features = list(schema.feature_names)
     spec = classifiers.ClassifierSpec(kind=args.learner, seed=args.seed)
@@ -180,62 +171,33 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     model = classifiers.load_model(args.model)
-    schema = _schema_arg(args.schema)
-    ds = _load_input(args.input, schema)
-    X, y = classifiers.design_matrix(ds, model.features)
-    scores = classifiers.score_rows(model, X)
-    preds = (scores >= 0.5).astype(int)
-    cm = confusion(y.tolist(), preds.tolist(), args.positive)
-    report = classification_metrics(cm)
-    oriented = scores if args.positive == 1 else 1.0 - scores
-    curve = roc_points(y, oriented, args.positive)
-    doc = {
+    ds = _load_input(args.input, _schema_arg(args.schema))
+    _known_features(list(model.features), ds.schema)
+    entry = validate(model, ds, args.positive)
+    cm = entry["confusion"]
+    _write_json(args.out, {
         "model": model.kind,
         "positive": args.positive,
-        "accuracy": report.accuracy,
-        "weighted_f1": report.weighted_f1,
-        "auc": auc(curve),
         "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
-        "per_class": {
-            str(label): {
-                "precision": m.precision,
-                "recall": m.recall,
-                "tnr": m.tnr,
-                "f1": m.f1,
-                "support": m.support,
-            }
-            for label, m in report.per_class.items()
-        },
-        "flags": list(report.flags),
-    }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        **metrics_doc(entry),
+    })
     if args.roc:
-        with open(args.roc, "w", encoding="utf-8", newline="") as fh:
-            fh.write(roc_csv(curve))
+        _write_text(args.roc, roc_csv(entry["curve"]))
+    report = entry["metrics"]
     print(f"accuracy {100 * report.accuracy:.2f}%, weighted f1 {report.weighted_f1:.2f}, "
-          f"auc {auc(curve):.2f}")
+          f"auc {entry['auc']:.2f}")
     return 0
 
 
 def cmd_mine(args) -> int:
     schema = _schema_arg(args.schema)
     ds = _load_input(args.input, schema)
-    fm = default_factor_map()
-    if args.features:
-        wanted = [f.strip() for f in args.features.split(",")]
-        fm = fm.restrict(wanted)
-    else:
-        fm = fm.restrict([f for f in fm.features if f in schema])
-    transactions = dissolve_dataset(ds, fm)
-    itemsets = mine_apriori(transactions, args.min_support)
-    rules = derive_rules(itemsets, args.min_confidence, frozenset((fm.victim_item,)), cap=args.max_rules)
-    descriptions = {e.factor_id: e.description for e in fm.entries}
-    descriptions[fm.victim_item] = "victim"
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rules_csv(rules, descriptions))
-    print(f"mined {len(rules)} victim rules from {len(transactions)} transactions")
+    features = _known_features(_names(args.features), schema) if args.features else schema.feature_names
+    rules, descriptions, n_transactions = mine(
+        ds, features, args.min_support, args.min_confidence, args.max_rules
+    )
+    _write_text(args.out, rules_csv(rules, descriptions))
+    print(f"mined {len(rules)} victim rules from {n_transactions} transactions")
     return 0
 
 
@@ -245,7 +207,7 @@ def cmd_pipeline(args) -> int:
     if args.alpha is not None:
         doc["alpha"] = args.alpha
     if args.learners is not None:
-        doc["learners"] = [n.strip() for n in args.learners.split(",")]
+        doc["learners"] = _names(args.learners)
     apriori_doc = doc.setdefault("apriori", {})
     if args.min_support is not None:
         apriori_doc["min_support"] = args.min_support
@@ -272,33 +234,27 @@ def build_parser() -> argparse.ArgumentParser:
         "classification, and risk-rule mining.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)  # the options every data stage reads
+    data.add_argument("--input", required=True)
+    data.add_argument("--schema")
 
     p = sub.add_parser("generate", help="generate a synthetic dataset from a config")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_generate)
 
-    p = sub.add_parser("augment", help="grow a dataset with categorical SMOTE")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema")
+    p = sub.add_parser("augment", parents=[data], help="grow a dataset with categorical SMOTE")
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--target-total", type=int, dest="target_total")
     p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_augment)
 
-    p = sub.add_parser("rank", help="chi-squared feature ranking")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema")
+    p = sub.add_parser("rank", parents=[data], help="chi-squared feature ranking")
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_rank)
 
-    p = sub.add_parser("eliminate", help="backward elimination over the significant features")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema")
+    p = sub.add_parser("eliminate", parents=[data], help="backward elimination over the significant features")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--ratios", default="0.75,0.175,0.075")
     p.add_argument("--no-stratify", action="store_true")
@@ -306,37 +262,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learners")
     p.add_argument("--min-size", type=int, default=19, dest="min_size")
     p.add_argument("--positive", type=int, default=0, choices=(0, 1))
-    p.add_argument("--out", required=True)
     p.add_argument("--selection")
     p.set_defaults(handler=cmd_eliminate)
 
-    p = sub.add_parser("train", help="train one classifier")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema")
+    p = sub.add_parser("train", parents=[data], help="train one classifier")
     p.add_argument("--learner", required=True, choices=classifiers.KINDS)
     p.add_argument("--features")
     p.add_argument("--features-file", dest="features_file")
     p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a saved model on a dataset")
+    p = sub.add_parser("evaluate", parents=[data], help="evaluate a saved model on a dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema")
     p.add_argument("--positive", type=int, default=0, choices=(0, 1))
-    p.add_argument("--out", required=True)
     p.add_argument("--roc")
     p.set_defaults(handler=cmd_evaluate)
 
-    p = sub.add_parser("mine", help="dissolve features and mine victim rules")
-    p.add_argument("--input", required=True)
-    p.add_argument("--schema")
+    p = sub.add_parser("mine", parents=[data], help="dissolve features and mine victim rules")
     p.add_argument("--features")
     p.add_argument("--min-support", type=float, default=0.25, dest="min_support")
     p.add_argument("--min-confidence", type=float, default=0.8, dest="min_confidence")
     p.add_argument("--max-rules", type=int, default=10_000, dest="max_rules")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_mine)
 
     p = sub.add_parser("pipeline", help="run every stage and emit the report file set")
@@ -346,9 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learners")
     p.add_argument("--min-support", type=float, dest="min_support")
     p.add_argument("--min-confidence", type=float, dest="min_confidence")
-    p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_pipeline)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", required=True)
     return parser
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .classifiers import design_matrix, score_rows, train
 from .dataset import SplitBundle
 from .errors import ConfigError
-from .metrics import roc_auc
+from .metrics import oriented, roc_auc
 
 
 @dataclass(frozen=True)
@@ -41,21 +41,18 @@ def evaluate_learners(
     splits: SplitBundle,
     learners,
     features,
-    eval_part: str = "test",
     positive: int = 0,
 ) -> tuple[dict, dict, dict]:
     """Train each learner on splits.train over *features*; return
-    (accuracy, auc, model) maps keyed by learner kind, scored on *eval_part*."""
-    part = getattr(splits, eval_part)
-    X_eval, y_eval = design_matrix(part, features)
+    (accuracy, auc, model) maps keyed by learner kind, scored on splits.test."""
+    X_eval, y_eval = design_matrix(splits.test, features)
     accuracies, aucs, models = {}, {}, {}
     for spec in learners:
         model = train(spec, splits.train, features)
         scores = score_rows(model, X_eval)
         predictions = (scores >= 0.5).astype(np.int64)
         accuracies[spec.kind] = float((predictions == y_eval).mean())
-        oriented = scores if positive == 1 else 1.0 - scores
-        aucs[spec.kind] = roc_auc(y_eval, oriented, positive)
+        aucs[spec.kind] = roc_auc(y_eval, oriented(scores, positive), positive)
         models[spec.kind] = model
     return accuracies, aucs, models
 

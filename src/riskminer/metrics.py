@@ -57,18 +57,9 @@ def confusion(y_true, y_pred, positive: int) -> ConfusionMatrix:
         raise DataError(f"length mismatch: {len(y_true)} labels vs {len(y_pred)} predictions")
     if len(y_true) == 0:
         raise DataError("cannot build a confusion matrix from zero records")
-    tp = fp = fn = tn = 0
-    for t, p in zip(y_true, y_pred):
-        if t == positive:
-            if p == positive:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if p == positive:
-                fp += 1
-            else:
-                tn += 1
+    actual, predicted = np.asarray(y_true) == positive, np.asarray(y_pred) == positive
+    tp, fn = int(np.sum(actual & predicted)), int(np.sum(actual & ~predicted))
+    fp, tn = int(np.sum(~actual & predicted)), int(np.sum(~actual & ~predicted))
     return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn, positive=positive)
 
 
@@ -79,16 +70,12 @@ def _safe_div(num: float, den: float, name: str, flags: list) -> float:
     return num / den
 
 
-def classification_metrics(cm: ConfusionMatrix, supports: dict | None = None) -> MetricsReport:
-    """Per-class precision/recall/TNR/F1, accuracy, and support-weighted F1.
-
-    *supports* defaults to the per-class counts implied by the matrix.
-    """
+def classification_metrics(cm: ConfusionMatrix) -> MetricsReport:
+    """Per-class precision/recall/TNR/F1, accuracy, and support-weighted F1."""
     flags: list[str] = []
     per_class: dict[int, ClassMetrics] = {}
     views = {cm.positive: cm, 1 - cm.positive: cm.swapped()}
-    if supports is None:
-        supports = {cm.positive: cm.tp + cm.fn, 1 - cm.positive: cm.fp + cm.tn}
+    supports = {cm.positive: cm.tp + cm.fn, 1 - cm.positive: cm.fp + cm.tn}
     for label in sorted(views):
         v = views[label]
         precision = _safe_div(v.tp, v.tp + v.fp, f"precision[{label}]", flags)
@@ -114,6 +101,11 @@ def classification_metrics(cm: ConfusionMatrix, supports: dict | None = None) ->
 class RocCurve:
     points: tuple[tuple[float, float], ...]  # (fpr, tpr), from (0, 0) to (1, 1)
     thresholds: tuple[float, ...]  # descending; starts at the +inf sentinel
+
+
+def oriented(scores: np.ndarray, positive: int) -> np.ndarray:
+    """Victim-class scores turned so that a higher score means *positive*."""
+    return scores if positive == 1 else 1.0 - scores
 
 
 def roc_points(y_true, scores, positive: int) -> RocCurve:

@@ -57,25 +57,13 @@ class FactorMap:
 
     @property
     def features(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for e in self.entries:
-            if e.feature not in seen:
-                seen.append(e.feature)
-        return tuple(seen)
+        return tuple(dict.fromkeys(e.feature for e in self.entries))
 
     def factor_for(self, feature: str, value: int) -> int:
         for e in self.entries:
             if e.feature == feature and e.value == value:
                 return e.factor_id
         raise UnmappedFeatureError(feature)
-
-    def describe(self, factor_id: int) -> str:
-        if factor_id == self.victim_item:
-            return "victim"
-        for e in self.entries:
-            if e.factor_id == factor_id:
-                return e.description
-        raise KeyError(factor_id)
 
     def restrict(self, features) -> "FactorMap":
         """Keep only the entries of *features*, preserving the original ids."""
@@ -116,19 +104,21 @@ def dissolve_dataset(ds: Dataset, fm: FactorMap) -> list[frozenset]:
     factors: dict[str, dict[int, int]] = {}  # features in fm.features order
     for e in fm.entries:
         factors.setdefault(e.feature, {}).setdefault(e.value, e.factor_id)  # first wins, as in factor_for
-    table = [(feature, ds.schema.index_of(feature), codes) for feature, codes in factors.items()]
-    out = []
-    for rec, lab in zip(ds.records, ds.labels):
-        items = set()
-        for feature, j, codes in table:
-            try:
-                items.add(codes[rec[j]])
-            except KeyError:
-                raise UnmappedFeatureError(feature) from None
-        if lab == 1:
-            items.add(fm.victim_item)
-        out.append(frozenset(items))
-    return out
+    items = np.empty((len(ds), len(factors)), dtype=np.int64)
+    mapped = np.ones(items.shape, dtype=bool)
+    for j, (feature, ids) in enumerate(factors.items()):
+        column = ds.codes[:, ds.schema.index_of(feature)]
+        mapped[:, j] = np.isin(column, list(ids))
+        for code, factor_id in ids.items():
+            items[column == code, j] = factor_id
+    if not mapped.all():
+        raise UnmappedFeatureError(list(factors)[np.argmin(mapped, axis=None) % len(factors)])
+    rows = items.tolist()
+    for i in np.flatnonzero(ds.y == 1).tolist():
+        rows[i].append(fm.victim_item)
+    # a frozenset copied from a set can iterate in another order than one
+    # built from a list, and Apriori's singleton order follows iteration
+    return [frozenset(set(row)) for row in rows]
 
 
 def _tidset(positions: list[int], n: int) -> int:

@@ -1,9 +1,15 @@
 """End-to-end orchestration: load or generate, augment, rank, eliminate,
 evaluate, and mine, with deterministic report emission.
 
-Stages run strictly in that order; any failure surfaces as a StageError
-naming the stage, and no report files are written for a failed run. Two runs
-with the same config and seed emit byte-identical files.
+Each stage is one function here (``augment``, ``survivors``, ``eliminate``,
+``validate``, ``mine``) that both ``run_pipeline`` and the CLI subcommands
+call, so a stage run on its own computes what it computes inside the
+pipeline. Stages run strictly in that order; any failure surfaces as a
+StageError naming the stage, and no report files are written for a failed
+run. Two runs with the same config and seed emit byte-identical files.
+
+The config document is read, and echoed into the report, from one table of
+(dotted config key, dataclass field, parser) entries per config dataclass.
 """
 
 from __future__ import annotations
@@ -11,17 +17,17 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import asdict, dataclass, field, is_dataclass
 
-from .chisq import rank_features
+from .chisq import check_alpha, rank_features
 from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows
 from .dataset import Dataset, load_dataset, split_dataset
 from .elimination import StepRecord, backward_eliminate, evaluate_learners
 from .errors import ConfigError, StageError
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
-from .metrics import MetricsReport, RocCurve, auc, classification_metrics, confusion, roc_points
-from .mining import default_factor_map, derive_rules, dissolve_dataset
-from .mining import apriori as mine_apriori
+from .metrics import MetricsReport, RocCurve, auc, classification_metrics, confusion, oriented, roc_points
+from .mining import apriori, default_factor_map, derive_rules, dissolve_dataset
 from .schema import Schema, default_schema, load_schema
 from .smote import SmoteConfig, resolve_targets, smote_n
 
@@ -53,6 +59,7 @@ class PipelineConfig:
             raise ConfigError("exactly one of input path / generator must be set")
         if self.positive_class not in (0, 1):
             raise ConfigError("positive_class must be 0 or 1")
+        check_alpha(self.alpha)
         kinds = [spec.kind for spec in self.learners]
         if not kinds:
             raise ConfigError("at least one learner is required")
@@ -65,124 +72,211 @@ def default_learners(params: dict | None = None, kinds=KINDS) -> tuple[Classifie
     return tuple(ClassifierSpec(kind=k, hyperparameters=params.get(k, {})) for k in kinds)
 
 
-def config_from_dict(doc: dict, seed_override: int | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from a parsed JSON document."""
-    schema = load_schema(doc["schema"]) if doc.get("schema") else default_schema()
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 42))
-
-    generator = None
-    if doc.get("generator"):
-        generator = genspec_from_dict(doc["generator"], schema, default_seed=seed)
-
-    smote_doc = doc.get("smote", {})
-    elim_doc = doc.get("elimination", {})
-    apriori_doc = doc.get("apriori", {})
-    learners = default_learners(
-        doc.get("classifier_params"), kinds=tuple(doc.get("learners", KINDS))
-    )
-    ratios = tuple(float(r) for r in doc.get("ratios", DEFAULT_RATIOS))
+def parse_ratios(value) -> tuple[float, float, float]:
+    """Train / test / validation ratios from a list or a comma-separated string."""
+    try:
+        ratios = tuple(float(r) for r in (value.split(",") if isinstance(value, str) else value))
+    except (TypeError, ValueError):
+        raise ConfigError(f"ratios must be numbers, got {value!r}") from None
     if len(ratios) != 3:
         raise ConfigError("ratios must have exactly three entries")
-    return PipelineConfig(
-        input_path=doc.get("input"),
-        generator=generator,
-        schema=schema,
-        seed=seed,
-        alpha=float(doc.get("alpha", 0.05)),
-        ratios=ratios,
-        stratified=bool(doc.get("stratified", True)),
-        smote_k=int(smote_doc.get("k", 5)),
-        smote_target_total=smote_doc.get("target_total"),
-        smote_balance=bool(smote_doc.get("balance", True)),
-        smote_seed=smote_doc.get("seed"),
-        learners=learners,
-        min_size=int(elim_doc.get("min_size", 19)),
-        min_support=float(apriori_doc.get("min_support", 0.25)),
-        min_confidence=float(apriori_doc.get("min_confidence", 0.8)),
-        max_rules=int(apriori_doc.get("max_rules", 10_000)),
-        positive_class=int(doc.get("positive_class", 0)),
-    )
+    return ratios
+
+
+def _same(value):
+    return value
+
+
+# (dotted key in the config document, dataclass field, parser). config_from_dict
+# and genspec_from_dict parse by walking these tables and config_echo writes
+# the report's config from them; a key absent from the document leaves the
+# field at its dataclass default.
+CONFIG_FIELDS = (
+    ("input", "input_path", _same),
+    ("seed", "seed", int),
+    ("alpha", "alpha", float),
+    ("ratios", "ratios", parse_ratios),
+    ("stratified", "stratified", bool),
+    ("smote.k", "smote_k", int),
+    ("smote.target_total", "smote_target_total", _same),
+    ("smote.balance", "smote_balance", bool),
+    ("smote.seed", "smote_seed", _same),
+    ("elimination.min_size", "min_size", int),
+    ("apriori.min_support", "min_support", float),
+    ("apriori.min_confidence", "min_confidence", float),
+    ("apriori.max_rules", "max_rules", int),
+    ("positive_class", "positive_class", int),
+)
+
+GENERATOR_FIELDS = (
+    ("n_records", "n_records", int),
+    ("class_balance", "class_balance", float),
+    ("seed", "seed", int),
+    ("planted_factors", "planted_factors", lambda docs: tuple(
+        PlantedFactor(f["feature"], int(f["value"]), float(f["victim_prob"]), float(f.get("marginal", 0.5)))
+        for f in docs
+    )),
+    ("planted_rule", "planted_rule", lambda r: PlantedRule(
+        tuple((f, int(v)) for f, v in r["factors"]), float(r["victim_prob"]), float(r["coverage"])
+    ) if r else None),
+    ("noise_marginals", "noise_marginals", lambda docs: {
+        feature: {int(v): float(p) for v, p in dist.items()} for feature, dist in docs.items()
+    }),
+)
+
+
+_ABSENT: dict = {}  # a missing key; a dict, so that deeper lookups stay absent
+
+
+def _parse(cls, table, doc: dict, prefix: str = "", **given):
+    """Build *cls* from *given* and the *table* entries present in *doc*."""
+    for key, name, parse in table:
+        node = doc
+        for part in key.split("."):
+            if not isinstance(node, dict):
+                raise ConfigError(f"{prefix}{key}: {node!r} is not an object")
+            node = node.get(part, _ABSENT)
+        if node is not _ABSENT:
+            try:
+                given[name] = parse(node)
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"{prefix}{key}: cannot parse {node!r} ({exc!r})") from None
+    try:
+        return cls(**given)
+    except TypeError as exc:  # a required key is absent
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
+def _plain(value):
+    """*value* as the report's JSON types: lists for tuples, dicts with
+    string keys for mappings and dataclasses."""
+    if is_dataclass(value):
+        value = asdict(value)
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _echo(table, obj) -> dict:
+    doc: dict = {}
+    for key, name, _ in table:
+        *parents, last = key.split(".")
+        node = doc
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[last] = _plain(getattr(obj, name))
+    return doc
+
+
+def config_from_dict(doc: dict, seed_override: int | None = None) -> PipelineConfig:
+    """Build a PipelineConfig from a parsed JSON document."""
+    if seed_override is not None:
+        doc = {**doc, "seed": seed_override}
+    schema = load_schema(doc["schema"]) if doc.get("schema") else default_schema()
+    seed = doc.get("seed", PipelineConfig.seed)
+    generator = genspec_from_dict(doc["generator"], schema, default_seed=seed) if doc.get("generator") else None
+    learners = default_learners(doc.get("classifier_params"), kinds=tuple(doc.get("learners", KINDS)))
+    return _parse(PipelineConfig, CONFIG_FIELDS, doc, schema=schema, generator=generator, learners=learners)
 
 
 def genspec_from_dict(doc: dict, schema: Schema, default_seed: int = 0) -> GenSpec:
-    factors = tuple(
-        PlantedFactor(
-            feature=f["feature"],
-            value=int(f["value"]),
-            victim_prob=float(f["victim_prob"]),
-            marginal=float(f.get("marginal", 0.5)),
-        )
-        for f in doc.get("planted_factors", [])
-    )
-    rule = None
-    if doc.get("planted_rule"):
-        r = doc["planted_rule"]
-        rule = PlantedRule(
-            factors=tuple((f, int(v)) for f, v in r["factors"]),
-            victim_prob=float(r["victim_prob"]),
-            coverage=float(r["coverage"]),
-        )
-    marginals = {
-        feature: {int(v): float(p) for v, p in dist.items()}
-        for feature, dist in doc.get("noise_marginals", {}).items()
-    }
-    return GenSpec(
-        n_records=int(doc["n_records"]),
-        class_balance=float(doc.get("class_balance", 0.5)),
-        planted_factors=factors,
-        planted_rule=rule,
-        noise_marginals=marginals,
-        seed=int(doc.get("seed", default_seed)),
-        schema=schema,
-    )
+    if not isinstance(doc, dict):
+        raise ConfigError(f"generator must be an object, got {doc!r}")
+    return _parse(GenSpec, GENERATOR_FIELDS, {"seed": default_seed, **doc}, "generator.", schema=schema)
 
 
 def config_echo(cfg: PipelineConfig) -> dict:
     """Config as stored in the report. Deliberately excludes the output
     directory so identical (config, seed) runs emit identical bytes."""
-    gen = None
-    if cfg.generator is not None:
-        g = cfg.generator
-        gen = {
-            "n_records": g.n_records,
-            "class_balance": g.class_balance,
-            "seed": g.seed,
-            "planted_factors": [
-                {"feature": p.feature, "value": p.value, "victim_prob": p.victim_prob, "marginal": p.marginal}
-                for p in g.planted_factors
-            ],
-            "planted_rule": None
-            if g.planted_rule is None
-            else {
-                "factors": [list(f) for f in g.planted_rule.factors],
-                "victim_prob": g.planted_rule.victim_prob,
-                "coverage": g.planted_rule.coverage,
-            },
-            "noise_marginals": {f: {str(v): p for v, p in d.items()} for f, d in g.noise_marginals.items()},
-        }
     return {
-        "input": cfg.input_path,
-        "generator": gen,
-        "seed": cfg.seed,
-        "alpha": cfg.alpha,
-        "ratios": list(cfg.ratios),
-        "stratified": cfg.stratified,
-        "smote": {
-            "k": cfg.smote_k,
-            "target_total": cfg.smote_target_total,
-            "balance": cfg.smote_balance,
-            "seed": cfg.smote_seed,
-        },
+        **_echo(CONFIG_FIELDS, cfg),
+        "generator": None if cfg.generator is None else _echo(GENERATOR_FIELDS, cfg.generator),
         "learners": [spec.kind for spec in cfg.learners],
         "classifier_params": {spec.kind: spec.resolved() for spec in cfg.learners},
-        "elimination": {"min_size": cfg.min_size},
-        "apriori": {
-            "min_support": cfg.min_support,
-            "min_confidence": cfg.min_confidence,
-            "max_rules": cfg.max_rules,
-        },
-        "positive_class": cfg.positive_class,
     }
+
+
+# -- stages shared with the CLI ----------------------------------------------
+
+def augment(ds: Dataset, balance: bool, target_total: int | None, k: int, seed: int) -> Dataset:
+    """*ds* grown by categorical SMOTE to the targets that *balance* and
+    *target_total* resolve to; *ds* itself when they add no record."""
+    targets = resolve_targets(ds, balance, target_total)
+    if targets == ds.class_counts():
+        return ds
+    return smote_n(ds, SmoteConfig(target_per_class=targets, k=k, seed=seed))
+
+
+def survivors(ranking, schema: Schema) -> tuple[str, ...]:
+    """The features *ranking* keeps, in schema order."""
+    kept = tuple(sorted((f for f, _, keep in ranking if keep), key=schema.index_of))
+    if not kept:
+        raise StageError("rank", RuntimeError("no feature passed the significance filter"))
+    return kept
+
+
+def eliminate(splits, learners, min_size: int, features, positive: int):
+    """The all-features baseline, then backward elimination from *features*.
+
+    Returns the report rows (baseline first), the visited steps in the same
+    order, and the elimination trace. When *features* is the whole schema
+    the first step is the baseline, so its models are not trained again.
+    """
+    everything = splits.train.schema.feature_names
+    trace = backward_eliminate(splits, learners, min_size, features=features, positive=positive)
+    first = trace.steps[0]
+    if first.features == everything:
+        base = (first.accuracies, first.aucs, first.models)
+    else:
+        base = evaluate_learners(splits, learners, everything, positive=positive)
+    steps = (StepRecord(everything, base[0], base[1], None, base[2]),) + trace.steps
+    rows = [
+        {
+            "baseline": i == 0,
+            "n_features": len(step.features),
+            "features": list(step.features),
+            "removed": step.removed,
+            "accuracies": dict(step.accuracies),
+            "aucs": dict(step.aucs),
+        }
+        for i, step in enumerate(steps)
+    ]
+    return rows, steps, trace
+
+
+def validate(model, ds: Dataset, positive: int) -> dict:
+    """Score *model* on *ds*: its confusion matrix, metrics, ROC curve and AUC."""
+    X, y = design_matrix(ds, model.features)
+    scores = score_rows(model, X)
+    cm = confusion(y.tolist(), (scores >= 0.5).astype(int).tolist(), positive)
+    curve = roc_points(y, oriented(scores, positive), positive)
+    return {"confusion": cm, "metrics": classification_metrics(cm), "curve": curve, "auc": auc(curve)}
+
+
+def metrics_doc(entry: dict) -> dict:
+    """The JSON form of a ``validate`` result's metrics."""
+    report: MetricsReport = entry["metrics"]
+    return {
+        "accuracy": report.accuracy,
+        "weighted_f1": report.weighted_f1,
+        "auc": entry["auc"],
+        "flags": list(report.flags),
+        "per_class": {str(label): asdict(m) for label, m in report.per_class.items()},
+    }
+
+
+def mine(ds: Dataset, features, min_support: float, min_confidence: float, max_rules: int):
+    """Victim rules over the catalog factors of *features*: the rules, the
+    factor descriptions, and the number of transactions."""
+    fm = default_factor_map().restrict(features)
+    transactions = dissolve_dataset(ds, fm)
+    itemsets = apriori(transactions, min_support)
+    rules = derive_rules(itemsets, min_confidence, frozenset((fm.victim_item,)), cap=max_rules)
+    descriptions = {e.factor_id: e.description for e in fm.entries}
+    descriptions[fm.victim_item] = "victim"
+    return rules, descriptions, len(transactions)
 
 
 @dataclass
@@ -194,7 +288,7 @@ class PipelineReport:
     elimination_rows: list  # dicts: n_features/features/accuracies/aucs/removed/baseline
     final_selection: tuple[str, ...]
     best: dict  # learner / features / test_accuracy / test_auc
-    validation: dict  # kind -> {"metrics": MetricsReport, "auc", "accuracy", "warnings"}
+    validation: dict  # kind -> validate() entry plus "accuracy" and "warnings"
     roc_curves: dict  # kind -> RocCurve
     headline_confusion: object
     rules: list  # of Rule
@@ -202,27 +296,10 @@ class PipelineReport:
     n_transactions: int
 
     def to_dict(self) -> dict:
-        validation = {}
-        for kind, entry in self.validation.items():
-            report: MetricsReport = entry["metrics"]
-            validation[kind] = {
-                "accuracy": report.accuracy,
-                "weighted_f1": report.weighted_f1,
-                "auc": entry["auc"],
-                "flags": list(report.flags),
-                "warnings": list(entry["warnings"]),
-                "per_class": {
-                    str(label): {
-                        "precision": m.precision,
-                        "recall": m.recall,
-                        "tnr": m.tnr,
-                        "f1": m.f1,
-                        "support": m.support,
-                    }
-                    for label, m in report.per_class.items()
-                },
-            }
-        cm = self.headline_confusion
+        validation = {
+            kind: {**metrics_doc(entry), "warnings": list(entry["warnings"])}
+            for kind, entry in self.validation.items()
+        }
         return {
             "config": self.config,
             "ranking": [
@@ -236,13 +313,7 @@ class PipelineReport:
             },
             "best": self.best,
             "validation": validation,
-            "confusion": {
-                "positive": cm.positive,
-                "tp": cm.tp,
-                "fn": cm.fn,
-                "fp": cm.fp,
-                "tn": cm.tn,
-            },
+            "confusion": asdict(self.headline_confusion),
             "rules": [
                 {
                     "antecedent": sorted(r.antecedent),
@@ -269,139 +340,59 @@ def _stage(name, fn, *args, **kwargs):
 _LEARNER_ORDER = {kind: i for i, kind in enumerate(KINDS)}
 
 
+def _pick_best(rows) -> dict:
+    """The best (learner, feature set) by test accuracy, then AUC, then
+    kind order, then the smaller set."""
+    best_key, best_payload = None, None
+    for row in rows:
+        for kind, acc in row["accuracies"].items():
+            key = (acc, row["aucs"][kind], -_LEARNER_ORDER[kind], -row["n_features"])
+            if best_key is None or key > best_key:
+                best_key = key
+                best_payload = {
+                    "learner": kind,
+                    "features": list(row["features"]),
+                    "test_accuracy": acc,
+                    "test_auc": row["aucs"][kind],
+                }
+    return best_payload
+
+
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
-    # load / generate
     if cfg.input_path is not None:
         ds = _stage("load", load_dataset, cfg.input_path, cfg.schema)
     else:
         ds = _stage("load", generate_synthetic, cfg.generator)
-
-    # augment
-    def _augment() -> Dataset:
-        targets = resolve_targets(ds, cfg.smote_balance, cfg.smote_target_total)
-        if targets == ds.class_counts():
-            return ds
-        seed = cfg.smote_seed if cfg.smote_seed is not None else cfg.seed
-        return smote_n(ds, SmoteConfig(target_per_class=targets, k=cfg.smote_k, seed=seed))
-
-    augmented = _stage("augment", _augment)
-
-    # rank
+    smote_seed = cfg.smote_seed if cfg.smote_seed is not None else cfg.seed
+    augmented = _stage("augment", augment, ds, cfg.smote_balance, cfg.smote_target_total, cfg.smote_k, smote_seed)
     ranking = _stage("rank", rank_features, augmented, cfg.alpha)
-    survivors = tuple(
-        sorted((f for f, _, keep in ranking if keep), key=cfg.schema.index_of)
-    )
-    if not survivors:
-        raise StageError("rank", RuntimeError("no feature passed the significance filter"))
-
-    # split
+    kept = _stage("rank", survivors, ranking, cfg.schema)
     splits = _stage("split", split_dataset, augmented, cfg.ratios, cfg.seed, cfg.stratified)
-
-    # eliminate (with the all-features baseline recorded first)
-    def _eliminate():
-        base_acc, base_auc, base_models = evaluate_learners(
-            splits, cfg.learners, cfg.schema.feature_names, positive=cfg.positive_class
-        )
-        baseline = StepRecord(cfg.schema.feature_names, base_acc, base_auc, None, base_models)
-        trace = backward_eliminate(
-            splits,
-            cfg.learners,
-            cfg.min_size,
-            features=survivors,
-            positive=cfg.positive_class,
-        )
-        return baseline, trace
-
-    baseline, trace = _stage("eliminate", _eliminate)
-    steps = (baseline,) + trace.steps
-
-    rows = []
-    for step in steps:
-        rows.append(
-            {
-                "baseline": step is baseline,
-                "n_features": len(step.features),
-                "features": list(step.features),
-                "removed": step.removed,
-                "accuracies": dict(step.accuracies),
-                "aucs": dict(step.aucs),
-            }
-        )
-
-    # best (learner, feature set) by test accuracy, then AUC, then kind order,
-    # then the smaller set
-    def _pick_best():
-        best_key, best_payload = None, None
-        for row in rows:
-            for kind, acc in row["accuracies"].items():
-                key = (
-                    acc,
-                    row["aucs"][kind],
-                    -_LEARNER_ORDER[kind],
-                    -row["n_features"],
-                )
-                if best_key is None or key > best_key:
-                    best_key = key
-                    best_payload = {
-                        "learner": kind,
-                        "features": list(row["features"]),
-                        "test_accuracy": acc,
-                        "test_auc": row["aucs"][kind],
-                    }
-        return best_payload
-
-    best = _stage("select", _pick_best)
+    rows, steps, trace = _stage(
+        "eliminate", eliminate, splits, cfg.learners, cfg.min_size, kept, cfg.positive_class
+    )
+    best = _stage("select", _pick_best, rows)
     selected = tuple(best["features"])
 
     # evaluate on validation the models that elimination trained on the
     # selected set; training is pure, so re-training would give the same ones
     def _validate():
         models = next(step.models for step in steps if step.features == selected)
-        X_val, y_val = design_matrix(splits.validation, selected)
-        validation, curves = {}, {}
-        headline_cm = None
+        validation = {}
         for spec in cfg.learners:
             model = models[spec.kind]
-            scores = score_rows(model, X_val)
-            predictions = (scores >= 0.5).astype(int)
-            cm = confusion(y_val.tolist(), predictions.tolist(), cfg.positive_class)
-            report = classification_metrics(cm)
-            oriented = scores if cfg.positive_class == 1 else 1.0 - scores
-            curve = roc_points(y_val, oriented, cfg.positive_class)
-            validation[spec.kind] = {
-                "metrics": report,
-                "auc": auc(curve),
-                "accuracy": report.accuracy,
-                "warnings": model.warnings,
-            }
-            curves[spec.kind] = curve
-            if spec.kind == best["learner"]:
-                headline_cm = cm
-        return validation, curves, headline_cm
+            entry = validate(model, splits.validation, cfg.positive_class)
+            validation[spec.kind] = {**entry, "accuracy": entry["metrics"].accuracy, "warnings": model.warnings}
+        return validation
 
-    validation, curves, headline_cm = _stage("evaluate", _validate)
-
-    # dissolve + mine over the selected risk features
-    def _mine():
-        fm = default_factor_map().restrict(selected)
-        transactions = dissolve_dataset(augmented, fm)
-        itemsets = mine_apriori(transactions, cfg.min_support)
-        rules = derive_rules(
-            itemsets,
-            cfg.min_confidence,
-            frozenset((fm.victim_item,)),
-            cap=cfg.max_rules,
-        )
-        descriptions = {e.factor_id: e.description for e in fm.entries}
-        descriptions[fm.victim_item] = "victim"
-        return rules, descriptions, len(transactions)
-
-    rules, descriptions, n_transactions = _stage("mine", _mine)
-
+    validation = _stage("evaluate", _validate)
+    rules, descriptions, n_transactions = _stage(
+        "mine", mine, augmented, selected, cfg.min_support, cfg.min_confidence, cfg.max_rules
+    )
     return PipelineReport(
         config=config_echo(cfg),
         ranking=ranking,
-        survivors=survivors,
+        survivors=kept,
         split_sizes={
             "train": len(splits.train),
             "test": len(splits.test),
@@ -411,8 +402,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         final_selection=trace.final_selection,
         best=best,
         validation=validation,
-        roc_curves=curves,
-        headline_confusion=headline_cm,
+        roc_curves={kind: entry["curve"] for kind, entry in validation.items()},
+        headline_confusion=validation[best["learner"]]["confusion"],
         rules=rules,
         factor_descriptions=descriptions,
         n_transactions=n_transactions,
@@ -422,11 +413,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 # -- report emission -------------------------------------------------------
 
 def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise StageError("emit", OSError(f"cannot write {path}: {exc}")) from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
 
 
 def ranking_csv(ranking) -> str:
@@ -496,24 +484,35 @@ def confusion_csv(cm) -> str:
 def emit_report(report: PipelineReport, out_dir: str) -> list[str]:
     """Write report.json and the CSV set into *out_dir*; returns the paths.
 
-    Emission is all-or-nothing per run_pipeline: this function is only called
-    with a fully computed report.
+    Every file is rendered first, then written into a temporary sibling of
+    *out_dir*. The sibling is renamed to *out_dir*, or, when *out_dir*
+    already exists, each file is moved into it. The sibling is removed on
+    every path, so a failed emission leaves no partial report behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
     kinds = [k for k in KINDS if k in report.validation]
-    written = []
-
-    def emit(name: str, text: str) -> None:
-        path = os.path.join(out_dir, name)
-        _write(path, text)
-        written.append(path)
-
-    emit("report.json", json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
-    emit("ranking.csv", ranking_csv(report.ranking))
-    emit("elimination.csv", elimination_csv(report.elimination_rows, kinds))
-    emit("metrics.csv", metrics_csv(report.validation))
-    for kind in kinds:
-        emit(f"roc_{kind}.csv", roc_csv(report.roc_curves[kind]))
-    emit("rules.csv", rules_csv(report.rules, report.factor_descriptions))
-    emit("confusion.csv", confusion_csv(report.headline_confusion))
-    return written
+    files = [
+        ("report.json", json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"),
+        ("ranking.csv", ranking_csv(report.ranking)),
+        ("elimination.csv", elimination_csv(report.elimination_rows, kinds)),
+        ("metrics.csv", metrics_csv(report.validation)),
+        *((f"roc_{kind}.csv", roc_csv(report.roc_curves[kind])) for kind in kinds),
+        ("rules.csv", rules_csv(report.rules, report.factor_descriptions)),
+        ("confusion.csv", confusion_csv(report.headline_confusion)),
+    ]
+    target = os.path.abspath(out_dir)
+    parent = os.path.dirname(target)
+    try:
+        os.makedirs(parent, exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix=f".{os.path.basename(target)}-", dir=parent) as scratch:
+            staged = os.path.join(scratch, "report")
+            os.mkdir(staged)  # under the umask, where the temporary directory itself is private
+            for name, text in files:
+                _write(os.path.join(staged, name), text)
+            if os.path.isdir(target):
+                for name, _ in files:
+                    os.replace(os.path.join(staged, name), os.path.join(target, name))
+            else:
+                os.rename(staged, target)
+    except OSError as exc:
+        raise StageError("emit", OSError(f"cannot write {out_dir}: {exc}")) from exc
+    return [os.path.join(out_dir, name) for name, _ in files]

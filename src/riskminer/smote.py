@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
-from .errors import ClassTooSmallError, PoolTooSmallError, TargetBelowCurrentError
+from .dataset import Dataset, apportion
+from .errors import ClassTooSmallError, ConfigError, PoolTooSmallError, TargetBelowCurrentError
 
 # Bytes a neighbour block may hold: int16 distances, a bool scratch, and the
 # int64 keys with their partitioned copy, per query row and pool member.
@@ -47,7 +47,7 @@ class SmoteConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be >= 1")
+            raise ConfigError(f"k must be >= 1, got {self.k}")
 
 
 def nearest_in_pool(matrix: np.ndarray, pool: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
@@ -87,13 +87,11 @@ def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = Tru
     """Positions of the k records closest to ``ds.records[index]`` by Hamming
     distance, excluding *index*; ties break toward the lower position."""
     index = range(len(ds))[index]
-    labels = np.asarray(ds.labels)
-    pool = np.flatnonzero(labels == labels[index]) if same_class_only else np.arange(len(ds))
+    pool = np.flatnonzero(ds.y == ds.y[index]) if same_class_only else np.arange(len(ds))
     if len(pool) - 1 < k:
         raise PoolTooSmallError(k, len(pool) - 1)
-    matrix = np.asarray(ds.records, dtype=np.int16)
     column = np.searchsorted(pool, [index])
-    return nearest_in_pool(matrix, pool, column, k)[0].tolist()
+    return nearest_in_pool(ds.codes, pool, column, k)[0].tolist()
 
 
 def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
@@ -113,13 +111,12 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         return ds  # immutable, nothing to add
 
     rng = random.Random(cfg.seed)
-    matrix = np.asarray(ds.records, dtype=np.int16)
-    labels = np.asarray(ds.labels)
+    matrix = ds.codes
     width = matrix.shape[1]
-    new_records: list[np.ndarray] = []
-    new_labels: list[int] = []
+    new_records: list[np.ndarray] = [matrix]
+    new_labels: list[np.ndarray] = [ds.y]
     for label in sorted(grow):
-        members = np.flatnonzero(labels == label)
+        members = np.flatnonzero(ds.y == label)
         seeds, slots = [], []
         coins = np.empty((grow[label], width))
         for row in coins:
@@ -131,14 +128,8 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         seed_rows = matrix[members[seeds]]
         donor_rows = matrix[neighbours[seed_of, slots]]
         new_records.append(np.where(coins < 0.5, seed_rows, donor_rows))
-        new_labels.extend([label] * grow[label])
-
-    synthetic = np.concatenate(new_records).tolist()
-    return Dataset(
-        schema=ds.schema,
-        records=ds.records + tuple(map(tuple, synthetic)),
-        labels=ds.labels + tuple(new_labels),
-    )
+        new_labels.append(np.full(grow[label], label))
+    return Dataset(ds.schema, np.concatenate(new_records), np.concatenate(new_labels))
 
 
 def balanced_targets(ds: Dataset, total: int | None = None) -> dict[int, int]:
@@ -162,16 +153,9 @@ def balanced_targets(ds: Dataset, total: int | None = None) -> dict[int, int]:
 
 def proportional_targets(ds: Dataset, total: int) -> dict[int, int]:
     """Grow every class along its current share until *total* records."""
-    counts = ds.class_counts()
     if total < len(ds):
         raise TargetBelowCurrentError(-1, total, len(ds))
-    quotas = {label: total * counts[label] / len(ds) for label in counts}
-    targets = {label: int(quotas[label]) for label in counts}
-    leftover = total - sum(targets.values())
-    by_remainder = sorted(counts, key=lambda c: (targets[c] - quotas[c], c))
-    for label in by_remainder[:leftover]:
-        targets[label] += 1
-    return targets
+    return apportion(ds.class_counts(), total)
 
 
 def resolve_targets(ds: Dataset, balance: bool, target_total: int | None) -> dict[int, int]:

@@ -1,25 +1,111 @@
-"""Reference oracle for the data layer's neighbour search and Apriori count.
+"""Reference oracle for the data layer: validation, loading, the neighbour
+search and the Apriori count.
 
-These are the per-record implementations that the block neighbour search in
+These are the per-record implementations that the array-native ``Dataset``
+and loader in ``riskminer.dataset``, the block neighbour search in
 ``riskminer.smote`` and the tidset Apriori in ``riskminer.mining`` replaced,
-kept verbatim: ``knn_categorical`` rebuilds the code matrix and a pool list
-for one seed, ``smote_n`` calls it once per distinct seed, ``apriori`` tests
-every candidate against every transaction, and ``dissolve_dataset`` dissolves
-one record at a time through ``dissolve``. The differential tests compare the
-library against them.
+kept verbatim: ``TupleDataset`` checks every cell of its tuple records in
+Python (it is the old ``Dataset``, renamed), ``load_dataset`` parses and
+checks a CSV file cell by cell, ``knn_categorical`` rebuilds the code matrix
+and a pool list for one seed, ``smote_n`` calls it once per distinct seed,
+``apriori`` tests every candidate against every transaction, and
+``dissolve_dataset`` dissolves one record at a time through ``dissolve``.
+The differential tests compare the library against them.
 """
 
 from __future__ import annotations
 
+import csv
 import random
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from riskminer.dataset import Dataset
-from riskminer.errors import ClassTooSmallError, ConfigError, PoolTooSmallError, TargetBelowCurrentError
+from riskminer.errors import (
+    ClassTooSmallError,
+    ConfigError,
+    DataError,
+    HeaderMismatchError,
+    IllegalValueError,
+    MissingColumnError,
+    PoolTooSmallError,
+    RaggedRowError,
+    TargetBelowCurrentError,
+)
 from riskminer.mining import FactorMap, dissolve
+from riskminer.schema import Schema
 from riskminer.smote import SmoteConfig
+
+
+@dataclass(frozen=True)
+class TupleDataset:
+    """Validated, immutable collection of records and labels.
+
+    Safe for concurrent reads; all mutation happens before construction.
+    """
+
+    schema: Schema
+    records: tuple[tuple[int, ...], ...]
+    labels: tuple[int, ...]
+
+    def __post_init__(self):
+        nfeat = len(self.schema.features)
+        if len(self.records) != len(self.labels):
+            raise DataError(
+                f"{len(self.records)} records but {len(self.labels)} labels"
+            )
+        for r, (rec, lab) in enumerate(zip(self.records, self.labels), start=1):
+            if len(rec) != nfeat:
+                raise RaggedRowError(r, nfeat, len(rec))
+            for spec, value in zip(self.schema.features, rec):
+                if value not in spec.values:
+                    raise IllegalValueError(r, spec.name, value)
+            if lab not in (0, 1):
+                raise IllegalValueError(r, self.schema.goal_name, lab)
+
+
+def load_dataset(path, schema: Schema) -> TupleDataset:
+    """Load and validate a CSV file against *schema*.
+
+    The header must be the schema's feature names plus the goal column,
+    exactly and in order. Cells must be integers within each feature's
+    legal codes. Row order is preserved.
+    """
+    expected = list(schema.feature_names) + [schema.goal_name]
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MissingColumnError(expected[0]) from None
+        for name in expected:
+            if name not in header:
+                raise MissingColumnError(name)
+        if header != expected:
+            raise HeaderMismatchError(
+                f"header must be exactly {expected!r} in order, got {header!r}"
+            )
+        records: list[tuple[int, ...]] = []
+        labels: list[int] = []
+        for r, row in enumerate(reader, start=1):
+            if len(row) != len(expected):
+                raise RaggedRowError(r, len(expected), len(row))
+            values = []
+            for name, cell in zip(expected, row):
+                try:
+                    values.append(int(cell))
+                except ValueError:
+                    raise IllegalValueError(r, name, cell) from None
+            for spec, value in zip(schema.features, values):
+                if value not in spec.values:
+                    raise IllegalValueError(r, spec.name, value)
+            if values[-1] not in (0, 1):
+                raise IllegalValueError(r, schema.goal_name, values[-1])
+            records.append(tuple(values[:-1]))
+            labels.append(values[-1])
+    return TupleDataset(schema=schema, records=tuple(records), labels=tuple(labels))
 
 
 def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = True) -> list[int]:

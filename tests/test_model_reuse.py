@@ -11,6 +11,7 @@ import sys
 from riskminer import cli, pipeline
 from riskminer.classifiers import train as real_train
 from riskminer.pipeline import config_from_dict, run_pipeline
+from riskminer.schema import FeatureSpec, Schema, save_schema
 
 
 def small_doc(learners):
@@ -102,3 +103,24 @@ def test_pipeline_output_without_lr_matches_pin(tmp_path):
     out = tmp_path / "out"
     assert cli.main(["pipeline", "--config", str(config), "--out", str(out)]) == 0
     assert _digest(out) == NO_LR_PIPELINE_SHA256
+
+
+def test_no_model_is_trained_twice_when_every_feature_survives(monkeypatch, tmp_path):
+    trained = {}
+
+    def counting_train(spec, ds, features=None):
+        model = real_train(spec, ds, features)
+        trained[(spec.kind, model.features)] = trained.get((spec.kind, model.features), 0) + 1
+        return model
+
+    _rebind(monkeypatch, real_train, counting_train)
+    doc = small_doc(["DT", "GNB", "LR"])
+    planted = [f["feature"] for f in doc["generator"]["planted_factors"]]
+    planted += [f for f, _ in doc["generator"]["planted_rule"]["factors"]]
+    schema = Schema(features=tuple(FeatureSpec(name, "binary", (0, 1)) for name in planted))
+    save_schema(schema, tmp_path / "schema.json")
+    doc["schema"] = str(tmp_path / "schema.json")
+    doc["elimination"] = {"min_size": 2}
+    report = run_pipeline(config_from_dict(doc))
+    assert report.survivors == schema.feature_names  # the baseline set is the first step's
+    assert {key: n for key, n in trained.items() if n > 1} == {}

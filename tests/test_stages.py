@@ -1,0 +1,162 @@
+"""Report emission is all-or-nothing, and the CLI exits with its documented
+codes (0, 2, 3, 4) on malformed argument values, never with a traceback."""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from riskminer import pipeline
+from riskminer.cli import main
+from riskminer.errors import ConfigError, StageError
+from riskminer.dataset import write_csv
+from riskminer.generate import GenSpec, PlantedFactor, generate_synthetic
+from riskminer.pipeline import config_from_dict, emit_report, run_pipeline
+from riskminer.schema import FeatureSpec, Schema, save_schema
+from test_pipeline import small_config_doc
+
+
+def test_failed_emission_leaves_no_report_and_no_temporary_directory(tmp_path, monkeypatch):
+    report = run_pipeline(config_from_dict(small_config_doc()))
+    real_write = pipeline._write
+    calls = []
+
+    def failing_write(path, text):
+        calls.append(path)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        real_write(path, text)
+
+    monkeypatch.setattr(pipeline, "_write", failing_write)
+    parent = tmp_path / "reports"
+    parent.mkdir()
+    with pytest.raises((OSError, StageError)):
+        emit_report(report, str(parent / "out"))
+    assert len(calls) == 3
+    assert list(parent.iterdir()) == []
+
+
+def test_emission_into_an_existing_directory_keeps_other_files(tmp_path):
+    report = run_pipeline(config_from_dict(small_config_doc()))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept", encoding="utf-8")
+    written = emit_report(report, str(out))
+    assert sorted(p.name for p in out.iterdir()) == sorted(["notes.txt"] + [p.split("/")[-1] for p in written])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+def test_config_alpha_outside_the_open_unit_interval_is_rejected_when_parsed():
+    for alpha in (0.0, 1.0, 2.0, -0.5, float("nan")):
+        with pytest.raises(ConfigError):
+            config_from_dict({**small_config_doc(), "alpha": alpha})
+
+
+# -- CLI exit codes ---------------------------------------------------------
+
+FEATURES = ("weak-password", "compulsive-buyer", "shared-email-access", "clicked-on-spam-email-links")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A four-feature schema, 80 planted records, and a config over them."""
+    root = tmp_path_factory.mktemp("cli")
+    schema = Schema(features=tuple(FeatureSpec(name, "binary", (0, 1)) for name in FEATURES))
+    save_schema(schema, root / "schema.json")
+    planted = tuple(PlantedFactor(name, 1, 0.85) for name in FEATURES[:2])
+    write_csv(generate_synthetic(GenSpec(n_records=80, planted_factors=planted, seed=5, schema=schema)),
+              root / "data.csv")
+    config = {"input": str(root / "data.csv"), "schema": str(root / "schema.json"), "learners": ["DT", "GNB"],
+              "elimination": {"min_size": 1}}
+    (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return root
+
+
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "1e-9", "2", "nan", "inf", "-inf", "x", "", "1,2", "3000"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-5, 400).map(str),
+)
+NAMES = st.sampled_from(["DT", "GNB", "DT,GNB", "DT,DT", "nope", "", " ", ",", "weak-password",
+                         "weak-password,nosuch", "nosuch", "age-range", "weak-password,,compulsive-buyer"])
+
+
+def _command(files, draw):
+    data, schema, out = str(files / "data.csv"), str(files / "schema.json"), str(files / "out")
+    common = ["--input", data, "--schema", schema, "--out", out + ".file"]
+    value = draw(NUMBERS)
+    return draw(st.sampled_from([
+        ["rank", *common, "--alpha", value],
+        ["eliminate", *common, "--alpha", value, "--learners", draw(NAMES), "--min-size", draw(NUMBERS),
+         "--ratios", draw(st.sampled_from(["0.75,0.175,0.075", "a,b,c", "0.5,0.5", "1,0,0", "nan,0.5,0.5",
+                                           "0.6,0.2,0.2,0", value]))],
+        ["train", *common, "--learner", "DT", "--features", draw(NAMES)],
+        ["mine", *common, "--features", draw(NAMES), "--min-support", value,
+         "--min-confidence", draw(NUMBERS), "--max-rules", draw(NUMBERS)],
+        ["augment", *common, "--k", value, "--target-total", draw(NUMBERS),
+         draw(st.sampled_from(["--balance", "--no-balance"]))],
+        ["pipeline", "--config", str(files / "config.json"), "--out", out + "-report", "--alpha", value,
+         "--learners", draw(NAMES), "--min-support", draw(NUMBERS)],
+    ]))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_argument_values_exit_with_a_documented_code(files, data):
+    argv = _command(files, data.draw)
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value its type cannot parse
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, stderr.getvalue())
+    assert "Traceback" not in stderr.getvalue()
+    if code == 2 and not stderr.getvalue().startswith("usage:"):
+        assert stderr.getvalue().startswith("config error:") or "stage" in stderr.getvalue(), stderr.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--learner", "DT", "--features", "nosuch"],
+    ["eliminate", "--ratios", "a,b,c"],
+    ["rank", "--alpha", "2"],
+    ["mine", "--features", "nosuch"],
+])
+def test_bad_values_are_config_errors(files, argv, capsys):
+    common = ["--input", str(files / "data.csv"), "--schema", str(files / "schema.json"),
+              "--out", str(files / "out.file")]
+    assert main(argv[:1] + common + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+
+
+def test_evaluating_a_model_on_data_without_its_features_is_a_config_error(files, tmp_path, capsys):
+    schema = Schema(features=tuple(FeatureSpec(name, "binary", (0, 1)) for name in FEATURES[2:]))
+    save_schema(schema, tmp_path / "schema.json")
+    write_csv(generate_synthetic(GenSpec(n_records=40, seed=1, schema=schema)), tmp_path / "data.csv")
+    model = str(tmp_path / "model.json")
+    assert main(["train", "--input", str(files / "data.csv"), "--schema", str(files / "schema.json"),
+                 "--learner", "DT", "--out", model]) == 0
+    assert main(["evaluate", "--model", model, "--input", str(tmp_path / "data.csv"),
+                 "--schema", str(tmp_path / "schema.json"), "--out", str(tmp_path / "metrics.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys):
+    docs = {
+        "list": [1, 2],
+        "generator": {"generator": [1]},
+        "section": {**small_config_doc(), "smote": 5},
+        "value": {**small_config_doc(), "seed": "x"},
+        "required": {"generator": {"seed": 1}},
+    }
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2, name
+        assert capsys.readouterr().err.startswith("config error:"), name
