@@ -7,8 +7,10 @@ numeric learners and as categories by the tree learners. Every learner
 exposes a victim-class score in [0, 1]; the predicted label is 1 exactly
 when the score reaches 0.5, so an exact tie resolves to the victim class.
 
-Fitted models are immutable and safe for concurrent prediction; training is
-deterministic given (kind, hyperparameters, data, features).
+Each learner's constructor is the one definition of its hyperparameters and
+their defaults. Fitted models are immutable and safe for concurrent
+prediction; training is deterministic given (kind, hyperparameters, data,
+features).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .tree import SplitChoice, best_split, gini
 __all__ = [
     "KINDS",
     "ClassifierSpec",
+    "defaults",
     "Model",
     "train",
     "predict",
@@ -47,52 +50,42 @@ __all__ = [
     "SplitChoice",
 ]
 
-KINDS = ("RF", "DT", "LR", "SVC", "GB", "GNB")
-
-DEFAULT_HYPERPARAMETERS: dict[str, dict] = {
-    "RF": {"n_estimators": 10, "criterion": "gini", "min_samples_split": 2, "seed": 42},
-    "DT": {"criterion": "gini", "splitter": "best", "min_samples_split": 2, "seed": 22},
-    "LR": {"penalty": "l2", "C": 1.0, "max_iter": 1000, "tol": 1e-6, "seed": 22},
-    "SVC": {
-        "kernel": "poly",
-        "degree": 3,
-        "coef0": 0.0,
-        "gamma": "scale",
-        "C": 1.0,
-        "tol": 1e-3,
-        "max_passes": 10_000,
-        "seed": 42,
-    },
-    "GB": {
-        "learning_rate": 0.1,
-        "n_estimators": 100,
-        "max_depth": 3,
-        "criterion": "friedman-mse",
-        "seed": 42,
-    },
-    "GNB": {"var_smoothing": 1e-9, "priors": None, "seed": 42},
+_LEARNERS = {
+    "RF": RandomForestLearner,
+    "DT": DecisionTreeLearner,
+    "LR": LogisticLearner,
+    "SVC": PolySVCLearner,
+    "GB": GradientBoostingLearner,
+    "GNB": GaussianNBLearner,
 }
+KINDS = tuple(_LEARNERS)
+
+
+def defaults(kind: str) -> dict:
+    """Every hyperparameter of *kind* with its default, read from the
+    learner's constructor, the one place where both are defined."""
+    if kind not in KINDS:
+        raise ConfigError(f"unknown classifier kind {kind!r}")
+    return {name: p.default for name, p in inspect.signature(_LEARNERS[kind]).parameters.items()}
 
 
 @dataclass(frozen=True)
 class ClassifierSpec:
+    """A learner kind and the hyperparameters that differ from its defaults."""
+
     kind: str
     hyperparameters: dict = field(default_factory=dict)
-    seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown classifier kind {self.kind!r}")
-        unknown = set(self.hyperparameters) - set(DEFAULT_HYPERPARAMETERS[self.kind])
+        known = defaults(self.kind)
+        if not isinstance(self.hyperparameters, dict):
+            raise ConfigError(f"{self.kind}: hyperparameters must be an object, got {self.hyperparameters!r}")
+        unknown = set(self.hyperparameters) - set(known)
         if unknown:
-            raise ConfigError(f"{self.kind}: unknown hyperparameters {sorted(unknown)}")
+            raise ConfigError(f"{self.kind}: unknown hyperparameters {sorted(unknown)}; it takes {sorted(known)}")
 
     def resolved(self) -> dict:
-        merged = dict(DEFAULT_HYPERPARAMETERS[self.kind])
-        merged.update(self.hyperparameters)
-        if self.seed is not None:
-            merged["seed"] = self.seed
-        return merged
+        return {**defaults(self.kind), **self.hyperparameters}
 
 
 @dataclass(frozen=True)
@@ -110,22 +103,6 @@ def design_matrix(ds: Dataset, features) -> tuple[np.ndarray, np.ndarray]:
     return ds.codes[:, cols].astype(np.float64), ds.y
 
 
-_LEARNERS = {
-    "RF": RandomForestLearner,
-    "DT": DecisionTreeLearner,
-    "LR": LogisticLearner,
-    "SVC": PolySVCLearner,
-    "GB": GradientBoostingLearner,
-    "GNB": GaussianNBLearner,
-}
-
-
-def _build_learner(kind: str, hyper: dict):
-    """An unfitted learner of *kind*, given the hyperparameters its constructor names."""
-    learner = _LEARNERS[kind]
-    return learner(**{k: v for k, v in hyper.items() if k in inspect.signature(learner).parameters})
-
-
 def train(spec: ClassifierSpec, ds: Dataset, features=None) -> Model:
     """Fit one classifier on *ds* restricted to *features* (default: all)."""
     if len(ds) == 0:
@@ -133,7 +110,7 @@ def train(spec: ClassifierSpec, ds: Dataset, features=None) -> Model:
     feats = tuple(features) if features is not None else ds.schema.feature_names
     hyper = spec.resolved()
     X, y = design_matrix(ds, feats)
-    learner = _build_learner(spec.kind, hyper)
+    learner = _LEARNERS[spec.kind](**hyper)
     learner.fit(X, y)
     warnings = []
     if getattr(learner, "converged", True) is False:
@@ -174,7 +151,7 @@ def predict_rows(model: Model, X: np.ndarray) -> np.ndarray:
     return (score_rows(model, X) >= 0.5).astype(np.int64)
 
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def model_to_dict(model: Model) -> dict:
@@ -188,21 +165,22 @@ def model_to_dict(model: Model) -> dict:
     }
 
 
-def model_from_dict(doc: dict) -> Model:
+def model_from_dict(doc) -> Model:
+    """The model that *doc*, a ``model_to_dict`` document, describes; any
+    other document raises ConfigError."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"a model document must be a JSON object, got {doc!r}")
     if doc.get("format_version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported model format {doc.get('format_version')!r}")
-    kind = doc["kind"]
-    if kind not in _LEARNERS:
-        raise ConfigError(f"unknown classifier kind {kind!r}")
-    impl = _build_learner(kind, doc["hyperparameters"])
-    impl.load_params(doc["params"])
-    return Model(
-        kind=kind,
-        hyperparameters=doc["hyperparameters"],
-        features=tuple(doc["features"]),
-        impl=impl,
-        warnings=tuple(doc.get("warnings", ())),
-    )
+        raise ConfigError(f"unsupported model format {doc.get('format_version')!r}, expected {FORMAT_VERSION}")
+    try:
+        spec = ClassifierSpec(doc["kind"], doc["hyperparameters"])
+        impl = _LEARNERS[spec.kind](**spec.resolved())
+        impl.load_params(doc["params"])
+        features = tuple(doc["features"])
+        warnings = tuple(doc.get("warnings", ()))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ConfigError(f"malformed model document ({exc!r})") from None
+    return Model(kind=spec.kind, hyperparameters=spec.resolved(), features=features, impl=impl, warnings=warnings)
 
 
 def save_model(model: Model, path) -> None:
@@ -213,4 +191,8 @@ def save_model(model: Model, path) -> None:
 
 def load_model(path) -> Model:
     with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ConfigError(f"model {path} is not valid JSON: {exc}") from None
+    return model_from_dict(doc)

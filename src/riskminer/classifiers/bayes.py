@@ -13,9 +13,8 @@ class GaussianNBLearner:
     single-class training data (the posterior is then constant).
     """
 
-    def __init__(self, var_smoothing: float = 1e-9, seed: int = 42):
+    def __init__(self, var_smoothing: float = 1e-9):
         self.var_smoothing = var_smoothing
-        self.seed = seed
         self.classes: list[int] = []
         self.log_prior: np.ndarray | None = None
         self.theta: np.ndarray | None = None  # [class, feature] means

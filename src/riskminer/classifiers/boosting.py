@@ -39,12 +39,10 @@ class GradientBoostingLearner:
         n_estimators: int = 100,
         learning_rate: float = 0.1,
         max_depth: int = 3,
-        seed: int = 42,
     ):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.seed = seed
         self.init_score = 0.0
         self.trees: list[TreeNode] = []
         self.table: TreeTable | None = None

@@ -20,15 +20,10 @@ def _majority_vote(leaf: TreeNode) -> float:
 
 
 class DecisionTreeLearner:
-    """Single gini tree, exhaustive best-first splits, unlimited depth.
+    """Single gini tree, exhaustive best-first splits, unlimited depth."""
 
-    The search is deterministic, so the configured seed only exists for
-    interface parity with the other learners.
-    """
-
-    def __init__(self, min_samples_split: int = 2, seed: int = 22):
+    def __init__(self, min_samples_split: int = 2):
         self.min_samples_split = min_samples_split
-        self.seed = seed
         self.root: TreeNode | None = None
         self.table: TreeTable | None = None
 

@@ -53,11 +53,10 @@ class LogisticLearner:
     the model carries a non-convergence warning instead of failing.
     """
 
-    def __init__(self, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6, seed: int = 22):
+    def __init__(self, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6):
         self.C = C
         self.max_iter = max_iter
         self.tol = tol
-        self.seed = seed
         self.weights: np.ndarray | None = None
         self.bias = 0.0
         self.converged = False

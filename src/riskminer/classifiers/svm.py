@@ -16,8 +16,7 @@ class PolySVCLearner:
     violator with the viable partner of largest error gap, and solve the
     two-variable subproblem analytically. A sweep with no updates certifies
     the KKT conditions within `tol`; `max_passes` bounds the sweep count and
-    hitting it leaves a non-convergence warning on the model. The procedure
-    is deterministic; the seed exists for interface parity.
+    hitting it leaves a non-convergence warning on the model.
     """
 
     def __init__(
@@ -28,7 +27,6 @@ class PolySVCLearner:
         gamma="scale",
         tol: float = 1e-3,
         max_passes: int = 10_000,
-        seed: int = 42,
     ):
         self.C = C
         self.degree = degree
@@ -36,7 +34,6 @@ class PolySVCLearner:
         self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-        self.seed = seed
         self.support_vectors: np.ndarray | None = None
         self.dual_coef: np.ndarray | None = None  # alpha_i * y_i on support vectors
         self.intercept = 0.0

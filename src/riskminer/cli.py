@@ -143,12 +143,11 @@ def cmd_eliminate(args) -> int:
     splits = split_dataset(ds, parse_ratios(args.ratios), seed, stratified=not args.no_stratify)
     learners = default_learners(kinds=_names(args.learners) if args.learners else classifiers.KINDS)
     kept = survivors(rank_features(ds, args.alpha), schema)
-    rows, _, trace = eliminate(splits, learners, args.min_size, kept, args.positive)
+    rows, steps, (chosen, _) = eliminate(splits, learners, args.min_size, kept, args.positive)
     _write_text(args.out, elimination_csv(rows, [spec.kind for spec in learners]))
     if args.selection:
-        _write_json(args.selection, {"final_selection": list(trace.final_selection)})
-    print(f"eliminated down to {len(trace.steps[-1].features)} features; "
-          f"selected {len(trace.final_selection)}")
+        _write_json(args.selection, {"final_selection": list(chosen.features)})
+    print(f"eliminated down to {len(steps[-1].features)} features; selected {len(chosen.features)}")
     return 0
 
 
@@ -161,7 +160,7 @@ def cmd_train(args) -> int:
         features = _known_features(_names(args.features), schema)
     else:
         features = list(schema.feature_names)
-    spec = classifiers.ClassifierSpec(kind=args.learner, seed=args.seed)
+    spec = classifiers.ClassifierSpec(args.learner, {} if args.seed is None else {"seed": args.seed})
     model = classifiers.train(spec, ds, features)
     classifiers.save_model(model, args.out)
     notice = f" ({'; '.join(model.warnings)})" if model.warnings else ""

@@ -113,7 +113,6 @@ class SplitBundle:
     train: Dataset
     test: Dataset
     validation: Dataset
-    seed: int = 0
 
 
 def _row_fault(r: int, row: list[str], names) -> DataError | None:
@@ -240,5 +239,4 @@ def split_dataset(ds: Dataset, ratios, seed: int, stratified: bool = True) -> Sp
         train=ds.subset(train_idx),
         test=ds.subset(test_idx),
         validation=ds.subset(val_idx),
-        seed=seed,
     )

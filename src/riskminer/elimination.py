@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifiers import design_matrix, score_rows, train
+from .classifiers import KINDS, design_matrix, score_rows, train
 from .dataset import SplitBundle
 from .errors import ConfigError
 from .metrics import oriented, roc_auc
@@ -69,8 +69,7 @@ def backward_eliminate(
 
     The trace records one step per visited active set, with the models
     trained on it; the last step has ``removed=None``. ``final_selection``
-    is the visited set whose best learner scored highest on the test split,
-    ties going to the smaller set.
+    is the feature set of ``best_choice(steps)``.
     """
     if min_size < 1:
         raise ConfigError("min_size must be >= 1")
@@ -101,5 +100,17 @@ def backward_eliminate(
         accuracies, aucs, models = next_acc, next_auc, next_models
     steps.append(StepRecord(tuple(active), accuracies, aucs, None, models))
 
-    best_step = max(steps, key=lambda s: (max(s.accuracies.values()), -len(s.features)))
-    return EliminationTrace(steps=tuple(steps), final_selection=best_step.features)
+    return EliminationTrace(steps=tuple(steps), final_selection=best_choice(steps)[0].features)
+
+
+def selection_key(step: StepRecord, kind: str) -> tuple:
+    """The order in which (step, learner kind) pairs compete for selection:
+    test accuracy, then AUC, then the earlier kind in KINDS, then the
+    smaller feature set."""
+    return (step.accuracies[kind], step.aucs[kind], -KINDS.index(kind), -len(step.features))
+
+
+def best_choice(steps) -> tuple[StepRecord, str]:
+    """The (step, learner kind) pair that ranks highest by ``selection_key``;
+    a full tie goes to the earlier step."""
+    return max(((step, kind) for step in steps for kind in step.accuracies), key=lambda pair: selection_key(*pair))

@@ -124,12 +124,8 @@ def roc_points(y_true, scores, positive: int) -> RocCurve:
     fps = np.arange(1, len(y) + 1) - tps
     # Keep only the last index of each tied score block.
     last = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    points = [(0.0, 0.0)]
-    thresholds = [float("inf")]
-    for i in last:
-        points.append((fps[i] / n_neg, tps[i] / n_pos))
-        thresholds.append(float(s_sorted[i]))
-    return RocCurve(points=tuple(points), thresholds=tuple(thresholds))
+    points = ((0.0, 0.0), *zip((fps[last] / n_neg).tolist(), (tps[last] / n_pos).tolist()))
+    return RocCurve(points=points, thresholds=(float("inf"), *s_sorted[last].tolist()))
 
 
 def auc(curve: RocCurve) -> float:

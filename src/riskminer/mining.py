@@ -188,6 +188,8 @@ def derive_rules(
     """Rules (S \\ consequent -> consequent) for every frequent S containing
     the consequent, filtered by confidence, sorted by confidence then support
     descending then antecedent, and truncated to *cap*."""
+    if cap < 0:
+        raise ConfigError(f"max_rules must be >= 0, got {cap}")
     consequent = frozenset(consequent)
     if consequent not in itemsets:
         return []

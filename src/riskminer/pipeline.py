@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from .chisq import check_alpha, rank_features
 from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows
 from .dataset import Dataset, load_dataset, split_dataset
-from .elimination import StepRecord, backward_eliminate, evaluate_learners
+from .elimination import StepRecord, backward_eliminate, best_choice, evaluate_learners
 from .errors import ConfigError, StageError
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from .metrics import MetricsReport, RocCurve, auc, classification_metrics, confusion, oriented, roc_points
@@ -68,8 +68,15 @@ class PipelineConfig:
 
 
 def default_learners(params: dict | None = None, kinds=KINDS) -> tuple[ClassifierSpec, ...]:
-    params = params or {}
-    return tuple(ClassifierSpec(kind=k, hyperparameters=params.get(k, {})) for k in kinds)
+    """One spec per kind in *kinds*; every entry of *params* is checked,
+    also one for a kind that *kinds* leaves out."""
+    params = {} if params is None else params
+    if not isinstance(params, dict):
+        raise ConfigError(f"classifier_params must be an object of objects, got {params!r}")
+    if not isinstance(kinds, (list, tuple)):
+        raise ConfigError(f"learners must be a list of kinds, got {kinds!r}")
+    specs = {kind: ClassifierSpec(kind, hyper) for kind, hyper in params.items()}
+    return tuple(specs[k] if k in specs else ClassifierSpec(k) for k in kinds)
 
 
 def parse_ratios(value) -> tuple[float, float, float]:
@@ -177,7 +184,7 @@ def config_from_dict(doc: dict, seed_override: int | None = None) -> PipelineCon
     schema = load_schema(doc["schema"]) if doc.get("schema") else default_schema()
     seed = doc.get("seed", PipelineConfig.seed)
     generator = genspec_from_dict(doc["generator"], schema, default_seed=seed) if doc.get("generator") else None
-    learners = default_learners(doc.get("classifier_params"), kinds=tuple(doc.get("learners", KINDS)))
+    learners = default_learners(doc.get("classifier_params"), kinds=doc.get("learners", KINDS))
     return _parse(PipelineConfig, CONFIG_FIELDS, doc, schema=schema, generator=generator, learners=learners)
 
 
@@ -221,8 +228,9 @@ def eliminate(splits, learners, min_size: int, features, positive: int):
     """The all-features baseline, then backward elimination from *features*.
 
     Returns the report rows (baseline first), the visited steps in the same
-    order, and the elimination trace. When *features* is the whole schema
-    the first step is the baseline, so its models are not trained again.
+    order, and their ``best_choice``: the selected (step, learner kind).
+    When *features* is the whole schema the first step is the baseline, so
+    its models are not trained again.
     """
     everything = splits.train.schema.feature_names
     trace = backward_eliminate(splits, learners, min_size, features=features, positive=positive)
@@ -243,7 +251,7 @@ def eliminate(splits, learners, min_size: int, features, positive: int):
         }
         for i, step in enumerate(steps)
     ]
-    return rows, steps, trace
+    return rows, steps, best_choice(steps)
 
 
 def validate(model, ds: Dataset, positive: int) -> dict:
@@ -337,27 +345,6 @@ def _stage(name, fn, *args, **kwargs):
         raise StageError(name, exc) from exc
 
 
-_LEARNER_ORDER = {kind: i for i, kind in enumerate(KINDS)}
-
-
-def _pick_best(rows) -> dict:
-    """The best (learner, feature set) by test accuracy, then AUC, then
-    kind order, then the smaller set."""
-    best_key, best_payload = None, None
-    for row in rows:
-        for kind, acc in row["accuracies"].items():
-            key = (acc, row["aucs"][kind], -_LEARNER_ORDER[kind], -row["n_features"])
-            if best_key is None or key > best_key:
-                best_key = key
-                best_payload = {
-                    "learner": kind,
-                    "features": list(row["features"]),
-                    "test_accuracy": acc,
-                    "test_auc": row["aucs"][kind],
-                }
-    return best_payload
-
-
 def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     if cfg.input_path is not None:
         ds = _stage("load", load_dataset, cfg.input_path, cfg.schema)
@@ -368,19 +355,23 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
     ranking = _stage("rank", rank_features, augmented, cfg.alpha)
     kept = _stage("rank", survivors, ranking, cfg.schema)
     splits = _stage("split", split_dataset, augmented, cfg.ratios, cfg.seed, cfg.stratified)
-    rows, steps, trace = _stage(
+    rows, steps, (chosen, kind) = _stage(
         "eliminate", eliminate, splits, cfg.learners, cfg.min_size, kept, cfg.positive_class
     )
-    best = _stage("select", _pick_best, rows)
-    selected = tuple(best["features"])
+    selected = chosen.features
+    best = {
+        "learner": kind,
+        "features": list(selected),
+        "test_accuracy": chosen.accuracies[kind],
+        "test_auc": chosen.aucs[kind],
+    }
 
     # evaluate on validation the models that elimination trained on the
     # selected set; training is pure, so re-training would give the same ones
     def _validate():
-        models = next(step.models for step in steps if step.features == selected)
         validation = {}
         for spec in cfg.learners:
-            model = models[spec.kind]
+            model = chosen.models[spec.kind]
             entry = validate(model, splits.validation, cfg.positive_class)
             validation[spec.kind] = {**entry, "accuracy": entry["metrics"].accuracy, "warnings": model.warnings}
         return validation
@@ -399,7 +390,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
             "validation": len(splits.validation),
         },
         elimination_rows=rows,
-        final_selection=trace.final_selection,
+        final_selection=selected,
         best=best,
         validation=validation,
         roc_curves={kind: entry["curve"] for kind, entry in validation.items()},
@@ -437,7 +428,7 @@ def elimination_csv(rows, kinds) -> str:
 
 def metrics_csv(validation) -> str:
     lines = ["learner,class,precision,recall,f1,support,accuracy_pct,weighted_f1,auc"]
-    for kind in sorted(validation, key=lambda k: _LEARNER_ORDER[k]):
+    for kind in sorted(validation, key=KINDS.index):
         entry = validation[kind]
         report: MetricsReport = entry["metrics"]
         for label in sorted(report.per_class):

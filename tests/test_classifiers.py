@@ -153,9 +153,9 @@ def test_gnb_symmetric_midpoint():
 
 def test_lr_zero_model_scores_half_and_predicts_victim():
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "kind": "LR",
-        "hyperparameters": {"penalty": "l2", "C": 1.0, "max_iter": 1000, "tol": 1e-6, "seed": 22},
+        "hyperparameters": {"C": 1.0, "max_iter": 1000, "tol": 1e-6},
         "features": ["f0", "f1"],
         "warnings": [],
         "params": {"weights": [0.0, 0.0], "bias": 0.0, "converged": True},
@@ -281,6 +281,30 @@ def test_separable_training_accuracy(kind):
     ds = _separable_dataset()
     model = train(ClassifierSpec(kind), ds)
     assert _training_accuracy(model, ds, ds.schema.feature_names) >= 0.95
+
+
+# a value other than the default for every hyperparameter each learner takes
+CHANGED_HYPERPARAMETERS = {
+    "RF": {"n_estimators": 3, "min_samples_split": 30, "seed": 7},
+    "DT": {"min_samples_split": 30},
+    "LR": {"C": 0.01, "max_iter": 1, "tol": 10.0},
+    "SVC": {"C": 0.01, "degree": 2, "coef0": 1.0, "gamma": 0.5, "tol": 0.5, "max_passes": 1},
+    "GB": {"learning_rate": 0.5, "n_estimators": 5, "max_depth": 1},
+    "GNB": {"var_smoothing": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_every_hyperparameter_changes_the_fitted_params(kind):
+    rng = random.Random(3)
+    records = [[rng.randrange(3) for _ in range(4)] for _ in range(120)]
+    labels = [1 if r[0] + r[1] + rng.random() * 2 >= 2.5 else 0 for r in records]
+    ds = toy_dataset(records, labels, schema=toy_schema(4, values=(0, 1, 2)))
+    spec = ClassifierSpec(kind)
+    assert set(spec.resolved()) == set(CHANGED_HYPERPARAMETERS[kind])  # no setting goes unread
+    base = model_to_dict(train(spec, ds))["params"]
+    for key, value in CHANGED_HYPERPARAMETERS[kind].items():
+        assert model_to_dict(train(ClassifierSpec(kind, {key: value}), ds))["params"] != base, key
 
 
 @pytest.mark.parametrize("kind", KINDS)

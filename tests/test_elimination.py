@@ -10,7 +10,7 @@ import pytest
 from conftest import toy_dataset
 from riskminer.classifiers import KINDS, ClassifierSpec, design_matrix, predict_rows, train
 from riskminer.dataset import split_dataset
-from riskminer.elimination import backward_eliminate, evaluate_learners
+from riskminer.elimination import StepRecord, backward_eliminate, best_choice, evaluate_learners
 from riskminer.errors import ConfigError
 from riskminer.pipeline import config_from_dict, run_pipeline
 
@@ -179,3 +179,37 @@ def test_six_learner_elimination_steps():
     again = run_pipeline(config_from_dict(_six_learner_doc()))
     assert again.elimination_rows == report.elimination_rows
     assert again.final_selection == report.final_selection
+
+
+def test_best_choice_breaks_ties_by_auc_then_kind_then_size():
+    def step(n, accuracies, aucs):
+        return StepRecord(tuple(f"f{i}" for i in range(n)), accuracies, aucs, None)
+
+    big = step(3, {"DT": 0.9, "GNB": 0.8}, {"DT": 0.95, "GNB": 0.99})
+    small = step(2, {"DT": 0.9, "GNB": 0.9}, {"DT": 0.94, "GNB": 0.95})
+    assert best_choice([big, small]) == (big, "DT")  # equal accuracy: the higher AUC
+    tied = step(2, {"DT": 0.9, "GNB": 0.9}, {"DT": 0.95, "GNB": 0.95})
+    assert best_choice([big, tied]) == (tied, "DT")  # equal AUC: DT before GNB, then the smaller set
+
+
+def test_report_selection_is_the_best_learners_feature_set():
+    # twelve planted features and one backward step: at generator seed 29
+    # GNB scores the same test accuracy on the 12- and the 11-feature set,
+    # and the 12-feature set has the higher AUC
+    planted = ("weak-password", "social-media-user", "disclose-sentiment-on-social-media",
+               "victimized-by-blackmailing", "maintained-privacy-on-social-media",
+               "sharing-private-information-on-the-internet", "receive-phishing-email", "shared-email-access",
+               "permitted-ingress-in-email", "clicked-on-spam-email-links", "online-products-purchaser",
+               "lost-money-by-purchasing-online-commodities")
+    doc = {
+        "seed": 5,
+        "alpha": 0.001,
+        "generator": {"n_records": 300, "class_balance": 0.5, "seed": 29,
+                      "planted_factors": [{"feature": f, "value": 1, "victim_prob": 0.7} for f in planted]},
+        "smote": {"balance": False},
+        "classifier_params": {"LR": {"max_iter": 150}},
+        "elimination": {"min_size": 11},
+    }
+    report = run_pipeline(config_from_dict(doc))
+    assert report.best["learner"] == "GNB"
+    assert report.final_selection == tuple(report.best["features"]) == planted

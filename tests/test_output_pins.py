@@ -2,7 +2,10 @@
 
 The hashes were recorded before the data layer moved to a code matrix and
 before the CLI and ``run_pipeline`` shared one set of stage functions; a
-refactor that keeps behaviour keeps every byte.
+refactor that keeps behaviour keeps every byte. The report, model and ROC
+pins were re-recorded when the echo kept only the hyperparameters a learner
+reads, models moved to format 2 and ROC points became plain floats; each
+new file equals the old one with exactly those edits.
 """
 
 from __future__ import annotations
@@ -19,21 +22,21 @@ PINS = {
     "data.csv": "7980c1188306f0272070cdde235e6d738a42fe12e17e1c33f99bdb2f282a318e",
     "elimination.csv": "b6f4b079ccbf5f3b7a74e3cfe63b097df9ad407973a206b8c2202539fa04e2ff",
     "metrics.json": "b4f6789fc39551d134b69a1e313b3cb7e133d3d49e6f2114fb840e2e0b9468ef",
-    "model.json": "93c45c7dd079ed0742e4ab9d3c6eaadd2306b855c61f96b79a0a25a3a19e2cf4",
+    "model.json": "cbdaf219ec3d86881c10107d775e1fe3f097be3cf6579232f7903ada57fb45e9",
     "pipeline/confusion.csv": "5fd66a77ad14da08ff800223e5a2bb3272bd32ff73d8ebb378b2b2fa76513500",
     "pipeline/elimination.csv": "66ec29e3732dec5fa78aac4470e0701d077037730c3f77a904fb85f52c0e7f51",
     "pipeline/metrics.csv": "d96f601de555f89b72c6f2e06de0dd49a91afbdc0c25a3f90a4c7b6efd9915ac",
     "pipeline/ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "pipeline/report.json": "a610d6d283431f8e885fba399c0481a1e3a4db8a08be4e4a5f3d0bffb8426055",
-    "pipeline/roc_DT.csv": "1fde01af1d77ffdcf9918486b08441222976dd519f7a4c5d92d2f0395c6037fe",
-    "pipeline/roc_GB.csv": "294dffe9ae9e0540e022b68b900d0bb09a393cc578a70954701c1ae2edab5359",
-    "pipeline/roc_GNB.csv": "f178e299f04da1e4d1da110c0e235da08f1ab7aa5a397db709a5808473006186",
-    "pipeline/roc_LR.csv": "b93eb8a25866fe1f361f282db8a1a29b81c2af32c2dbe9ea83db2627f425f98a",
-    "pipeline/roc_RF.csv": "d1420c0cca2d7e296b017ad98261a9e99970a7e4d1e960503cef2d7ace5197f3",
-    "pipeline/roc_SVC.csv": "9644591116637cfdb6ac7e15375745dbc060a000d7c0ea177cc5d4f90710530b",
+    "pipeline/report.json": "8dd6f700c3e9a38bc14e0eb96b809323bca790aa832a2ff9ac169563d126b1f4",
+    "pipeline/roc_DT.csv": "d783de2895ab6b1c370a7acf4206d171f406384ef1ebf5243bc86075d6aad76a",
+    "pipeline/roc_GB.csv": "81eca0fe385782250e95f321fecc593e83e6228d48712c552debedde1c236e9e",
+    "pipeline/roc_GNB.csv": "19f577214998dc161940cc86c5508dd5ea80af9a4230d36ab06226ee666638cd",
+    "pipeline/roc_LR.csv": "c35ef841e4a7ed73146c3094086d757a480dca37c46d20f7e7dd8251f48543bb",
+    "pipeline/roc_RF.csv": "869529de3295b1b03ecdf3f8617385757bffc2cd0b31335b191fdf8b239a229f",
+    "pipeline/roc_SVC.csv": "56c63e847ad93ddde9737fdf787419af907c5e75ec030d44d9d9b92ec33d1644",
     "pipeline/rules.csv": "d29b69cc81f9283d67c727ba0fce612b40a949a3fb1f1a9c88af264fffc1fe7c",
     "ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "roc.csv": "f9693d2845f2da49f97676022393c9b3c9ac9ce97c76cbe0755b953f9259281e",
+    "roc.csv": "fd0ae38922bb8562cfeacdebdeb794f32c14cef01917162dd955bff40f7eb2b4",
     "rules.csv": "d29b69cc81f9283d67c727ba0fce612b40a949a3fb1f1a9c88af264fffc1fe7c",
     "selection.json": "6a4cdc3e175038e80ce9dbb3a710df7577d88dea75cd39266a7a455ad1e24e08",
 }

@@ -147,3 +147,8 @@ def test_emit_report_file_set(tmp_path):
     metrics = (tmp_path / "out" / "metrics.csv").read_text().splitlines()
     assert metrics[0] == "learner,class,precision,recall,f1,support,accuracy_pct,weighted_f1,auc"
     assert len(metrics) == 1 + 2 * 2  # two learners x two classes
+    for kind in ("DT", "GNB"):
+        roc = (tmp_path / "out" / f"roc_{kind}.csv").read_text().splitlines()
+        assert roc[0] == "threshold,fpr,tpr"
+        for line in roc[1:]:
+            assert len([float(cell) for cell in line.split(",")]) == 3, line

@@ -74,6 +74,8 @@ def files(tmp_path_factory):
     config = {"input": str(root / "data.csv"), "schema": str(root / "schema.json"), "learners": ["DT", "GNB"],
               "elimination": {"min_size": 1}}
     (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    (root / "model-v1.json").write_text(json.dumps({"format_version": 1}), encoding="utf-8")
+    (root / "model-list.json").write_text("[1]", encoding="utf-8")
     return root
 
 
@@ -126,10 +128,16 @@ def test_malformed_argument_values_exit_with_a_documented_code(files, data):
     ["eliminate", "--ratios", "a,b,c"],
     ["rank", "--alpha", "2"],
     ["mine", "--features", "nosuch"],
+    ["mine", "--max-rules", "-5"],
+    ["train", "--learner", "DT", "--seed", "5"],
+    ["evaluate", "--model", "{files}/data.csv"],
+    ["evaluate", "--model", "{files}/model-v1.json"],
+    ["evaluate", "--model", "{files}/model-list.json"],
 ])
 def test_bad_values_are_config_errors(files, argv, capsys):
     common = ["--input", str(files / "data.csv"), "--schema", str(files / "schema.json"),
               "--out", str(files / "out.file")]
+    argv = [arg.replace("{files}", str(files)) for arg in argv]
     assert main(argv[:1] + common + argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
@@ -154,9 +162,17 @@ def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys)
         "section": {**small_config_doc(), "smote": 5},
         "value": {**small_config_doc(), "seed": "x"},
         "required": {"generator": {"seed": 1}},
+        "unread hyperparameter": {**small_config_doc(), "classifier_params": {"DT": {"criterion": "gini"}}},
+        "unknown kind": {**small_config_doc(), "classifier_params": {"Rf": {"n_estimators": 50}}},
+        "params not an object": {**small_config_doc(), "classifier_params": {"RF": 5}},
+        "params a list": {**small_config_doc(), "classifier_params": [1]},
+        "learners a string": {**small_config_doc(), "learners": "RF"},
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2, name
-        assert capsys.readouterr().err.startswith("config error:"), name
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1, name
+    # params for a kind that the learners list leaves out are still accepted
+    config_from_dict({**small_config_doc(), "learners": ["DT"], "classifier_params": {"LR": {"max_iter": 5}}})

@@ -50,12 +50,14 @@ def _digest_dataset() -> Dataset:
     return Dataset(schema=Schema(features=specs), records=tuple(records), labels=tuple(labels))
 
 
-# sha256 of json.dumps(model_to_dict(model), sort_keys=True), recorded with the
-# scalar split search that the histogram engine replaced
+# sha256 of json.dumps(model_to_dict(model), sort_keys=True). The tree params
+# were recorded with the scalar split search that the histogram engine
+# replaced; the digests were re-recorded for model format 2, whose
+# hyperparameters list only the keys a learner reads, with params unchanged.
 PINNED_DIGESTS = {
-    "DT": "97b4f79b2a641b4c58f77e8534d7816933b73a82d869ca5c8b7f26224cdcd6f6",
-    "RF": "2a98455228bca4047c8d66475d6932ea0344deb1f0af0dd3ae5adf15b1401e9a",
-    "GB": "4daa43436ce160471bed9e35c64aa4093c9d16955ea1e58099715842a0627f07",
+    "DT": "657a6df0916966411c8f4a01294b0653b5966dffbc4274a142c9e87af9b8c533",
+    "RF": "f92feb2b8d2ba238f63ce3008d96a5b23223c90fb3f1a2376d2e132c0783f0f3",
+    "GB": "aed8ee698893a7ea47f0f99693ff2a8c4e887134a2d253647d34a01d2bfeed8c",
 }
 
 
@@ -87,9 +89,9 @@ def _stump(n_left, n_right):
 
 def _model(kind, tree):
     hyper = {
-        "DT": {"criterion": "gini", "splitter": "best", "min_samples_split": 2, "seed": 22},
-        "RF": {"n_estimators": 1, "criterion": "gini", "min_samples_split": 2, "seed": 42},
-        "GB": {"learning_rate": 1.0, "n_estimators": 1, "max_depth": 1, "criterion": "friedman-mse", "seed": 42},
+        "DT": {"min_samples_split": 2},
+        "RF": {"n_estimators": 1, "min_samples_split": 2, "seed": 42},
+        "GB": {"learning_rate": 1.0, "n_estimators": 1, "max_depth": 1},
     }[kind]
     params = {
         "DT": {"tree": tree},
@@ -97,7 +99,7 @@ def _model(kind, tree):
         "GB": {"init_score": 0.0, "trees": [tree], "train_losses": [0.7, 0.6]},
     }[kind]
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "kind": kind,
         "hyperparameters": hyper,
         "features": ["f0", "f1"],
