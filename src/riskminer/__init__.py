@@ -10,7 +10,7 @@ victim association rules with Apriori.
 from .chisq import ChiSqResult, ContingencyTable, chi_squared_test, contingency, rank_features
 from .classifiers import ClassifierSpec, Model, predict, score, train
 from .dataset import Dataset, SplitBundle, load_dataset, split_dataset, write_csv
-from .elimination import EliminationTrace, backward_eliminate
+from .elimination import backward_eliminate
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from .metrics import (
     ConfusionMatrix,
@@ -44,7 +44,6 @@ __all__ = [
     "ConfusionMatrix",
     "ContingencyTable",
     "Dataset",
-    "EliminationTrace",
     "FactorMap",
     "FeatureSpec",
     "GenSpec",

@@ -83,6 +83,10 @@ class ClassifierSpec:
         unknown = set(self.hyperparameters) - set(known)
         if unknown:
             raise ConfigError(f"{self.kind}: unknown hyperparameters {sorted(unknown)}; it takes {sorted(known)}")
+        try:
+            _LEARNERS[self.kind](**self.hyperparameters)  # its constructor checks each value
+        except ConfigError as exc:
+            raise ConfigError(f"{self.kind}: {exc}") from None
 
     def resolved(self) -> dict:
         return {**defaults(self.kind), **self.hyperparameters}

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import check_numbers
+
 
 class GaussianNBLearner:
     """Per-class, per-feature Gaussians with class-frequency priors.
@@ -14,6 +16,7 @@ class GaussianNBLearner:
     """
 
     def __init__(self, var_smoothing: float = 1e-9):
+        check_numbers(var_smoothing=var_smoothing)
         self.var_smoothing = var_smoothing
         self.classes: list[int] = []
         self.log_prior: np.ndarray | None = None

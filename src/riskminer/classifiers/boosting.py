@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingleClassError
+from ..errors import SingleClassError, check_ints, check_numbers
 from .linear import sigmoid
 from .tree import (
     TreeNode,
@@ -40,6 +40,8 @@ class GradientBoostingLearner:
         learning_rate: float = 0.1,
         max_depth: int = 3,
     ):
+        check_ints(n_estimators=n_estimators, max_depth=max_depth)
+        check_numbers(learning_rate=learning_rate)
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth

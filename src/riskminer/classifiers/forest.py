@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import check_ints
 from .tree import (
     TreeNode,
     TreeTable,
@@ -23,6 +24,7 @@ class DecisionTreeLearner:
     """Single gini tree, exhaustive best-first splits, unlimited depth."""
 
     def __init__(self, min_samples_split: int = 2):
+        check_ints(2, min_samples_split=min_samples_split)
         self.min_samples_split = min_samples_split
         self.root: TreeNode | None = None
         self.table: TreeTable | None = None
@@ -51,6 +53,9 @@ class RandomForestLearner:
     """
 
     def __init__(self, n_estimators: int = 10, seed: int = 42, min_samples_split: int = 2):
+        check_ints(n_estimators=n_estimators)
+        check_ints(2, min_samples_split=min_samples_split)
+        check_ints(0, seed=seed)
         self.n_estimators = n_estimators
         self.seed = seed
         self.min_samples_split = min_samples_split

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import SingleClassError
+from ..errors import SingleClassError, check_ints, check_numbers
 
 
 def sigmoid(z):
@@ -54,6 +54,8 @@ class LogisticLearner:
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6):
+        check_numbers(C=C, tol=tol)
+        check_ints(max_iter=max_iter)
         self.C = C
         self.max_iter = max_iter
         self.tol = tol

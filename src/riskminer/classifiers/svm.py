@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingleClassError
+from ..errors import SingleClassError, check_ints, check_numbers
 from .linear import sigmoid
 
 
@@ -28,6 +28,11 @@ class PolySVCLearner:
         tol: float = 1e-3,
         max_passes: int = 10_000,
     ):
+        check_numbers(C=C, tol=tol)
+        if gamma != "scale":
+            check_numbers(gamma=gamma)
+        check_numbers(False, coef0=coef0)
+        check_ints(degree=degree, max_passes=max_passes)
         self.C = C
         self.degree = degree
         self.coef0 = coef0

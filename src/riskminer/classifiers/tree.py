@@ -382,11 +382,6 @@ def victim_fraction(leaf: TreeNode) -> float:
     return leaf.pos / leaf.n
 
 
-def tree_victim_fraction(node: TreeNode, row) -> float:
-    row = np.asarray(row, dtype=np.float64).reshape(1, -1)
-    return float(TreeTable([node], victim_fraction).leaf_values(row)[0, 0])
-
-
 def tree_to_dict(node: TreeNode) -> dict:
     if node.is_leaf():
         return {"n": node.n, "pos": node.pos, "value": node.value}

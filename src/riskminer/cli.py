@@ -7,6 +7,10 @@ stage function that ``run_pipeline`` calls (``augment``, ``survivors`` and
 ``eliminate``, ``validate``, ``mine``), so chaining the individual
 subcommands with the same seeds reproduces the pipeline's outputs.
 
+Every setting flag is a config key: a subcommand's settings are one
+``PipelineConfig``, parsed by ``config_from_dict`` from its ``--config``
+document (or an empty one) with the flags it was given laid over it.
+
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure.
 A value that cannot be used is reported where it is read, as a
 configuration error.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import classifiers
@@ -25,16 +28,15 @@ from .dataset import load_dataset, split_dataset, write_csv
 from .errors import ConfigError, DataError, StageError
 from .generate import generate_synthetic
 from .pipeline import (
+    CONFIG_FIELDS,
+    PipelineConfig,
     augment,
     config_from_dict,
-    default_learners,
     eliminate,
     elimination_csv,
     emit_report,
-    genspec_from_dict,
     metrics_doc,
     mine,
-    parse_ratios,
     ranking_csv,
     roc_csv,
     rules_csv,
@@ -42,34 +44,29 @@ from .pipeline import (
     survivors,
     validate,
 )
-from .schema import default_schema, load_schema
 
-ENV_SEED = "RISKMINER_SEED"
-
-
-def _resolve_seed(cli_seed: int | None, config_seed: int | None = None, default: int = 42) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{ENV_SEED} must be an integer, got {env!r}") from None
-    return default
+# the keys a flag can set: a flag's dest names its config key
+CONFIG_KEYS = {key for key, _, _ in CONFIG_FIELDS} | {"schema", "learners"}
 
 
-def _schema_arg(path: str | None):
-    return load_schema(path) if path else default_schema()
+def _settings(args) -> PipelineConfig:
+    """The ``--config`` document, or an empty one, with the config-key flags laid over it."""
+    doc = _load_config(args.config) if "config" in vars(args) else {}
+    for key, value in vars(args).items():
+        if key in CONFIG_KEYS and value is not None:
+            *parents, last = key.split(".")
+            node = doc
+            for part in parents:
+                node = node.setdefault(part, {})
+            node[last] = value
+    return config_from_dict(doc)
 
 
-def _load_input(path: str, schema):
+def _load_input(cfg: PipelineConfig):
     try:
-        return load_dataset(path, schema)
+        return load_dataset(cfg.input_path, cfg.schema)
     except OSError as exc:
-        raise DataError(f"cannot read dataset {path}: {exc}") from exc
+        raise DataError(f"cannot read dataset {cfg.input_path}: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -106,77 +103,68 @@ def _write_json(path: str, doc: dict) -> None:
 
 # -- subcommand handlers ---------------------------------------------------
 
-def cmd_generate(args) -> int:
-    doc = _load_config(args.config)
-    if not doc.get("generator"):
+def cmd_generate(args, cfg: PipelineConfig) -> int:
+    if cfg.generator is None:
         raise ConfigError("config has no 'generator' section")
-    schema = _schema_arg(doc.get("schema"))
-    seed = _resolve_seed(args.seed, doc.get("seed"))
-    spec = genspec_from_dict(doc["generator"], schema, default_seed=seed)
-    ds = generate_synthetic(spec)
+    ds = generate_synthetic(cfg.generator)
     write_csv(ds, args.out)
     print(f"wrote {len(ds)} records to {args.out}")
     return 0
 
 
-def cmd_augment(args) -> int:
-    ds = _load_input(args.input, _schema_arg(args.schema))
-    out = augment(ds, args.balance, args.target_total, args.k, _resolve_seed(args.seed))
+def cmd_augment(args, cfg: PipelineConfig) -> int:
+    ds = _load_input(cfg)
+    out = augment(ds, cfg.smote_balance, cfg.smote_target_total, cfg.smote_k, cfg.seed)
     write_csv(out, args.out)
     print(f"wrote {len(out)} records ({len(out) - len(ds)} synthetic) to {args.out}")
     return 0
 
 
-def cmd_rank(args) -> int:
-    ds = _load_input(args.input, _schema_arg(args.schema))
-    ranking = rank_features(ds, args.alpha)
+def cmd_rank(args, cfg: PipelineConfig) -> int:
+    ranking = rank_features(_load_input(cfg), cfg.alpha)
     _write_text(args.out, ranking_csv(ranking))
     kept = sum(1 for _, _, keep in ranking if keep)
-    print(f"ranked {len(ranking)} features, kept {kept} at alpha={args.alpha}")
+    print(f"ranked {len(ranking)} features, kept {kept} at alpha={cfg.alpha}")
     return 0
 
 
-def cmd_eliminate(args) -> int:
-    schema = _schema_arg(args.schema)
-    ds = _load_input(args.input, schema)
-    seed = _resolve_seed(args.seed)
-    splits = split_dataset(ds, parse_ratios(args.ratios), seed, stratified=not args.no_stratify)
-    learners = default_learners(kinds=_names(args.learners) if args.learners else classifiers.KINDS)
-    kept = survivors(rank_features(ds, args.alpha), schema)
-    rows, steps, (chosen, _) = eliminate(splits, learners, args.min_size, kept, args.positive)
-    _write_text(args.out, elimination_csv(rows, [spec.kind for spec in learners]))
+def cmd_eliminate(args, cfg: PipelineConfig) -> int:
+    ds = _load_input(cfg)
+    splits = split_dataset(ds, cfg.ratios, cfg.seed, stratified=cfg.stratified)
+    kept = survivors(rank_features(ds, cfg.alpha), cfg.schema)
+    rows, steps, (chosen, _) = eliminate(splits, cfg.learners, cfg.min_size, kept, cfg.positive_class)
+    _write_text(args.out, elimination_csv(rows, [spec.kind for spec in cfg.learners]))
     if args.selection:
         _write_json(args.selection, {"final_selection": list(chosen.features)})
     print(f"eliminated down to {len(steps[-1].features)} features; selected {len(chosen.features)}")
     return 0
 
 
-def cmd_train(args) -> int:
-    schema = _schema_arg(args.schema)
-    ds = _load_input(args.input, schema)
+def cmd_train(args, cfg: PipelineConfig) -> int:
+    ds = _load_input(cfg)
     if args.features_file:
-        features = _known_features(_load_config(args.features_file).get("final_selection"), schema)
+        features = _known_features(_load_config(args.features_file).get("final_selection"), cfg.schema)
     elif args.features:
-        features = _known_features(_names(args.features), schema)
+        features = _known_features(_names(args.features), cfg.schema)
     else:
-        features = list(schema.feature_names)
-    spec = classifiers.ClassifierSpec(args.learner, {} if args.seed is None else {"seed": args.seed})
-    model = classifiers.train(spec, ds, features)
+        features = list(cfg.schema.feature_names)
+    hyperparameters = {} if args.learner_seed is None else {"seed": args.learner_seed}
+    model = classifiers.train(classifiers.ClassifierSpec(args.learner, hyperparameters), ds, features)
     classifiers.save_model(model, args.out)
     notice = f" ({'; '.join(model.warnings)})" if model.warnings else ""
     print(f"trained {args.learner} on {len(features)} features -> {args.out}{notice}")
     return 0
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model = classifiers.load_model(args.model)
-    ds = _load_input(args.input, _schema_arg(args.schema))
+    ds = _load_input(cfg)
     _known_features(list(model.features), ds.schema)
-    entry = validate(model, ds, args.positive)
+    entry = validate(model, ds, cfg.positive_class)
     cm = entry["confusion"]
     _write_json(args.out, {
         "model": model.kind,
-        "positive": args.positive,
+        "positive": cfg.positive_class,
         "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
         **metrics_doc(entry),
     })
@@ -188,31 +176,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_mine(args) -> int:
-    schema = _schema_arg(args.schema)
-    ds = _load_input(args.input, schema)
-    features = _known_features(_names(args.features), schema) if args.features else schema.feature_names
-    rules, descriptions, n_transactions = mine(
-        ds, features, args.min_support, args.min_confidence, args.max_rules
-    )
+def cmd_mine(args, cfg: PipelineConfig) -> int:
+    ds = _load_input(cfg)
+    features = _known_features(_names(args.features), cfg.schema) if args.features else cfg.schema.feature_names
+    rules, descriptions, n_transactions = mine(ds, features, cfg.min_support, cfg.min_confidence, cfg.max_rules)
     _write_text(args.out, rules_csv(rules, descriptions))
     print(f"mined {len(rules)} victim rules from {n_transactions} transactions")
     return 0
 
 
-def cmd_pipeline(args) -> int:
-    doc = _load_config(args.config)
-    seed = _resolve_seed(args.seed, doc.get("seed"))
-    if args.alpha is not None:
-        doc["alpha"] = args.alpha
-    if args.learners is not None:
-        doc["learners"] = _names(args.learners)
-    apriori_doc = doc.setdefault("apriori", {})
-    if args.min_support is not None:
-        apriori_doc["min_support"] = args.min_support
-    if args.min_confidence is not None:
-        apriori_doc["min_confidence"] = args.min_confidence
-    cfg = config_from_dict(doc, seed_override=seed)
+def cmd_pipeline(args, cfg: PipelineConfig) -> int:
     report = run_pipeline(cfg)
     written = emit_report(report, args.out)
     best = report.best
@@ -227,6 +200,9 @@ def cmd_pipeline(args) -> int:
 # -- parser ----------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser. A setting flag's ``dest`` is the config key it sets,
+    and it has no default of its own: an absent flag leaves the key at its
+    ``PipelineConfig`` default."""
     parser = argparse.ArgumentParser(
         prog="riskminer",
         description="Cyber-risk survey analytics: augmentation, feature analysis, "
@@ -243,24 +219,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("augment", parents=[data], help="grow a dataset with categorical SMOTE")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--target-total", type=int, dest="target_total")
-    p.add_argument("--balance", action=argparse.BooleanOptionalAction, default=True)
+    p.add_argument("--k", type=int, dest="smote.k")
+    p.add_argument("--target-total", type=int, dest="smote.target_total")
+    p.add_argument("--balance", action=argparse.BooleanOptionalAction, dest="smote.balance")
     p.add_argument("--seed", type=int)
     p.set_defaults(handler=cmd_augment)
 
     p = sub.add_parser("rank", parents=[data], help="chi-squared feature ranking")
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=float)
     p.set_defaults(handler=cmd_rank)
 
     p = sub.add_parser("eliminate", parents=[data], help="backward elimination over the significant features")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--ratios", default="0.75,0.175,0.075")
-    p.add_argument("--no-stratify", action="store_true")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--ratios")
+    p.add_argument("--no-stratify", action="store_false", dest="stratified", default=None)
     p.add_argument("--seed", type=int)
-    p.add_argument("--learners")
-    p.add_argument("--min-size", type=int, default=19, dest="min_size")
-    p.add_argument("--positive", type=int, default=0, choices=(0, 1))
+    p.add_argument("--learners", type=_names)
+    p.add_argument("--min-size", type=int, dest="elimination.min_size")
+    p.add_argument("--positive", type=int, dest="positive_class")
     p.add_argument("--selection")
     p.set_defaults(handler=cmd_eliminate)
 
@@ -268,29 +244,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learner", required=True, choices=classifiers.KINDS)
     p.add_argument("--features")
     p.add_argument("--features-file", dest="features_file")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, dest="learner_seed")  # RF's seed hyperparameter
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("evaluate", parents=[data], help="evaluate a saved model on a dataset")
     p.add_argument("--model", required=True)
-    p.add_argument("--positive", type=int, default=0, choices=(0, 1))
+    p.add_argument("--positive", type=int, dest="positive_class")
     p.add_argument("--roc")
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("mine", parents=[data], help="dissolve features and mine victim rules")
     p.add_argument("--features")
-    p.add_argument("--min-support", type=float, default=0.25, dest="min_support")
-    p.add_argument("--min-confidence", type=float, default=0.8, dest="min_confidence")
-    p.add_argument("--max-rules", type=int, default=10_000, dest="max_rules")
+    p.add_argument("--min-support", type=float, dest="apriori.min_support")
+    p.add_argument("--min-confidence", type=float, dest="apriori.min_confidence")
+    p.add_argument("--max-rules", type=int, dest="apriori.max_rules")
     p.set_defaults(handler=cmd_mine)
 
     p = sub.add_parser("pipeline", help="run every stage and emit the report file set")
     p.add_argument("--config", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--learners")
-    p.add_argument("--min-support", type=float, dest="min_support")
-    p.add_argument("--min-confidence", type=float, dest="min_confidence")
     p.set_defaults(handler=cmd_pipeline)
 
     for p in sub.choices.values():
@@ -299,10 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(args, _settings(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

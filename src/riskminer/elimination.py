@@ -31,12 +31,6 @@ class StepRecord:
     models: dict = field(default_factory=dict, compare=False, repr=False)  # kind -> Model
 
 
-@dataclass(frozen=True)
-class EliminationTrace:
-    steps: tuple[StepRecord, ...]
-    final_selection: tuple[str, ...]
-
-
 def evaluate_learners(
     splits: SplitBundle,
     learners,
@@ -63,13 +57,12 @@ def backward_eliminate(
     min_size: int,
     features=None,
     positive: int = 0,
-) -> EliminationTrace:
+) -> tuple[StepRecord, ...]:
     """Run the wrapper search from *features* (default: the full schema)
     down to *min_size* active features.
 
-    The trace records one step per visited active set, with the models
-    trained on it; the last step has ``removed=None``. ``final_selection``
-    is the feature set of ``best_choice(steps)``.
+    Returns one step per visited active set, with the models trained on it;
+    the last step has ``removed=None``. ``best_choice`` picks among them.
     """
     if min_size < 1:
         raise ConfigError("min_size must be >= 1")
@@ -99,8 +92,7 @@ def backward_eliminate(
         active = list(next_active)
         accuracies, aucs, models = next_acc, next_auc, next_models
     steps.append(StepRecord(tuple(active), accuracies, aucs, None, models))
-
-    return EliminationTrace(steps=tuple(steps), final_selection=best_choice(steps)[0].features)
+    return tuple(steps)
 
 
 def selection_key(step: StepRecord, kind: str) -> tuple:

@@ -1,4 +1,7 @@
-"""Exception types raised across the riskminer package."""
+"""Exception types raised across the riskminer package, and shared value checks."""
+
+import math
+import numbers
 
 
 class RiskminerError(Exception):
@@ -103,6 +106,22 @@ class SingleClassError(DataError):
 class FeatureMismatchError(RiskminerError):
     def __init__(self, expected: int, got: int):
         super().__init__(f"model was fit on {expected} features, record has {got}")
+
+
+def check_ints(least: int = 1, **values) -> None:
+    """Refuse each of *values* that is not an integer >= *least* (a bool is not)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_numbers(positive: bool = True, **values) -> None:
+    """Refuse each of *values* that is not a finite number (a bool is not),
+    or, when *positive*, not above 0."""
+    for name, value in values.items():
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+                or positive and value <= 0):
+            raise ConfigError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
 
 
 # -- rule mining ---------------------------------------------------------

@@ -60,23 +60,13 @@ class PipelineConfig:
         if self.positive_class not in (0, 1):
             raise ConfigError("positive_class must be 0 or 1")
         check_alpha(self.alpha)
+        if self.max_rules < 0:
+            raise ConfigError(f"apriori.max_rules must be >= 0, got {self.max_rules}")
         kinds = [spec.kind for spec in self.learners]
         if not kinds:
             raise ConfigError("at least one learner is required")
         if len(set(kinds)) != len(kinds):
             raise ConfigError("duplicate learner kinds")
-
-
-def default_learners(params: dict | None = None, kinds=KINDS) -> tuple[ClassifierSpec, ...]:
-    """One spec per kind in *kinds*; every entry of *params* is checked,
-    also one for a kind that *kinds* leaves out."""
-    params = {} if params is None else params
-    if not isinstance(params, dict):
-        raise ConfigError(f"classifier_params must be an object of objects, got {params!r}")
-    if not isinstance(kinds, (list, tuple)):
-        raise ConfigError(f"learners must be a list of kinds, got {kinds!r}")
-    specs = {kind: ClassifierSpec(kind, hyper) for kind, hyper in params.items()}
-    return tuple(specs[k] if k in specs else ClassifierSpec(k) for k in kinds)
 
 
 def parse_ratios(value) -> tuple[float, float, float]:
@@ -177,14 +167,20 @@ def _echo(table, obj) -> dict:
     return doc
 
 
-def config_from_dict(doc: dict, seed_override: int | None = None) -> PipelineConfig:
-    """Build a PipelineConfig from a parsed JSON document."""
-    if seed_override is not None:
-        doc = {**doc, "seed": seed_override}
+def config_from_dict(doc: dict) -> PipelineConfig:
+    """Build a PipelineConfig from a parsed JSON document. Every entry of
+    ``classifier_params`` is checked, also one for a kind that ``learners``
+    leaves out."""
     schema = load_schema(doc["schema"]) if doc.get("schema") else default_schema()
     seed = doc.get("seed", PipelineConfig.seed)
     generator = genspec_from_dict(doc["generator"], schema, default_seed=seed) if doc.get("generator") else None
-    learners = default_learners(doc.get("classifier_params"), kinds=doc.get("learners", KINDS))
+    params, kinds = doc.get("classifier_params"), doc.get("learners", KINDS)
+    if not isinstance(params, (dict, type(None))):
+        raise ConfigError(f"classifier_params must be an object of objects, got {params!r}")
+    if not isinstance(kinds, (list, tuple)):
+        raise ConfigError(f"learners must be a list of kinds, got {kinds!r}")
+    specs = {kind: ClassifierSpec(kind, hyper) for kind, hyper in (params or {}).items()}
+    learners = tuple(specs.get(spec.kind, spec) for spec in map(ClassifierSpec, kinds))
     return _parse(PipelineConfig, CONFIG_FIELDS, doc, schema=schema, generator=generator, learners=learners)
 
 
@@ -233,13 +229,13 @@ def eliminate(splits, learners, min_size: int, features, positive: int):
     its models are not trained again.
     """
     everything = splits.train.schema.feature_names
-    trace = backward_eliminate(splits, learners, min_size, features=features, positive=positive)
-    first = trace.steps[0]
+    visited = backward_eliminate(splits, learners, min_size, features=features, positive=positive)
+    first = visited[0]
     if first.features == everything:
         base = (first.accuracies, first.aucs, first.models)
     else:
         base = evaluate_learners(splits, learners, everything, positive=positive)
-    steps = (StepRecord(everything, base[0], base[1], None, base[2]),) + trace.steps
+    steps = (StepRecord(everything, base[0], base[1], None, base[2]),) + visited
     rows = [
         {
             "baseline": i == 0,

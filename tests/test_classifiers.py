@@ -26,7 +26,7 @@ from riskminer.classifiers import (
     train,
 )
 from riskminer.classifiers.linear import LogisticLearner
-from riskminer.classifiers.tree import TreeNode, tree_victim_fraction
+from riskminer.classifiers.tree import TreeNode
 from riskminer.errors import EmptyNodeError, FeatureMismatchError, SingleClassError
 
 
@@ -365,7 +365,7 @@ def test_dt_leaf_tie_goes_to_victim():
     # duplicate conflicting records: the leaf holds one of each label
     ds = toy_dataset([[0, 0], [0, 0]], [0, 1])
     model = train(ClassifierSpec("DT"), ds)
-    assert tree_victim_fraction(model.impl.root, [0, 0]) == 0.5
+    assert score(model, [0, 0]) == 0.5
     assert predict(model, [0, 0]) == 1
 
 

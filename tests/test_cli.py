@@ -53,17 +53,40 @@ def test_exit_code_stage_failure(tmp_path):
     assert main(["pipeline", "--config", cfg.as_posix(), "--out", str(tmp_path / "o")]) == 4
 
 
-def test_env_seed_is_lowest_priority(config_path, tmp_path, monkeypatch):
-    doc = small_config_doc()
+def test_seed_order_is_flag_then_config_then_42(config_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("RISKMINER_SEED", "5")  # not a setting: it must change nothing
+    doc = small_config_doc(seed=11)
     del doc["seed"]
-    cfg = tmp_path / "noseed.json"
-    cfg.write_text(json.dumps(doc), encoding="utf-8")
-    monkeypatch.setenv("RISKMINER_SEED", "11")
-    out_env = tmp_path / "env"
-    assert main(["pipeline", "--config", str(cfg), "--out", str(out_env)]) == 0
-    out_cfg = tmp_path / "cfg"
-    assert main(["pipeline", "--config", config_path, "--out", str(out_cfg)]) == 0
-    assert (out_env / "report.json").read_bytes() == (out_cfg / "report.json").read_bytes()
+    no_seed = tmp_path / "noseed.json"
+    no_seed.write_text(json.dumps(doc), encoding="utf-8")
+    seeds = {}
+    for name, argv in {"default": ["--config", str(no_seed)], "config": ["--config", config_path],
+                       "flag": ["--config", config_path, "--seed", "9"]}.items():
+        assert main(["pipeline", *argv, "--out", str(tmp_path / name)]) == 0
+        seeds[name] = json.loads((tmp_path / name / "report.json").read_text())["config"]["seed"]
+    assert seeds == {"default": 42, "config": 11, "flag": 9}
+
+    data = tmp_path / "data.csv"
+    assert main(["generate", "--config", config_path, "--out", str(data)]) == 0
+    augmented = {}
+    for name, argv in {"default": [], "42": ["--seed", "42"], "5": ["--seed", "5"]}.items():
+        out = tmp_path / f"augmented-{name}.csv"
+        assert main(["augment", "--input", str(data), "--target-total", "500", *argv, "--out", str(out)]) == 0
+        augmented[name] = out.read_bytes()
+    assert augmented["default"] == augmented["42"] != augmented["5"]
+
+
+@pytest.mark.parametrize("flag, value", [("--alpha", "0.1"), ("--learners", "DT"), ("--min-support", "0.3"),
+                                         ("--min-confidence", "0.5")])
+def test_pipeline_takes_its_settings_from_the_config_only(tmp_path, capsys, flag, value):
+    doc = {**small_config_doc(), "apriori": None}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["pipeline", "--config", str(path), flag, value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
 
 
 def test_stage_composition_matches_pipeline(config_path, tmp_path):

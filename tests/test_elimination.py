@@ -39,23 +39,23 @@ def _accuracy(splits, learners, features):
 def test_boundary_min_size_equals_feature_count():
     ds = _signal_noise_dataset()
     splits = split_dataset(ds, (0.6, 0.2, 0.2), seed=1)
-    trace = backward_eliminate(splits, FAST_LEARNERS, min_size=3)
-    assert len(trace.steps) == 1
-    assert trace.steps[0].removed is None
-    assert trace.steps[0].features == ("f0", "f1", "f2")
-    assert trace.final_selection == ("f0", "f1", "f2")
+    steps = backward_eliminate(splits, FAST_LEARNERS, min_size=3)
+    assert len(steps) == 1
+    assert steps[0].removed is None
+    assert steps[0].features == ("f0", "f1", "f2")
+    assert best_choice(steps)[0].features == ("f0", "f1", "f2")
 
 
 def test_label_copy_feature_survives_and_oracle_agrees():
     ds = _signal_noise_dataset()
     splits = split_dataset(ds, (0.6, 0.2, 0.2), seed=2)
-    trace = backward_eliminate(splits, FAST_LEARNERS, min_size=1)
-    assert "f0" in trace.final_selection
+    steps = backward_eliminate(splits, FAST_LEARNERS, min_size=1)
+    assert "f0" in best_choice(steps)[0].features
 
     # exhaustive oracle over all 7 non-empty subsets: the greedy trace's
     # recorded accuracy for each visited set must match a fresh evaluation,
     # and the best visited set must contain the label copy
-    for step in trace.steps:
+    for step in steps:
         fresh = _accuracy(splits, FAST_LEARNERS, step.features)
         assert max(step.accuracies.values()) == pytest.approx(fresh)
     subset_scores = {}
@@ -63,22 +63,22 @@ def test_label_copy_feature_survives_and_oracle_agrees():
         for combo in combinations(("f0", "f1", "f2"), r):
             subset_scores[combo] = _accuracy(splits, FAST_LEARNERS, combo)
     best_visited = max(
-        (tuple(step.features) for step in trace.steps), key=lambda f: subset_scores[f]
+        (tuple(step.features) for step in steps), key=lambda f: subset_scores[f]
     )
-    assert subset_scores[trace.final_selection] == subset_scores[best_visited]
+    assert subset_scores[best_choice(steps)[0].features] == subset_scores[best_visited]
 
 
 def test_trace_sets_strictly_nested_and_accuracies_bounded():
     ds = _signal_noise_dataset(seed=31)
     splits = split_dataset(ds, (0.6, 0.2, 0.2), seed=3)
-    trace = backward_eliminate(splits, FAST_LEARNERS, min_size=1)
-    sizes = [len(step.features) for step in trace.steps]
+    steps = backward_eliminate(splits, FAST_LEARNERS, min_size=1)
+    sizes = [len(step.features) for step in steps]
     assert sizes == [3, 2, 1]
-    for earlier, later in zip(trace.steps, trace.steps[1:]):
+    for earlier, later in zip(steps, steps[1:]):
         assert set(later.features) < set(earlier.features)
         assert earlier.removed in set(earlier.features) - set(later.features)
-    assert trace.steps[-1].removed is None
-    for step in trace.steps:
+    assert steps[-1].removed is None
+    for step in steps:
         for acc in step.accuracies.values():
             assert 0.0 <= acc <= 1.0
         for auc_value in step.aucs.values():
@@ -88,8 +88,8 @@ def test_trace_sets_strictly_nested_and_accuracies_bounded():
 def test_each_step_removes_argmax_removal():
     ds = _signal_noise_dataset(seed=37)
     splits = split_dataset(ds, (0.6, 0.2, 0.2), seed=4)
-    trace = backward_eliminate(splits, FAST_LEARNERS, min_size=2)
-    step = trace.steps[0]
+    steps = backward_eliminate(splits, FAST_LEARNERS, min_size=2)
+    step = steps[0]
     # recompute every candidate-removal score; the removed feature must be
     # one yielding the maximum, with ties toward the lower schema index
     scores = {}
@@ -113,9 +113,9 @@ def test_min_size_validation_and_duplicate_kinds():
 def test_initial_feature_restriction():
     ds = _signal_noise_dataset(seed=41)
     splits = split_dataset(ds, (0.6, 0.2, 0.2), seed=6)
-    trace = backward_eliminate(splits, FAST_LEARNERS, min_size=1, features=("f0", "f2"))
-    assert trace.steps[0].features == ("f0", "f2")
-    assert all(set(step.features) <= {"f0", "f2"} for step in trace.steps)
+    steps = backward_eliminate(splits, FAST_LEARNERS, min_size=1, features=("f0", "f2"))
+    assert steps[0].features == ("f0", "f2")
+    assert all(set(step.features) <= {"f0", "f2"} for step in steps)
 
 
 def test_evaluate_learners_returns_models_and_scores():

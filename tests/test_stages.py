@@ -86,6 +86,28 @@ NUMBERS = st.one_of(
 )
 NAMES = st.sampled_from(["DT", "GNB", "DT,GNB", "DT,DT", "nope", "", " ", ",", "weak-password",
                          "weak-password,nosuch", "nosuch", "age-range", "weak-password,,compulsive-buyer"])
+JSON_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-5, 400),
+    st.sampled_from([None, True, "x", "0.5", "", [1], {}]),
+)
+
+
+def _drawn_config(files, draw) -> str:
+    """The fixture config with drawn ``alpha``, ``learners`` and ``apriori``
+    values: ``pipeline`` takes its settings from the config alone."""
+    doc = json.loads((files / "config.json").read_text(encoding="utf-8"))
+    doc["alpha"] = draw(JSON_VALUES)
+    doc["learners"] = draw(st.one_of(NAMES.map(lambda names: names.split(",")), NAMES, JSON_VALUES))
+    doc["apriori"] = draw(st.one_of(
+        st.fixed_dictionaries({}, optional={key: JSON_VALUES for key in ("min_support", "min_confidence",
+                                                                         "max_rules")}),
+        st.none(),
+        JSON_VALUES,
+    ))
+    path = files / "drawn-config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
 
 
 def _command(files, draw):
@@ -102,8 +124,7 @@ def _command(files, draw):
          "--min-confidence", draw(NUMBERS), "--max-rules", draw(NUMBERS)],
         ["augment", *common, "--k", value, "--target-total", draw(NUMBERS),
          draw(st.sampled_from(["--balance", "--no-balance"]))],
-        ["pipeline", "--config", str(files / "config.json"), "--out", out + "-report", "--alpha", value,
-         "--learners", draw(NAMES), "--min-support", draw(NUMBERS)],
+        ["pipeline", "--config", _drawn_config(files, draw), "--out", out + "-report"],
     ]))
 
 
@@ -133,6 +154,7 @@ def test_malformed_argument_values_exit_with_a_documented_code(files, data):
     ["evaluate", "--model", "{files}/data.csv"],
     ["evaluate", "--model", "{files}/model-v1.json"],
     ["evaluate", "--model", "{files}/model-list.json"],
+    ["eliminate", "--learners", ""],
 ])
 def test_bad_values_are_config_errors(files, argv, capsys):
     common = ["--input", str(files / "data.csv"), "--schema", str(files / "schema.json"),
@@ -167,12 +189,36 @@ def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys)
         "params not an object": {**small_config_doc(), "classifier_params": {"RF": 5}},
         "params a list": {**small_config_doc(), "classifier_params": [1]},
         "learners a string": {**small_config_doc(), "learners": "RF"},
+        "learners of lists": {**small_config_doc(), "learners": [["RF"]]},
+        "input and generator": {**small_config_doc(), "input": "data.csv"},
+        "negative max_rules": {**small_config_doc(), "apriori": {"max_rules": -1}},  # refused before any stage
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2, name
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and err.count("\n") == 1, name
+        for command in ("pipeline", "generate"):  # generate refuses every config that pipeline refuses
+            assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2, (command, name)
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1, (command, name)
     # params for a kind that the learners list leaves out are still accepted
     config_from_dict({**small_config_doc(), "learners": ["DT"], "classifier_params": {"LR": {"max_iter": 5}}})
+
+
+@pytest.mark.parametrize("params", [
+    {"LR": {"C": -1}},
+    {"GB": {"n_estimators": 0}},
+    {"DT": {"min_samples_split": -3}},
+    {"GNB": {"var_smoothing": -1.0}},
+    {"RF": {"n_estimators": "x"}},
+    {"RF": {"seed": -1}},
+    {"SVC": {"gamma": "auto"}},
+    {"LR": {"max_iter": 1.5}},
+    {"LR": {"C": True}},
+])
+def test_hyperparameters_of_the_wrong_type_or_range_are_config_errors(params, tmp_path, capsys):
+    doc = {**small_config_doc(), "learners": list(params), "classifier_params": params}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
