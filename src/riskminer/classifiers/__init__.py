@@ -155,7 +155,7 @@ def predict_rows(model: Model, X: np.ndarray) -> np.ndarray:
     return (score_rows(model, X) >= 0.5).astype(np.int64)
 
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def model_to_dict(model: Model) -> dict:
@@ -182,7 +182,7 @@ def model_from_dict(doc) -> Model:
         impl.load_params(doc["params"])
         features = tuple(doc["features"])
         warnings = tuple(doc.get("warnings", ()))
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed model document ({exc!r})") from None
     return Model(kind=spec.kind, hyperparameters=spec.resolved(), features=features, impl=impl, warnings=warnings)
 

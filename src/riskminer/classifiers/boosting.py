@@ -6,24 +6,13 @@ import numpy as np
 
 from ..errors import SingleClassError, check_ints, check_numbers
 from .linear import sigmoid
-from .tree import (
-    TreeNode,
-    TreeTable,
-    category_codes,
-    grow_regression_tree,
-    tree_from_dict,
-    tree_to_dict,
-)
+from .tree import TREE_COLUMNS, TreeTable, category_codes, grow, new_trees
 
 
 def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
     eps = 1e-15
     p = np.clip(prob, eps, 1 - eps)
     return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
-
-
-def _leaf_value(leaf: TreeNode) -> float:
-    return leaf.value
 
 
 class GradientBoostingLearner:
@@ -46,7 +35,7 @@ class GradientBoostingLearner:
         self.learning_rate = learning_rate
         self.max_depth = max_depth
         self.init_score = 0.0
-        self.trees: list[TreeNode] = []
+        self.trees = new_trees()
         self.table: TreeTable | None = None
         self.train_losses: list[float] = []
 
@@ -58,26 +47,25 @@ class GradientBoostingLearner:
         prior = float(y.mean())
         self.init_score = float(np.log(prior / (1.0 - prior)))
         raw = np.full(X.shape[0], self.init_score)
-        self.trees = []
+        self.trees = new_trees()
         self.train_losses = [log_loss(y, sigmoid(raw))]
         for _ in range(self.n_estimators):
             prob = sigmoid(raw)
             residual = y - prob
-            root, leaves = grow_regression_tree(codes, residual, max_depth=self.max_depth)
-            # the leaves' index sets partition the rows, so step is each row's tree output
+            leaf = grow(self.trees, codes, residual, "friedman-mse", max_depth=self.max_depth)
+            # the leaves partition the rows, so step is each row's tree output
             step = np.empty(X.shape[0])
-            for leaf, idx in leaves:
+            for i in set(leaf.tolist()):  # np.unique's first call costs 1.6 MB of RSS
+                idx = np.flatnonzero(leaf == i)
                 hessian = float((prob[idx] * (1.0 - prob[idx])).sum())
-                leaf.value = float(residual[idx].sum()) / max(hessian, 1e-12)
-                step[idx] = leaf.value
-            self.trees.append(root)
+                self.trees["value"][i] = step[idx] = float(residual[idx].sum()) / max(hessian, 1e-12)
             raw = raw + self.learning_rate * step
             self.train_losses.append(log_loss(y, sigmoid(raw)))
-        self.table = TreeTable(self.trees, _leaf_value)
+        self.table = TreeTable(self.trees)
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.full(X.shape[0], self.init_score)
-        for step in self.table.leaf_values(X).T:  # tree by tree, in fit order
+        for step in self.table.leaf_values(X, self.table.value).T:  # tree by tree, in fit order
             raw += self.learning_rate * step
         return raw
 
@@ -85,14 +73,10 @@ class GradientBoostingLearner:
         return sigmoid(self.raw_scores(X))
 
     def to_params(self) -> dict:
-        return {
-            "init_score": self.init_score,
-            "trees": [tree_to_dict(t) for t in self.trees],
-            "train_losses": self.train_losses,
-        }
+        return {"init_score": self.init_score, **self.trees, "train_losses": self.train_losses}
 
     def load_params(self, params: dict) -> None:
         self.init_score = float(params["init_score"])
-        self.trees = [tree_from_dict(doc) for doc in params["trees"]]
+        self.trees = {column: params[column] for column in TREE_COLUMNS}
         self.train_losses = [float(v) for v in params["train_losses"]]
-        self.table = TreeTable(self.trees, _leaf_value)
+        self.table = TreeTable(self.trees)

@@ -22,11 +22,13 @@ Ties go to the lowest feature index, then to the partition whose left set is
 lexicographically smallest (the left set always holds the smallest present
 code).
 
-A fit routes row-index arrays down the tree it grows. Scoring flattens the
-trees into node arrays (``TreeTable``) and steps all rows down all trees at
-once, one level per step. It truncates float codes toward zero, as ``int()``
-does. A code the node never saw at fit time follows the heavier child; when
-the children are equally heavy it goes left.
+A learner's fitted trees are one record of per-node lists (``TREE_COLUMNS``),
+in preorder and one tree after another: ``grow`` appends to it, routing
+row-index arrays down an explicit stack, ``TreeTable`` builds the scoring
+table from it, and model files store it. Scoring steps all rows down all
+trees at once, one level per step. It truncates float codes toward zero, as
+``int()`` does. A code the node never saw at fit time follows the heavier
+child; when the children are equally heavy it goes left.
 """
 
 from __future__ import annotations
@@ -229,99 +231,77 @@ def category_codes(X) -> np.ndarray:
     return X.astype(np.int64)
 
 
-@dataclass
-class TreeNode:
-    n: int
-    # interior
-    feature: int | None = None
-    left_values: tuple[int, ...] = ()
-    right_values: tuple[int, ...] = ()
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    # leaf payloads
-    pos: int = 0  # victim count (classification)
-    value: float = 0.0  # leaf output (regression)
-
-    def is_leaf(self) -> bool:
-        return self.feature is None
+# A fitted tree set is one record of per-node lists, in preorder, one tree
+# after another; ``roots`` holds each tree's first node. An inner node tests
+# ``feature`` and sends the codes of ``left_values`` to node ``left`` and those
+# of ``right_values`` to node ``right``; a leaf has feature -1, children -1 and
+# empty code sets. ``n`` counts the node's training rows, ``pos`` its victims
+# (0 in a regression tree) and ``value`` is a regression leaf's output.
+TREE_COLUMNS = ("roots", "feature", "left", "right", "left_values", "right_values", "n", "pos", "value")
 
 
-def _split_node(node: TreeNode, choice: SplitChoice, codes: np.ndarray, idx: np.ndarray):
-    node.feature = choice.feature
-    node.left_values = choice.left_values
-    node.right_values = choice.right_values
-    mask = (codes[idx, choice.feature][:, None] == np.asarray(choice.left_values)).any(axis=1)
-    return idx[mask], idx[~mask]
+def new_trees() -> dict:
+    return {column: [] for column in TREE_COLUMNS}
 
 
-def grow_classification_tree(
+def grow(
+    trees: dict,
     codes: np.ndarray,
     y: np.ndarray,
+    criterion: str,
     min_samples_split: int = 2,
+    max_depth: int | None = None,
     max_features: int | None = None,
     rng: np.random.Generator | None = None,
-) -> TreeNode:
-    """Gini tree over an int64 code matrix (see ``category_codes``). With
-    *max_features*, each splittable node draws its candidate features from
-    *rng*, in preorder."""
+) -> np.ndarray:
+    """Append to *trees* one tree grown on an int64 code matrix (see
+    ``category_codes``) and return the node id of the leaf each row reaches.
+
+    A node splits while it holds ``min_samples_split`` rows, lies above
+    *max_depth* and its targets vary. With *max_features*, each such node
+    draws its candidate features from *rng*, in preorder. A regression tree's
+    ``value`` is left at 0.0 for the caller to set from each leaf's rows.
+    """
     width = _width(codes)
     n_features = codes.shape[1]
     every = np.arange(n_features)
-
-    def build(idx: np.ndarray) -> TreeNode:
+    leaf = np.empty(codes.shape[0], dtype=np.int64)
+    trees["roots"].append(len(trees["n"]))
+    stack = [(np.arange(codes.shape[0]), 0, None)]  # rows, depth, (parent, side) to link
+    while stack:  # popping the left child first keeps the nodes in preorder
+        idx, depth, link = stack.pop()
+        i = len(trees["n"])
+        if link:
+            trees[link[1]][link[0]] = i
         sub_y = y[idx]
-        node = TreeNode(n=int(idx.size), pos=int(sub_y.sum()))
-        if idx.size < min_samples_split or node.pos in (0, node.n):
-            return node
-        if max_features is not None and max_features < n_features:
-            feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
-            node_codes = codes[idx[:, None], feats]
-        else:
-            feats, node_codes = every, codes[idx]
-        choice = _search(node_codes, sub_y, feats, width, "gini")
-        if choice is None:
-            return node
-        left, right = _split_node(node, choice, codes, idx)
-        node.left = build(left)
-        node.right = build(right)
-        return node
-
-    return build(np.arange(codes.shape[0]))
-
-
-def grow_regression_tree(
-    codes: np.ndarray,
-    target: np.ndarray,
-    max_depth: int,
-    min_samples_split: int = 2,
-) -> tuple[TreeNode, list[tuple[TreeNode, np.ndarray]]]:
-    """Friedman-MSE regression tree over an int64 code matrix; returns the
-    root and (leaf, indices) pairs so the caller can set leaf values from the
-    samples each leaf captured."""
-    width = _width(codes)
-    every = np.arange(codes.shape[1])
-    leaves: list[tuple[TreeNode, np.ndarray]] = []
-
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        node = TreeNode(n=int(idx.size))
+        pos = int(sub_y.sum()) if criterion == "gini" else 0
+        for column, v in zip(TREE_COLUMNS[1:], (-1, -1, -1, (), (), int(idx.size), pos, 0.0)):
+            trees[column].append(v)
         choice = None
-        sub_target = target[idx]
-        if depth < max_depth and idx.size >= min_samples_split and (sub_target != sub_target[0]).any():
-            choice = _search(codes[idx], sub_target, every, width, "friedman-mse")
+        if idx.size >= min_samples_split and (max_depth is None or depth < max_depth) and (sub_y != sub_y[0]).any():
+            if max_features is not None and max_features < n_features:
+                feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
+                choice = _search(codes[idx[:, None], feats], sub_y, feats, width, criterion)
+            else:
+                choice = _search(codes[idx], sub_y, every, width, criterion)
         if choice is None:
-            leaves.append((node, idx))
-            return node
-        left, right = _split_node(node, choice, codes, idx)
-        node.left = build(left, depth + 1)
-        node.right = build(right, depth + 1)
-        return node
+            leaf[idx] = i
+            continue
+        trees["feature"][i] = choice.feature
+        trees["left_values"][i], trees["right_values"][i] = choice.left_values, choice.right_values
+        mask = (codes[idx, choice.feature][:, None] == np.asarray(choice.left_values)).any(axis=1)
+        stack += [(idx[~mask], depth + 1, (i, "right")), (idx[mask], depth + 1, (i, "left"))]
+    return leaf
 
-    root = build(np.arange(codes.shape[0]), 0)
-    return root, leaves
+
+def _ints(values, name: str, least: int, below: int | None = None) -> np.ndarray:
+    if not all(type(v) is int and least <= v and (below is None or v < below) for v in values):
+        raise ValueError(f"tree {name} must be integers in [{least}, {below or 'inf'})")
+    return np.array(values, dtype=np.int64)
 
 
 class TreeTable:
-    """Trees flattened into node arrays for batch scoring.
+    """The scoring table of a tree record (see ``TREE_COLUMNS``).
 
     Node ``i`` tests the code of feature ``feature[i]`` and moves to node
     ``next[i, code]``; a leaf moves to itself. Scoring steps every row down
@@ -329,81 +309,53 @@ class TreeTable:
     operations per level instead of a walk per row and tree. Column
     ``width`` of ``next`` serves codes outside ``[0, width)``; there, as for
     a code the node never saw at fit time, a row follows the heavier child,
-    and the left child when the two are equally heavy. ``value`` holds
-    ``output(leaf)`` for every leaf.
+    and the left child when the two are equally heavy.
+
+    A record read from a file is outside input: one that does not describe
+    trees (lists of unequal length, an index outside the nodes, a child that
+    does not come after its parent, a split code that is not an integer
+    >= 0) raises ValueError.
     """
 
-    def __init__(self, roots: list[TreeNode], output):
-        self.nodes: list[TreeNode] = []  # preorder, tree after tree
-        starts = []
-        self.depth = 0
-        for root in roots:
-            starts.append(len(self.nodes))
-            stack = [(root, 0)]
-            while stack:
-                node, depth = stack.pop()
-                self.nodes.append(node)
-                self.depth = max(self.depth, depth)
-                if not node.is_leaf():
-                    stack += [(node.right, depth + 1), (node.left, depth + 1)]
-        index = {id(node): i for i, node in enumerate(self.nodes)}
-        inner = [(i, node) for i, node in enumerate(self.nodes) if not node.is_leaf()]
-        codes = [c for _, node in inner for c in node.left_values + node.right_values]
-        if codes and min(codes) < 0:
-            raise ValueError("tree split values must be non-negative codes")
-        width = 1 + max(codes, default=0)
-        self.feature = np.zeros(len(self.nodes), dtype=np.int64)
-        self.next = np.repeat(np.arange(len(self.nodes))[:, None], width + 1, axis=1)
-        for i, node in inner:
-            left, right = index[id(node.left)], index[id(node.right)]
-            self.feature[i] = node.feature
-            self.next[i] = right if node.left.n < node.right.n else left
-            self.next[i, list(node.left_values)] = left
-            self.next[i, list(node.right_values)] = right
-        self.value = np.array([output(node) if node.is_leaf() else 0.0 for node in self.nodes])
-        self.roots = np.array(starts, dtype=np.int64)
+    def __init__(self, trees: dict):
+        size = len(trees["feature"])
+        if any(len(trees[column]) != size for column in TREE_COLUMNS[1:]):
+            raise ValueError("tree node lists differ in length")
+        if not trees["roots"]:
+            raise ValueError("a tree record holds at least one tree")
+        self.roots = _ints(trees["roots"], "roots", 0, size)
+        self.feature = _ints(trees["feature"], "features", -1)
+        left, right = _ints(trees["left"], "children", -1, size), _ints(trees["right"], "children", -1, size)
+        self.n, self.pos = _ints(trees["n"], "row counts", 1), _ints(trees["pos"], "victim counts", 0)
+        self.value = np.array(trees["value"], dtype=np.float64)
+        inner = np.flatnonzero(self.feature >= 0)
+        left, right = left[inner], right[inner]
+        if (left <= inner).any() or (right <= inner).any():
+            raise ValueError("every tree node must come after its parent")
+        sides = []  # (codes, their nodes, the child they go to) for each side
+        for column, child in (("left_values", left), ("right_values", right)):
+            sets = [trees[column][i] for i in inner.tolist()]
+            sizes = [len(codes) for codes in sets]
+            codes = _ints([c for codes in sets for c in codes], "split codes", 0)
+            sides.append((codes, np.repeat(inner, sizes), np.repeat(child, sizes)))
+        width = 1 + max(int(codes.max(initial=0)) for codes, _, _ in sides)
+        self.next = np.repeat(np.arange(size)[:, None], width + 1, axis=1)
+        self.next[inner] = np.where(self.n[left] < self.n[right], right, left)[:, None]
+        for codes, nodes, child in sides:
+            self.next[nodes, codes] = child
 
     def leaf_ids(self, codes: np.ndarray) -> np.ndarray:
-        """(rows, trees) index into ``nodes`` of the leaf each row reaches."""
+        """(rows, trees) id of the leaf each row reaches."""
         # every code outside [0, width) lands in column width: -1 indexes it too
         codes = codes.clip(-1, self.next.shape[1] - 1)
         node = np.tile(self.roots, (codes.shape[0], 1))
         rows = np.arange(codes.shape[0])[:, None]
-        for _ in range(self.depth):
-            node = self.next[node, codes[rows, self.feature[node]]]
-        return node
+        while True:
+            feature = self.feature[node]
+            if not (feature >= 0).any():
+                return node
+            node = self.next[node, codes[rows, feature]]
 
-    def leaf_values(self, X: np.ndarray) -> np.ndarray:
-        """(rows, trees) output of the leaf each row of *X* reaches."""
-        return self.value[self.leaf_ids(category_codes(X))]
-
-
-def victim_fraction(leaf: TreeNode) -> float:
-    return leaf.pos / leaf.n
-
-
-def tree_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf():
-        return {"n": node.n, "pos": node.pos, "value": node.value}
-    return {
-        "n": node.n,
-        "feature": node.feature,
-        "left_values": list(node.left_values),
-        "right_values": list(node.right_values),
-        "left": tree_to_dict(node.left),
-        "right": tree_to_dict(node.right),
-    }
-
-
-def tree_from_dict(doc: dict) -> TreeNode:
-    if "feature" not in doc:
-        return TreeNode(n=doc["n"], pos=doc.get("pos", 0), value=doc.get("value", 0.0))
-    node = TreeNode(
-        n=doc["n"],
-        feature=doc["feature"],
-        left_values=tuple(doc["left_values"]),
-        right_values=tuple(doc["right_values"]),
-    )
-    node.left = tree_from_dict(doc["left"])
-    node.right = tree_from_dict(doc["right"])
-    return node
+    def leaf_values(self, X: np.ndarray, output: np.ndarray) -> np.ndarray:
+        """(rows, trees) *output* of the leaf each row of *X* reaches."""
+        return output[self.leaf_ids(category_codes(X))]

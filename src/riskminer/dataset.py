@@ -175,12 +175,17 @@ def write_csv(ds: Dataset, path) -> None:
             writer.writerows(cells[start:start + 4096].tolist())
 
 
-def _part_sizes(n: int, ratios) -> tuple[int, int, int]:
+def check_ratios(ratios) -> None:
+    """Refuse train / test / validation ratios that are not positive or do not sum to 1."""
     r_train, r_test, r_val = ratios
     if not (min(r_train, r_test, r_val) > 0 and abs(r_train + r_test + r_val - 1.0) <= 1e-9):  # NaN fails too
         raise RatioSumError(ratios)
-    n_train = int(n * r_train)
-    n_test = int(n * r_test)
+
+
+def _part_sizes(n: int, ratios) -> tuple[int, int, int]:
+    check_ratios(ratios)
+    n_train = int(n * ratios[0])
+    n_test = int(n * ratios[1])
     return n_train, n_test, n - n_train - n_test
 
 

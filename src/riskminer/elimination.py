@@ -51,6 +51,11 @@ def evaluate_learners(
     return accuracies, aucs, models
 
 
+def check_min_size(min_size: int) -> None:
+    if min_size < 1:
+        raise ConfigError(f"min_size must be >= 1, got {min_size}")
+
+
 def backward_eliminate(
     splits: SplitBundle,
     learners,
@@ -64,8 +69,7 @@ def backward_eliminate(
     Returns one step per visited active set, with the models trained on it;
     the last step has ``removed=None``. ``best_choice`` picks among them.
     """
-    if min_size < 1:
-        raise ConfigError("min_size must be >= 1")
+    check_min_size(min_size)
     kinds = [spec.kind for spec in learners]
     if len(set(kinds)) != len(kinds):
         raise ConfigError("duplicate learner kinds in the elimination roster")

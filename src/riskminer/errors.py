@@ -1,7 +1,7 @@
 """Exception types raised across the riskminer package, and shared value checks."""
 
-import math
 import numbers
+import sys
 
 
 class RiskminerError(Exception):
@@ -108,18 +108,20 @@ class FeatureMismatchError(RiskminerError):
         super().__init__(f"model was fit on {expected} features, record has {got}")
 
 
-def check_ints(least: int = 1, **values) -> None:
-    """Refuse each of *values* that is not an integer >= *least* (a bool is not)."""
+def check_ints(least: int | None = 1, **values) -> None:
+    """Refuse each of *values* that is not an integer >= *least*, or with
+    *least* None not an integer (a bool is not)."""
     for name, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-            raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or least is not None and value < least:
+            raise ConfigError(f"{name} must be an integer{'' if least is None else f' >= {least}'}, got {value!r}")
 
 
 def check_numbers(positive: bool = True, **values) -> None:
-    """Refuse each of *values* that is not a finite number (a bool is not),
-    or, when *positive*, not above 0."""
+    """Refuse each of *values* that is not a finite float (a bool is not, nor
+    an integer too large for a float), or, when *positive*, not above 0."""
+    largest = sys.float_info.max
     for name, value in values.items():
-        if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value)
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not -largest <= value <= largest
                 or positive and value <= 0):
             raise ConfigError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
 

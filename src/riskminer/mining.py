@@ -127,6 +127,11 @@ def _tidset(positions: list[int], n: int) -> int:
     return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
+def check_support(min_support: float) -> None:
+    if not 0.0 < min_support <= 1.0:
+        raise ConfigError(f"min_support must lie in (0, 1], got {min_support}")
+
+
 def apriori(transactions, min_support: float) -> dict[frozenset, float]:
     """All itemsets with support >= min_support, found level-wise.
 
@@ -137,8 +142,7 @@ def apriori(transactions, min_support: float) -> dict[frozenset, float]:
     """
     if not transactions:
         raise ConfigError("no transactions to mine")
-    if not 0.0 < min_support <= 1.0:
-        raise ConfigError("min_support must lie in (0, 1]")
+    check_support(min_support)
     n = len(transactions)
     tidlists: dict = {}  # item -> its transaction positions, items in first-seen order
     for pos, t in enumerate(transactions):
@@ -179,6 +183,13 @@ class Rule:
     lift: float
 
 
+def check_rule_limits(min_confidence: float, cap: int) -> None:
+    if not 0.0 <= min_confidence <= 1.0:
+        raise ConfigError(f"min_confidence must lie in [0, 1], got {min_confidence}")
+    if cap < 0:
+        raise ConfigError(f"max_rules must be >= 0, got {cap}")
+
+
 def derive_rules(
     itemsets: dict[frozenset, float],
     min_confidence: float,
@@ -188,8 +199,7 @@ def derive_rules(
     """Rules (S \\ consequent -> consequent) for every frequent S containing
     the consequent, filtered by confidence, sorted by confidence then support
     descending then antecedent, and truncated to *cap*."""
-    if cap < 0:
-        raise ConfigError(f"max_rules must be >= 0, got {cap}")
+    check_rule_limits(min_confidence, cap)
     consequent = frozenset(consequent)
     if consequent not in itemsets:
         return []

@@ -9,7 +9,9 @@ StageError naming the stage, and no report files are written for a failed
 run. Two runs with the same config and seed emit byte-identical files.
 
 The config document is read, and echoed into the report, from one table of
-(dotted config key, dataclass field, parser) entries per config dataclass.
+(dotted config key, dataclass field, parser) entries per config dataclass. A
+key that no table names is refused, each value's type is checked as it is
+read, and each range by the check of the stage that uses the value.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .chisq import check_alpha, rank_features
 from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows
-from .dataset import Dataset, load_dataset, split_dataset
-from .elimination import StepRecord, backward_eliminate, best_choice, evaluate_learners
-from .errors import ConfigError, StageError
+from .dataset import Dataset, check_ratios, load_dataset, split_dataset
+from .elimination import StepRecord, backward_eliminate, best_choice, check_min_size, evaluate_learners
+from .errors import ConfigError, StageError, check_ints, check_numbers
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from .metrics import MetricsReport, RocCurve, auc, classification_metrics, confusion, oriented, roc_points
-from .mining import apriori, default_factor_map, derive_rules, dissolve_dataset
+from .mining import apriori, check_rule_limits, check_support, default_factor_map, derive_rules, dissolve_dataset
 from .schema import Schema, default_schema, load_schema
 from .smote import SmoteConfig, resolve_targets, smote_n
 
@@ -46,7 +48,6 @@ class PipelineConfig:
     smote_k: int = 5
     smote_target_total: int | None = None
     smote_balance: bool = True
-    smote_seed: int | None = None
     learners: tuple[ClassifierSpec, ...] = ()
     min_size: int = 19
     min_support: float = 0.25
@@ -60,8 +61,10 @@ class PipelineConfig:
         if self.positive_class not in (0, 1):
             raise ConfigError("positive_class must be 0 or 1")
         check_alpha(self.alpha)
-        if self.max_rules < 0:
-            raise ConfigError(f"apriori.max_rules must be >= 0, got {self.max_rules}")
+        check_ratios(self.ratios)
+        check_min_size(self.min_size)
+        check_support(self.min_support)
+        check_rule_limits(self.min_confidence, self.max_rules)
         kinds = [spec.kind for spec in self.learners]
         if not kinds:
             raise ConfigError("at least one learner is required")
@@ -69,19 +72,41 @@ class PipelineConfig:
             raise ConfigError("duplicate learner kinds")
 
 
-def parse_ratios(value) -> tuple[float, float, float]:
-    """Train / test / validation ratios from a list or a comma-separated string."""
-    try:
-        ratios = tuple(float(r) for r in (value.split(",") if isinstance(value, str) else value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"ratios must be numbers, got {value!r}") from None
-    if len(ratios) != 3:
-        raise ConfigError("ratios must have exactly three entries")
-    return ratios
+# Parsers of one (dotted key, value) pair. They check a value's type only;
+# PipelineConfig and GenSpec check the ranges.
 
-
-def _same(value):
+def _integer(key: str, value) -> int:
+    check_ints(None, **{key: value})
     return value
+
+
+def _number(key: str, value) -> float:
+    check_numbers(False, **{key: value})
+    return float(value)
+
+
+def _flag(key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+    return value
+
+
+def _path(key: str, value) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{key} must be a path or null, got {value!r}")
+    return value
+
+
+def _ratios(key: str, value) -> tuple[float, float, float]:
+    """Train / test / validation ratios from a list or a comma-separated string."""
+    if isinstance(value, str):
+        try:
+            value = [float(r) for r in value.split(",")]
+        except ValueError:
+            raise ConfigError(f"{key} must be numbers, got {value!r}") from None
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ConfigError(f"{key} must be three numbers, got {value!r}")
+    return tuple(_number(key, r) for r in value)
 
 
 # (dotted key in the config document, dataclass field, parser). config_from_dict
@@ -89,34 +114,33 @@ def _same(value):
 # the report's config from them; a key absent from the document leaves the
 # field at its dataclass default.
 CONFIG_FIELDS = (
-    ("input", "input_path", _same),
-    ("seed", "seed", int),
-    ("alpha", "alpha", float),
-    ("ratios", "ratios", parse_ratios),
-    ("stratified", "stratified", bool),
-    ("smote.k", "smote_k", int),
-    ("smote.target_total", "smote_target_total", _same),
-    ("smote.balance", "smote_balance", bool),
-    ("smote.seed", "smote_seed", _same),
-    ("elimination.min_size", "min_size", int),
-    ("apriori.min_support", "min_support", float),
-    ("apriori.min_confidence", "min_confidence", float),
-    ("apriori.max_rules", "max_rules", int),
-    ("positive_class", "positive_class", int),
+    ("input", "input_path", _path),
+    ("seed", "seed", _integer),
+    ("alpha", "alpha", _number),
+    ("ratios", "ratios", _ratios),
+    ("stratified", "stratified", _flag),
+    ("smote.k", "smote_k", _integer),  # its range is checked only when SMOTE adds records
+    ("smote.target_total", "smote_target_total", lambda key, v: None if v is None else _integer(key, v)),
+    ("smote.balance", "smote_balance", _flag),
+    ("elimination.min_size", "min_size", _integer),
+    ("apriori.min_support", "min_support", _number),
+    ("apriori.min_confidence", "min_confidence", _number),
+    ("apriori.max_rules", "max_rules", _integer),
+    ("positive_class", "positive_class", _integer),
 )
 
 GENERATOR_FIELDS = (
-    ("n_records", "n_records", int),
-    ("class_balance", "class_balance", float),
-    ("seed", "seed", int),
-    ("planted_factors", "planted_factors", lambda docs: tuple(
+    ("n_records", "n_records", _integer),
+    ("class_balance", "class_balance", _number),
+    ("seed", "seed", _integer),
+    ("planted_factors", "planted_factors", lambda _, docs: tuple(
         PlantedFactor(f["feature"], int(f["value"]), float(f["victim_prob"]), float(f.get("marginal", 0.5)))
         for f in docs
     )),
-    ("planted_rule", "planted_rule", lambda r: PlantedRule(
+    ("planted_rule", "planted_rule", lambda _, r: PlantedRule(
         tuple((f, int(v)) for f, v in r["factors"]), float(r["victim_prob"]), float(r["coverage"])
     ) if r else None),
-    ("noise_marginals", "noise_marginals", lambda docs: {
+    ("noise_marginals", "noise_marginals", lambda _, docs: {
         feature: {int(v): float(p) for v, p in dist.items()} for feature, dist in docs.items()
     }),
 )
@@ -125,8 +149,18 @@ GENERATOR_FIELDS = (
 _ABSENT: dict = {}  # a missing key; a dict, so that deeper lookups stay absent
 
 
-def _parse(cls, table, doc: dict, prefix: str = "", **given):
-    """Build *cls* from *given* and the *table* entries present in *doc*."""
+def _parse(cls, table, doc: dict, prefix: str = "", own=(), **given):
+    """Build *cls* from *given* and the *table* entries present in *doc*; a
+    key of *doc* or of its sections that neither the table nor *own* names
+    is refused."""
+    known = {key for key, _, _ in table} | set(own)
+    sections = {key.split(".")[0] for key in known if "." in key}
+    unknown = [key for key in doc if key not in known and key not in sections] + [
+        f"{section}.{key}" for section in sections if isinstance(doc.get(section), dict)
+        for key in doc[section] if f"{section}.{key}" not in known
+    ]
+    if unknown:
+        raise ConfigError(f"unknown config keys {[prefix + key for key in unknown]}")
     for key, name, parse in table:
         node = doc
         for part in key.split("."):
@@ -135,7 +169,7 @@ def _parse(cls, table, doc: dict, prefix: str = "", **given):
             node = node.get(part, _ABSENT)
         if node is not _ABSENT:
             try:
-                given[name] = parse(node)
+                given[name] = parse(prefix + key, node)
             except (KeyError, TypeError, ValueError, AttributeError) as exc:
                 raise ConfigError(f"{prefix}{key}: cannot parse {node!r} ({exc!r})") from None
     try:
@@ -171,9 +205,11 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     """Build a PipelineConfig from a parsed JSON document. Every entry of
     ``classifier_params`` is checked, also one for a kind that ``learners``
     leaves out."""
-    schema = load_schema(doc["schema"]) if doc.get("schema") else default_schema()
-    seed = doc.get("seed", PipelineConfig.seed)
-    generator = genspec_from_dict(doc["generator"], schema, default_seed=seed) if doc.get("generator") else None
+    schema_path = _path("schema", doc.get("schema"))
+    schema = load_schema(schema_path) if schema_path else default_schema()
+    seed = _integer("seed", doc.get("seed", PipelineConfig.seed))
+    generator = doc.get("generator")
+    generator = None if generator is None else genspec_from_dict(generator, schema, default_seed=seed)
     params, kinds = doc.get("classifier_params"), doc.get("learners", KINDS)
     if not isinstance(params, (dict, type(None))):
         raise ConfigError(f"classifier_params must be an object of objects, got {params!r}")
@@ -181,7 +217,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         raise ConfigError(f"learners must be a list of kinds, got {kinds!r}")
     specs = {kind: ClassifierSpec(kind, hyper) for kind, hyper in (params or {}).items()}
     learners = tuple(specs.get(spec.kind, spec) for spec in map(ClassifierSpec, kinds))
-    return _parse(PipelineConfig, CONFIG_FIELDS, doc, schema=schema, generator=generator, learners=learners)
+    own = ("schema", "generator", "learners", "classifier_params")
+    return _parse(PipelineConfig, CONFIG_FIELDS, doc, own=own, schema=schema, generator=generator, learners=learners)
 
 
 def genspec_from_dict(doc: dict, schema: Schema, default_seed: int = 0) -> GenSpec:
@@ -346,8 +383,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         ds = _stage("load", load_dataset, cfg.input_path, cfg.schema)
     else:
         ds = _stage("load", generate_synthetic, cfg.generator)
-    smote_seed = cfg.smote_seed if cfg.smote_seed is not None else cfg.seed
-    augmented = _stage("augment", augment, ds, cfg.smote_balance, cfg.smote_target_total, cfg.smote_k, smote_seed)
+    augmented = _stage("augment", augment, ds, cfg.smote_balance, cfg.smote_target_total, cfg.smote_k, cfg.seed)
     ranking = _stage("rank", rank_features, augmented, cfg.alpha)
     kept = _stage("rank", survivors, ranking, cfg.schema)
     splits = _stage("split", split_dataset, augmented, cfg.ratios, cfg.seed, cfg.stratified)

@@ -5,7 +5,9 @@ before the CLI and ``run_pipeline`` shared one set of stage functions; a
 refactor that keeps behaviour keeps every byte. The report, model and ROC
 pins were re-recorded when the echo kept only the hyperparameters a learner
 reads, models moved to format 2 and ROC points became plain floats; each
-new file equals the old one with exactly those edits.
+new file equals the old one with exactly those edits. The model pin was
+re-recorded again for model format 3 (the same trees as per-node lists in
+preorder) and the report pin when the config echo lost ``smote.seed``.
 """
 
 from __future__ import annotations
@@ -22,12 +24,12 @@ PINS = {
     "data.csv": "7980c1188306f0272070cdde235e6d738a42fe12e17e1c33f99bdb2f282a318e",
     "elimination.csv": "b6f4b079ccbf5f3b7a74e3cfe63b097df9ad407973a206b8c2202539fa04e2ff",
     "metrics.json": "b4f6789fc39551d134b69a1e313b3cb7e133d3d49e6f2114fb840e2e0b9468ef",
-    "model.json": "cbdaf219ec3d86881c10107d775e1fe3f097be3cf6579232f7903ada57fb45e9",
+    "model.json": "b97555b8fce4094ee9ea39f89e0c3baf05cc792bace6397107a5af11edcab8f6",
     "pipeline/confusion.csv": "5fd66a77ad14da08ff800223e5a2bb3272bd32ff73d8ebb378b2b2fa76513500",
     "pipeline/elimination.csv": "66ec29e3732dec5fa78aac4470e0701d077037730c3f77a904fb85f52c0e7f51",
     "pipeline/metrics.csv": "d96f601de555f89b72c6f2e06de0dd49a91afbdc0c25a3f90a4c7b6efd9915ac",
     "pipeline/ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "pipeline/report.json": "8dd6f700c3e9a38bc14e0eb96b809323bca790aa832a2ff9ac169563d126b1f4",
+    "pipeline/report.json": "16422ba37e84472b8dc729b69690e31f9ea545d357b7eaea4b81a9b0ccd5d72d",
     "pipeline/roc_DT.csv": "d783de2895ab6b1c370a7acf4206d171f406384ef1ebf5243bc86075d6aad76a",
     "pipeline/roc_GB.csv": "81eca0fe385782250e95f321fecc593e83e6228d48712c552debedde1c236e9e",
     "pipeline/roc_GNB.csv": "19f577214998dc161940cc86c5508dd5ea80af9a4230d36ab06226ee666638cd",

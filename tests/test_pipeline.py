@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,7 @@ from riskminer.errors import ConfigError, StageError
 from riskminer.metrics import ConfusionMatrix
 from riskminer.pipeline import (
     PipelineConfig,
+    config_echo,
     config_from_dict,
     confusion_csv,
     emit_report,
@@ -41,6 +44,16 @@ def small_config_doc(seed=11):
         "elimination": {"min_size": 2},
         "apriori": {"min_support": 0.25, "min_confidence": 0.8},
     }
+
+
+def test_readme_config_block_is_the_echo_of_itself():
+    # every key the README lists is read, with the default it shows
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+    doc = json.loads(re.sub(r"//.*", "", block))
+    del doc["input"]  # the block shows both data sources
+    echo = config_echo(config_from_dict(doc))
+    assert echo == {**{k: v for k, v in doc.items() if k != "schema"}, "input": None}
 
 
 def test_config_requires_exactly_one_source():

@@ -192,6 +192,10 @@ def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys)
         "learners of lists": {**small_config_doc(), "learners": [["RF"]]},
         "input and generator": {**small_config_doc(), "input": "data.csv"},
         "negative max_rules": {**small_config_doc(), "apriori": {"max_rules": -1}},  # refused before any stage
+        "unknown key": {**small_config_doc(), "alfa": 0.5},
+        "unknown section key": {**small_config_doc(), "apriori": {"min_suport": 0.9}},
+        "unknown generator key": {**small_config_doc(), "generator": {**small_config_doc()["generator"], "sed": 3}},
+        "removed smote.seed": {**small_config_doc(), "smote": {"seed": None}},
     }
     for name, doc in docs.items():
         path = tmp_path / f"{name}.json"
@@ -202,6 +206,33 @@ def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys)
             assert err.startswith("config error:") and err.count("\n") == 1, (command, name)
     # params for a kind that the learners list leaves out are still accepted
     config_from_dict({**small_config_doc(), "learners": ["DT"], "classifier_params": {"LR": {"max_iter": 5}}})
+
+
+@pytest.mark.parametrize("change", [
+    {"ratios": [0.5, 0.5, 0.5]},
+    {"ratios": ["0.75", "0.175", "0.075"]},
+    {"elimination": {"min_size": 0}},
+    {"elimination": {"min_size": 2.9}},
+    {"apriori": {"min_support": 2}},
+    {"apriori": {"min_confidence": -1}},
+    {"apriori": {"min_confidence": "0.8"}},
+    {"stratified": "false"},
+    {"smote": {"balance": "false"}},
+    {"smote": {"target_total": "x"}},
+    {"smote": {"target_total": 500.5}},
+    {"seed": "11"},
+    {"apriori": {"min_support": True}},
+    {"positive_class": True},
+    {"input": 0, "generator": None},
+    {"schema": 5},
+    {"generator": {**small_config_doc()["generator"], "n_records": 420.5}},
+])
+def test_config_values_of_the_wrong_type_or_range_are_refused_when_parsed(change, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**small_config_doc(), **change}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("params", [

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import tree_oracle
 from riskminer.classifiers import best_split
-from riskminer.classifiers.tree import TreeNode, TreeTable, category_codes, victim_fraction
+from riskminer.classifiers.tree import TreeTable, category_codes
+from tree_oracle import TreeNode, flatten
 
 # -- split search against the scalar oracle ----------------------------------
 
@@ -130,16 +131,16 @@ def random_trees(draw, n_features=3, max_depth=4):
 )
 def test_batch_scoring_matches_per_row_descent(roots, rows):
     X = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
-    table = TreeTable(roots, victim_fraction)
-    reached = table.leaf_ids(category_codes(X))
+    trees, nodes = flatten(roots)
+    reached = TreeTable(trees).leaf_ids(category_codes(X))
     assert reached.shape == (len(rows), len(roots))
     for i, row in enumerate(X):
         for t, root in enumerate(roots):
-            assert table.nodes[reached[i, t]] is tree_oracle._descend(root, row)
+            assert nodes[reached[i, t]] is tree_oracle._descend(root, row)
 
 
 def test_negative_split_codes_are_refused():
     # fits never produce them; a model file that holds one is refused on load
     root = TreeNode(n=4, feature=0, left_values=(-1,), right_values=(1,), left=TreeNode(n=2), right=TreeNode(n=2, pos=2))
     with pytest.raises(ValueError):
-        TreeTable([root], victim_fraction)
+        TreeTable(flatten([root])[0])

@@ -1,5 +1,6 @@
 """Fixed behaviour of the tree learners, stated through the public API only:
-fitted-model digests and the routing of codes unseen at fit time."""
+fitted-model digests, the routing of codes unseen at fit time, and the
+refusal of malformed model files."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 
 from riskminer.classifiers import (
     ClassifierSpec,
@@ -18,7 +20,9 @@ from riskminer.classifiers import (
     train,
 )
 from riskminer.classifiers.linear import sigmoid
+from riskminer.cli import main
 from riskminer.dataset import Dataset
+from riskminer.errors import ConfigError
 from riskminer.schema import FeatureSpec, Schema
 
 # -- pinned fitted models ----------------------------------------------------
@@ -53,11 +57,13 @@ def _digest_dataset() -> Dataset:
 # sha256 of json.dumps(model_to_dict(model), sort_keys=True). The tree params
 # were recorded with the scalar split search that the histogram engine
 # replaced; the digests were re-recorded for model format 2, whose
-# hyperparameters list only the keys a learner reads, with params unchanged.
+# hyperparameters list only the keys a learner reads, with params unchanged,
+# and for format 3, whose params hold the same trees as per-node lists in
+# preorder (with ``pos`` on inner nodes too).
 PINNED_DIGESTS = {
-    "DT": "657a6df0916966411c8f4a01294b0653b5966dffbc4274a142c9e87af9b8c533",
-    "RF": "f92feb2b8d2ba238f63ce3008d96a5b23223c90fb3f1a2376d2e132c0783f0f3",
-    "GB": "aed8ee698893a7ea47f0f99693ff2a8c4e887134a2d253647d34a01d2bfeed8c",
+    "DT": "db59bae1900b574e448656e50c57d5b22ed700dd9f7d76ef909e68da2c169976",
+    "RF": "5c2667b6cd38e12fa74654539af46a3222cf3d8c816a8fb51f016215edece3c0",
+    "GB": "16ad1f43194972546cda600eee95c583381c8d8b11f47567ae3de5a8c0995031",
 }
 
 
@@ -71,42 +77,40 @@ def test_fitted_tree_models_match_pinned_digests():
 # -- unseen codes ------------------------------------------------------------
 
 
-def _leaf(n, pos=0, value=0.0):
-    return {"n": n, "pos": pos, "value": value}
-
-
 def _stump(n_left, n_right):
     # feature 0 was seen only as codes {0} | {1}; 2 and -1 are unseen
     return {
-        "n": n_left + n_right,
-        "feature": 0,
-        "left_values": [0],
-        "right_values": [1],
-        "left": _leaf(n_left, pos=0, value=-1.0),
-        "right": _leaf(n_right, pos=n_right, value=1.0),
+        "roots": [0],
+        "feature": [0, -1, -1],
+        "left": [1, -1, -1],
+        "right": [2, -1, -1],
+        "left_values": [[0], [], []],
+        "right_values": [[1], [], []],
+        "n": [n_left + n_right, n_left, n_right],
+        "pos": [n_right, 0, n_right],
+        "value": [0.0, -1.0, 1.0],
     }
 
 
-def _model(kind, tree):
+def _doc(kind, trees):
     hyper = {
         "DT": {"min_samples_split": 2},
         "RF": {"n_estimators": 1, "min_samples_split": 2, "seed": 42},
         "GB": {"learning_rate": 1.0, "n_estimators": 1, "max_depth": 1},
     }[kind]
-    params = {
-        "DT": {"tree": tree},
-        "RF": {"trees": [tree]},
-        "GB": {"init_score": 0.0, "trees": [tree], "train_losses": [0.7, 0.6]},
-    }[kind]
-    doc = {
-        "format_version": 2,
+    params = {"init_score": 0.0, **trees, "train_losses": [0.7, 0.6]} if kind == "GB" else trees
+    return {
+        "format_version": 3,
         "kind": kind,
         "hyperparameters": hyper,
         "features": ["f0", "f1"],
         "warnings": [],
         "params": params,
     }
-    return model_from_dict(doc)
+
+
+def _model(kind, trees):
+    return model_from_dict(_doc(kind, trees))
 
 
 def test_unseen_code_follows_heavier_child_and_ties_go_left():
@@ -126,3 +130,57 @@ def test_unseen_code_follows_heavier_child_and_ties_go_left():
             # 1.9 truncates to the seen code 1, as int() truncates it
             want = [left_score[kind], expected, right_score[kind], expected, right_score[kind], expected]
             assert score_rows(model, X).tolist() == want, (kind, n_left, n_right)
+
+
+# -- model files are outside input -------------------------------------------
+
+
+def _malformed(**columns):
+    return {**_stump(4, 4), **columns}
+
+
+MALFORMED = {
+    "unequal lists": _malformed(n=[8, 4, 4, 1]),
+    "no tree": _malformed(roots=[]),
+    "root outside": _malformed(roots=[3]),
+    "root not an integer": _malformed(roots=[0.0]),
+    "child outside": _malformed(left=[5, -1, -1]),
+    "negative child": _malformed(right=[-1, -1, -1]),
+    "child before parent": _malformed(left=[0, -1, -1]),
+    "cycle": _malformed(feature=[0, -1, 0], left=[1, -1, 0], left_values=[[0], [], [0]], right_values=[[1], [], [1]]),
+    "negative split code": _malformed(left_values=[[-1], [], []]),
+    "fractional split code": _malformed(left_values=[[0.5], [], []]),
+    "string split code": _malformed(right_values=[["1"], [], []]),
+    "boolean split code": _malformed(right_values=[[True], [], []]),
+    "code sets not lists": _malformed(left_values=[0, [], []]),
+    "column not a list": _malformed(feature=0),
+    "missing column": {k: v for k, v in _stump(4, 4).items() if k != "pos"},
+    "huge index": _malformed(n=[8, 4, 2**70]),
+}
+
+
+@pytest.mark.parametrize("kind", ["DT", "RF", "GB"])
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_tree_records_are_refused(kind, name):
+    with pytest.raises(ConfigError):
+        _model(kind, MALFORMED[name])
+
+
+def _format_2(kind):
+    leaf = {"n": 4, "pos": 0, "value": 0.0}
+    tree = {"n": 8, "feature": 0, "left_values": [0], "right_values": [1], "left": leaf, "right": leaf}
+    doc = _doc(kind, {})
+    doc["format_version"] = 2
+    doc["params"] = {"tree": tree} if kind == "DT" else {"init_score": 0.0, "trees": [tree], "train_losses": []}
+    return doc
+
+
+@pytest.mark.parametrize("name", ["child before parent", "negative split code", "unequal lists", "format 2"])
+def test_evaluate_refuses_malformed_model_files(name, tmp_path, capsys):
+    doc = _format_2("DT") if name == "format 2" else _doc("DT", MALFORMED[name])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["evaluate", "--model", str(path), "--input", str(tmp_path / "data.csv"), "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err

@@ -3,15 +3,60 @@
 These are the scalar implementations the histogram engine in
 ``riskminer.classifiers.tree`` replaced, kept verbatim: ``best_split`` scores
 one bipartition at a time with ``_gini_gain`` / ``_friedman_gain``, and
-``_descend`` walks one row down a tree. The differential tests compare the
-engine against them bit for bit.
+``_descend`` walks one row down a tree of ``TreeNode`` objects, the form fitted
+trees took before they became per-node lists. The differential tests compare
+the engine against them bit for bit; ``flatten`` turns ``TreeNode`` trees into
+the engine's tree record.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from riskminer.classifiers.tree import SplitChoice, TreeNode, gini
+from riskminer.classifiers.tree import TREE_COLUMNS, SplitChoice, gini
+
+
+@dataclass
+class TreeNode:
+    n: int
+    # interior
+    feature: int | None = None
+    left_values: tuple[int, ...] = ()
+    right_values: tuple[int, ...] = ()
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
+    # leaf payloads
+    pos: int = 0  # victim count (classification)
+    value: float = 0.0  # leaf output (regression)
+
+    def is_leaf(self) -> bool:
+        return self.feature is None
+
+
+def flatten(roots: list[TreeNode]) -> tuple[dict, list[TreeNode]]:
+    """The tree record of *roots* (see ``TREE_COLUMNS``) and its nodes, both
+    in preorder, tree after tree."""
+    trees = {column: [] for column in TREE_COLUMNS}
+    nodes: list[TreeNode] = []
+
+    def add(node: TreeNode) -> int:
+        i = len(nodes)
+        nodes.append(node)
+        inner = not node.is_leaf()
+        row = (node.feature if inner else -1, -1, -1, list(node.left_values), list(node.right_values),
+               node.n, node.pos, node.value)
+        for column, v in zip(TREE_COLUMNS[1:], row):
+            trees[column].append(v)
+        if inner:
+            trees["left"][i] = add(node.left)
+            trees["right"][i] = add(node.right)
+        return i
+
+    for root in roots:
+        trees["roots"].append(add(root))
+    return trees, nodes
 
 
 def _partitions(present: list[int]):
