@@ -28,7 +28,6 @@ from .mining import (
     apriori,
     default_factor_map,
     derive_rules,
-    dissolve,
     dissolve_dataset,
     rule_metrics,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "default_factor_map",
     "default_schema",
     "derive_rules",
-    "dissolve",
     "dissolve_dataset",
     "emit_report",
     "generate_synthetic",

@@ -8,9 +8,12 @@ exposes a victim-class score in [0, 1]; the predicted label is 1 exactly
 when the score reaches 0.5, so an exact tie resolves to the victim class.
 
 Each learner's constructor is the one definition of its hyperparameters and
-their defaults. Fitted models are immutable and safe for concurrent
-prediction; training is deterministic given (kind, hyperparameters, data,
-features).
+their defaults. A fitted learner's state is its ``params`` dict, which model
+files store: ``fit`` computes it and ends in ``load_params(params,
+n_features)``, the only code that sets fitted attributes and checks each
+param's shape, so a model file meets the checks of a fresh fit. Fitted
+models are immutable and safe for concurrent prediction; training is
+deterministic given (kind, hyperparameters, data, features).
 """
 
 from __future__ import annotations
@@ -165,7 +168,7 @@ def model_to_dict(model: Model) -> dict:
         "hyperparameters": model.hyperparameters,
         "features": list(model.features),
         "warnings": list(model.warnings),
-        "params": model.impl.to_params(),
+        "params": {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in model.impl.params.items()},
     }
 
 
@@ -179,8 +182,8 @@ def model_from_dict(doc) -> Model:
     try:
         spec = ClassifierSpec(doc["kind"], doc["hyperparameters"])
         impl = _LEARNERS[spec.kind](**spec.resolved())
-        impl.load_params(doc["params"])
         features = tuple(doc["features"])
+        impl.load_params(doc["params"], len(features))
         warnings = tuple(doc.get("warnings", ()))
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed model document ({exc!r})") from None

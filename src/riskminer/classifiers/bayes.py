@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import check_numbers
+from ..errors import check_numbers, check_shape
 
 
 class GaussianNBLearner:
@@ -18,23 +18,18 @@ class GaussianNBLearner:
     def __init__(self, var_smoothing: float = 1e-9):
         check_numbers(var_smoothing=var_smoothing)
         self.var_smoothing = var_smoothing
-        self.classes: list[int] = []
-        self.log_prior: np.ndarray | None = None
-        self.theta: np.ndarray | None = None  # [class, feature] means
-        self.var: np.ndarray | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self.classes = sorted(set(int(v) for v in y))
+        classes = sorted(set(int(v) for v in y))
         eps = self.var_smoothing * float(X.var(axis=0).max()) if X.size else self.var_smoothing
         theta, var, priors = [], [], []
-        for c in self.classes:
+        for c in classes:
             rows = X[y == c]
             theta.append(rows.mean(axis=0))
             var.append(rows.var(axis=0) + eps)
             priors.append(rows.shape[0] / X.shape[0])
-        self.theta = np.asarray(theta)
-        self.var = np.asarray(var)
-        self.log_prior = np.log(np.asarray(priors))
+        self.load_params({"classes": classes, "log_prior": np.log(np.asarray(priors)), "theta": np.asarray(theta),
+                          "var": np.asarray(var)}, X.shape[1])
 
     def _joint_log_likelihood(self, X: np.ndarray) -> np.ndarray:
         out = np.empty((X.shape[0], len(self.classes)))
@@ -56,16 +51,12 @@ class GaussianNBLearner:
             return np.ones(X.shape[0])
         return posterior[:, self.classes.index(1)]
 
-    def to_params(self) -> dict:
-        return {
-            "classes": self.classes,
-            "log_prior": self.log_prior.tolist(),
-            "theta": self.theta.tolist(),
-            "var": self.var.tolist(),
-        }
-
-    def load_params(self, params: dict) -> None:
+    def load_params(self, params: dict, n_features: int) -> None:
+        if params["classes"] not in ([0], [1], [0, 1]):
+            raise ValueError(f"classes must be [0], [1] or [0, 1], got {params['classes']!r}")
+        self.params = params
         self.classes = [int(c) for c in params["classes"]]
-        self.log_prior = np.asarray(params["log_prior"], dtype=np.float64)
-        self.theta = np.asarray(params["theta"], dtype=np.float64)
-        self.var = np.asarray(params["var"], dtype=np.float64)
+        c = len(self.classes)
+        self.log_prior = check_shape("log_prior", params["log_prior"], (c,))
+        self.theta = check_shape("theta", params["theta"], (c, n_features))  # [class, feature] means
+        self.var = check_shape("var", params["var"], (c, n_features))

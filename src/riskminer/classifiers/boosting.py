@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import SingleClassError, check_ints, check_numbers
 from .linear import sigmoid
-from .tree import TREE_COLUMNS, TreeTable, category_codes, grow, new_trees
+from .tree import TreeTable, category_codes, grow, new_trees
 
 
 def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
@@ -34,10 +34,6 @@ class GradientBoostingLearner:
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.init_score = 0.0
-        self.trees = new_trees()
-        self.table: TreeTable | None = None
-        self.train_losses: list[float] = []
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(set(y.tolist())) < 2:
@@ -45,23 +41,23 @@ class GradientBoostingLearner:
         codes = category_codes(X)
         y = y.astype(np.float64)
         prior = float(y.mean())
-        self.init_score = float(np.log(prior / (1.0 - prior)))
-        raw = np.full(X.shape[0], self.init_score)
-        self.trees = new_trees()
-        self.train_losses = [log_loss(y, sigmoid(raw))]
+        init_score = float(np.log(prior / (1.0 - prior)))
+        raw = np.full(X.shape[0], init_score)
+        trees = new_trees()
+        losses = [log_loss(y, sigmoid(raw))]
         for _ in range(self.n_estimators):
             prob = sigmoid(raw)
             residual = y - prob
-            leaf = grow(self.trees, codes, residual, "friedman-mse", max_depth=self.max_depth)
+            leaf = grow(trees, codes, residual, "friedman-mse", max_depth=self.max_depth)
             # the leaves partition the rows, so step is each row's tree output
             step = np.empty(X.shape[0])
             for i in set(leaf.tolist()):  # np.unique's first call costs 1.6 MB of RSS
                 idx = np.flatnonzero(leaf == i)
                 hessian = float((prob[idx] * (1.0 - prob[idx])).sum())
-                self.trees["value"][i] = step[idx] = float(residual[idx].sum()) / max(hessian, 1e-12)
+                trees["value"][i] = step[idx] = float(residual[idx].sum()) / max(hessian, 1e-12)
             raw = raw + self.learning_rate * step
-            self.train_losses.append(log_loss(y, sigmoid(raw)))
-        self.table = TreeTable(self.trees)
+            losses.append(log_loss(y, sigmoid(raw)))
+        self.load_params({"init_score": init_score, **trees, "train_losses": losses}, X.shape[1])
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.full(X.shape[0], self.init_score)
@@ -72,11 +68,8 @@ class GradientBoostingLearner:
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
 
-    def to_params(self) -> dict:
-        return {"init_score": self.init_score, **self.trees, "train_losses": self.train_losses}
-
-    def load_params(self, params: dict) -> None:
+    def load_params(self, params: dict, n_features: int) -> None:
+        self.params = params
         self.init_score = float(params["init_score"])
-        self.trees = {column: params[column] for column in TREE_COLUMNS}
         self.train_losses = [float(v) for v in params["train_losses"]]
-        self.table = TreeTable(self.trees)
+        self.table = TreeTable(params, n_features)

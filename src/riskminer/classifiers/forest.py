@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_ints
-from .tree import TREE_COLUMNS, TreeTable, category_codes, grow, new_trees
+from .tree import TreeTable, category_codes, grow, new_trees
 
 
 class DecisionTreeLearner:
@@ -14,23 +14,18 @@ class DecisionTreeLearner:
     def __init__(self, min_samples_split: int = 2):
         check_ints(2, min_samples_split=min_samples_split)
         self.min_samples_split = min_samples_split
-        self.trees = new_trees()
-        self.table: TreeTable | None = None
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         trees = new_trees()
         grow(trees, category_codes(X), y, "gini", min_samples_split=self.min_samples_split)
-        self.load_params(trees)
+        self.load_params(trees, X.shape[1])
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         return self.table.leaf_values(X, self.output)[:, 0]
 
-    def to_params(self) -> dict:
-        return self.trees
-
-    def load_params(self, params: dict) -> None:
-        self.trees = {column: params[column] for column in TREE_COLUMNS}
-        self.table = TreeTable(self.trees)
+    def load_params(self, params: dict, n_features: int) -> None:
+        self.params = self.trees = params
+        self.table = TreeTable(params, n_features)
         self.output = self.table.pos / self.table.n  # each leaf's victim fraction
 
 
@@ -58,7 +53,7 @@ class RandomForestLearner(DecisionTreeLearner):
             rng = np.random.default_rng([self.seed, t])
             sample = rng.integers(0, n, size=n)
             grow(trees, codes[sample], y[sample], "gini", self.min_samples_split, max_features=max_features, rng=rng)
-        self.load_params(trees)
+        self.load_params(trees, X.shape[1])
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         # Fraction of trees voting victim; each tree votes its leaf majority

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import SingleClassError, check_ints, check_numbers
+from ..errors import SingleClassError, check_ints, check_numbers, check_shape
 
 
 def sigmoid(z):
@@ -59,10 +59,6 @@ class LogisticLearner:
         self.C = C
         self.max_iter = max_iter
         self.tol = tol
-        self.weights: np.ndarray | None = None
-        self.bias = 0.0
-        self.converged = False
-        self.objective_path: list[float] = []
 
     def objective(self, X, y, w, b):
         # log(1 + exp(u)) per row, summed exactly: every term is positive,
@@ -89,7 +85,7 @@ class LogisticLearner:
         b = 0.0
         obj = self.objective(X, y, w, b)
         self.objective_path = [obj]
-        self.converged = False
+        converged = False
         for _ in range(self.max_iter):
             gw, gb = self.gradient(X, y, w, b)
             grad = np.append(gw, gb)
@@ -103,7 +99,7 @@ class LogisticLearner:
             # separable data a small gradient alone can leave it far above
             small_gradient = bool(np.sqrt(grad @ grad) <= self.tol)
             if small_gradient and decrease <= 1e-10 * obj:
-                self.converged = True
+                converged = True
                 break
             u, slope = sign * z, sign * (A @ direction)
             dw = direction[:-1]
@@ -118,23 +114,17 @@ class LogisticLearner:
             else:
                 # no descent step within float precision: with a small
                 # gradient that is the optimum as far as floats can tell
-                self.converged = small_gradient
+                converged = small_gradient
                 break
             w, b, obj = w - step * dw, b - step * float(direction[-1]), obj + change
             self.objective_path.append(obj)
-        self.weights, self.bias = w, b
+        self.load_params({"weights": w, "bias": b, "converged": converged}, X.shape[1])
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(X @ self.weights + self.bias)
 
-    def to_params(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "bias": self.bias,
-            "converged": self.converged,
-        }
-
-    def load_params(self, params: dict) -> None:
-        self.weights = np.asarray(params["weights"], dtype=np.float64)
+    def load_params(self, params: dict, n_features: int) -> None:
+        self.params = params
+        self.weights = check_shape("weights", params["weights"], (n_features,))
         self.bias = float(params["bias"])
         self.converged = bool(params["converged"])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingleClassError, check_ints, check_numbers
+from ..errors import SingleClassError, check_ints, check_numbers, check_shape
 from .linear import sigmoid
 
 
@@ -39,12 +39,6 @@ class PolySVCLearner:
         self.gamma = gamma
         self.tol = tol
         self.max_passes = max_passes
-        self.support_vectors: np.ndarray | None = None
-        self.dual_coef: np.ndarray | None = None  # alpha_i * y_i on support vectors
-        self.intercept = 0.0
-        self.gamma_value = 1.0
-        self.converged = False
-        self.alphas_: np.ndarray | None = None  # full alpha vector, kept for diagnostics
 
     def _resolve_gamma(self, X: np.ndarray) -> float:
         if self.gamma == "scale":
@@ -52,10 +46,10 @@ class PolySVCLearner:
             return 1.0 / (X.shape[1] * var) if var > 0 else 1.0
         return float(self.gamma)
 
-    def _kernel(self, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    def _kernel(self, A: np.ndarray, B: np.ndarray, gamma: float | None = None) -> np.ndarray:
         # in place: the n x n kernel of a fit is the largest array of a run
         K = A @ B.T
-        K *= self.gamma_value
+        K *= self.gamma_value if gamma is None else gamma
         K += self.coef0
         K **= self.degree
         return K
@@ -63,18 +57,18 @@ class PolySVCLearner:
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(set(y.tolist())) < 2:
             raise SingleClassError("support vector classifier")
-        self.gamma_value = self._resolve_gamma(X)
+        gamma = self._resolve_gamma(X)
         sign = np.where(y == 1, 1.0, -1.0)
         n = X.shape[0]
         C = self.C
-        K = self._kernel(X, X)
+        K = self._kernel(X, X, gamma)
         diag = np.diag(K).copy()
         alpha = np.zeros(n)
         b = 0.0
         fx = np.zeros(n)  # decision values sum_j alpha_j y_j K[j, i] + b
         min_step = 1e-5
 
-        self.converged = False
+        converged = False
         for _ in range(self.max_passes):
             changed = 0
             for i in range(n):
@@ -117,35 +111,27 @@ class PolySVCLearner:
                 alpha[i], alpha[j], b = a_i, a_j, new_b
                 changed += 1
             if changed == 0:
-                self.converged = True
+                converged = True
                 break
 
         keep = alpha > 1e-12
-        self.support_vectors = X[keep]
-        self.dual_coef = alpha[keep] * sign[keep]
-        self.intercept = b
-        self.alphas_ = alpha
+        self.alphas_ = alpha  # the full alpha vector, kept for diagnostics
+        # dual_coef holds alpha_i * y_i of each support vector
+        self.load_params({"support_vectors": X[keep], "dual_coef": alpha[keep] * sign[keep], "intercept": b,
+                          "gamma_value": gamma, "converged": converged}, X.shape[1])
 
     def decision_values(self, X: np.ndarray) -> np.ndarray:
-        if self.support_vectors.shape[0] == 0:
-            return np.full(X.shape[0], self.intercept)
         return self._kernel(X, self.support_vectors) @ self.dual_coef + self.intercept
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.decision_values(X))
 
-    def to_params(self) -> dict:
-        return {
-            "support_vectors": self.support_vectors.tolist(),
-            "dual_coef": self.dual_coef.tolist(),
-            "intercept": self.intercept,
-            "gamma_value": self.gamma_value,
-            "converged": self.converged,
-        }
-
-    def load_params(self, params: dict) -> None:
-        self.support_vectors = np.asarray(params["support_vectors"], dtype=np.float64)
-        self.dual_coef = np.asarray(params["dual_coef"], dtype=np.float64)
+    def load_params(self, params: dict, n_features: int) -> None:
+        self.params = params
+        vectors = params["support_vectors"]
+        vectors = vectors if len(vectors) else np.empty((0, n_features))  # an empty list holds no vector
+        self.support_vectors = check_shape("support_vectors", vectors, (None, n_features))
+        self.dual_coef = check_shape("dual_coef", params["dual_coef"], (len(self.support_vectors),))
         self.intercept = float(params["intercept"])
         self.gamma_value = float(params["gamma_value"])
         self.converged = bool(params["converged"])

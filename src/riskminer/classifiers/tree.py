@@ -303,28 +303,30 @@ def _ints(values, name: str, least: int, below: int | None = None) -> np.ndarray
 class TreeTable:
     """The scoring table of a tree record (see ``TREE_COLUMNS``).
 
+    ``codes`` holds every code that some node splits on, in ascending order.
     Node ``i`` tests the code of feature ``feature[i]`` and moves to node
-    ``next[i, code]``; a leaf moves to itself. Scoring steps every row down
-    every tree at once, one level per step, so a batch costs a few array
-    operations per level instead of a walk per row and tree. Column
-    ``width`` of ``next`` serves codes outside ``[0, width)``; there, as for
-    a code the node never saw at fit time, a row follows the heavier child,
-    and the left child when the two are equally heavy.
+    ``next[i, j]``, with ``j`` that code's position in ``codes``; a leaf
+    moves to itself. Scoring steps every row down every tree at once, one
+    level per step, so a batch costs a few array operations per level
+    instead of a walk per row and tree. The last column of ``next`` serves
+    every code that no node splits on; there, as for a code the node never
+    saw at fit time, a row follows the heavier child, and the left child
+    when the two are equally heavy.
 
     A record read from a file is outside input: one that does not describe
-    trees (lists of unequal length, an index outside the nodes, a child that
-    does not come after its parent, a split code that is not an integer
-    >= 0) raises ValueError.
+    trees over *n_features* features (lists of unequal length, an index
+    outside the nodes or the features, a child that does not come after its
+    parent, a split code that is not an integer >= 0) raises ValueError.
     """
 
-    def __init__(self, trees: dict):
+    def __init__(self, trees: dict, n_features: int):
         size = len(trees["feature"])
         if any(len(trees[column]) != size for column in TREE_COLUMNS[1:]):
             raise ValueError("tree node lists differ in length")
         if not trees["roots"]:
             raise ValueError("a tree record holds at least one tree")
         self.roots = _ints(trees["roots"], "roots", 0, size)
-        self.feature = _ints(trees["feature"], "features", -1)
+        self.feature = _ints(trees["feature"], "features", -1, n_features)
         left, right = _ints(trees["left"], "children", -1, size), _ints(trees["right"], "children", -1, size)
         self.n, self.pos = _ints(trees["n"], "row counts", 1), _ints(trees["pos"], "victim counts", 0)
         self.value = np.array(trees["value"], dtype=np.float64)
@@ -338,23 +340,26 @@ class TreeTable:
             sizes = [len(codes) for codes in sets]
             codes = _ints([c for codes in sets for c in codes], "split codes", 0)
             sides.append((codes, np.repeat(inner, sizes), np.repeat(child, sizes)))
-        width = 1 + max(int(codes.max(initial=0)) for codes, _, _ in sides)
-        self.next = np.repeat(np.arange(size)[:, None], width + 1, axis=1)
+        self.codes = np.array(sorted(set(np.concatenate([codes for codes, _, _ in sides]).tolist())), dtype=np.int64)
+        self.next = np.repeat(np.arange(size)[:, None], len(self.codes) + 1, axis=1)
         self.next[inner] = np.where(self.n[left] < self.n[right], right, left)[:, None]
         for codes, nodes, child in sides:
-            self.next[nodes, codes] = child
+            self.next[nodes, np.searchsorted(self.codes, codes)] = child
 
     def leaf_ids(self, codes: np.ndarray) -> np.ndarray:
         """(rows, trees) id of the leaf each row reaches."""
-        # every code outside [0, width) lands in column width: -1 indexes it too
-        codes = codes.clip(-1, self.next.shape[1] - 1)
+        columns = np.searchsorted(self.codes, codes)
+        # the last column serves each code that no node splits on, negative
+        # ones too: it differs from the entry at its sorted position, where a
+        # -1 stands in past the last code
+        columns[np.append(self.codes, -1)[columns] != codes] = len(self.codes)
         node = np.tile(self.roots, (codes.shape[0], 1))
         rows = np.arange(codes.shape[0])[:, None]
         while True:
             feature = self.feature[node]
             if not (feature >= 0).any():
                 return node
-            node = self.next[node, codes[rows, feature]]
+            node = self.next[node, columns[rows, feature]]
 
     def leaf_values(self, X: np.ndarray, output: np.ndarray) -> np.ndarray:
         """(rows, trees) *output* of the leaf each row of *X* reaches."""

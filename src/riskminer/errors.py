@@ -3,6 +3,8 @@
 import numbers
 import sys
 
+import numpy as np
+
 
 class RiskminerError(Exception):
     """Base class for all riskminer errors."""
@@ -124,6 +126,14 @@ def check_numbers(positive: bool = True, **values) -> None:
         if (isinstance(value, bool) or not isinstance(value, numbers.Real) or not -largest <= value <= largest
                 or positive and value <= 0):
             raise ConfigError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
+
+
+def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+    """*value* as a float array of *shape* (None matches any length), or ValueError."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.ndim != len(shape) or any(want not in (None, got) for got, want in zip(array.shape, shape)):
+        raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    return array
 
 
 # -- rule mining ---------------------------------------------------------

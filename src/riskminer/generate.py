@@ -81,11 +81,16 @@ class GenSpec:
                 raise ConfigError(f"planted factor {pf.feature!r} incompatible with class_balance")
             if (1 - pf.victim_prob) * pf.marginal > (1 - self.class_balance) + 1e-12:
                 raise ConfigError(f"planted factor {pf.feature!r} incompatible with class_balance")
+        for feature, dist in self.noise_marginals.items():
+            for value in dist:
+                _check_value(self.schema, feature, value)
+            if dist and not (min(dist.values()) >= 0 and sum(dist.values()) > 0):
+                raise ConfigError(f"noise probabilities for {feature!r} must be >= 0 with a positive sum")
 
 
 def _check_value(schema: Schema, feature: str, value: int) -> None:
     if feature not in schema:
-        raise ConfigError(f"planted feature {feature!r} not in schema")
+        raise ConfigError(f"feature {feature!r} not in schema")
     if value not in schema.feature(feature).values:
         raise ConfigError(f"value {value} illegal for feature {feature!r}")
 

@@ -59,12 +59,6 @@ class FactorMap:
     def features(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(e.feature for e in self.entries))
 
-    def factor_for(self, feature: str, value: int) -> int:
-        for e in self.entries:
-            if e.feature == feature and e.value == value:
-                return e.factor_id
-        raise UnmappedFeatureError(feature)
-
     def restrict(self, features) -> "FactorMap":
         """Keep only the entries of *features*, preserving the original ids."""
         wanted = set(features)
@@ -85,28 +79,19 @@ def default_factor_map() -> FactorMap:
     )
 
 
-def dissolve(record: dict, label: int, fm: FactorMap) -> frozenset:
-    """Transaction for one record: one factor per mapped feature, plus the
-    victim item when label == 1. *record* maps feature name to code."""
-    items = set()
-    for feature in fm.features:
-        if feature not in record:
-            raise UnmappedFeatureError(feature)
-        items.add(fm.factor_for(feature, record[feature]))
-    if label == 1:
-        items.add(fm.victim_item)
-    return frozenset(items)
-
-
 def dissolve_dataset(ds: Dataset, fm: FactorMap) -> list[frozenset]:
-    """Transactions for every record, as ``dissolve`` builds them one at a
-    time: items go in feature order, then the victim item."""
+    """Transactions for every record: each holds the factor of every mapped
+    feature's code, in feature order, then the victim item when the record's
+    label is 1. A feature or code that *fm* maps to no factor raises
+    UnmappedFeatureError."""
     factors: dict[str, dict[int, int]] = {}  # features in fm.features order
     for e in fm.entries:
-        factors.setdefault(e.feature, {}).setdefault(e.value, e.factor_id)  # first wins, as in factor_for
+        factors.setdefault(e.feature, {}).setdefault(e.value, e.factor_id)  # the first entry wins
     items = np.empty((len(ds), len(factors)), dtype=np.int64)
     mapped = np.ones(items.shape, dtype=bool)
     for j, (feature, ids) in enumerate(factors.items()):
+        if feature not in ds.schema:
+            raise UnmappedFeatureError(feature)
         column = ds.codes[:, ds.schema.index_of(feature)]
         mapped[:, j] = np.isin(column, list(ids))
         for code, factor_id in ids.items():

@@ -129,20 +129,31 @@ CONFIG_FIELDS = (
     ("positive_class", "positive_class", _integer),
 )
 
+# GenSpec checks each feature name, code and probability against its schema.
+PLANTED_FACTOR_FIELDS = (
+    ("feature", "feature", lambda _, name: name),
+    ("value", "value", _integer),
+    ("victim_prob", "victim_prob", _number),
+    ("marginal", "marginal", _number),
+)
+
+PLANTED_RULE_FIELDS = (
+    ("factors", "factors", lambda key, pairs: tuple((name, _integer(key, v)) for name, v in pairs)),
+    ("victim_prob", "victim_prob", _number),
+    ("coverage", "coverage", _number),
+)
+
 GENERATOR_FIELDS = (
     ("n_records", "n_records", _integer),
     ("class_balance", "class_balance", _number),
     ("seed", "seed", _integer),
-    ("planted_factors", "planted_factors", lambda _, docs: tuple(
-        PlantedFactor(f["feature"], int(f["value"]), float(f["victim_prob"]), float(f.get("marginal", 0.5)))
-        for f in docs
-    )),
-    ("planted_rule", "planted_rule", lambda _, r: PlantedRule(
-        tuple((f, int(v)) for f, v in r["factors"]), float(r["victim_prob"]), float(r["coverage"])
-    ) if r else None),
-    ("noise_marginals", "noise_marginals", lambda _, docs: {
-        feature: {int(v): float(p) for v, p in dist.items()} for feature, dist in docs.items()
-    }),
+    ("planted_factors", "planted_factors", lambda key, docs: tuple(
+        _parse(PlantedFactor, PLANTED_FACTOR_FIELDS, doc, f"{key}[{i}].") for i, doc in enumerate(docs))),
+    ("planted_rule", "planted_rule", lambda key, doc: None if doc is None else _parse(
+        PlantedRule, PLANTED_RULE_FIELDS, doc, f"{key}.")),
+    # feature -> {code: probability}; a JSON object keys each code as a string
+    ("noise_marginals", "noise_marginals", lambda key, docs: {
+        name: {int(v): _number(f"{key}.{name}", p) for v, p in dist.items()} for name, dist in docs.items()}),
 )
 
 
@@ -153,6 +164,8 @@ def _parse(cls, table, doc: dict, prefix: str = "", own=(), **given):
     """Build *cls* from *given* and the *table* entries present in *doc*; a
     key of *doc* or of its sections that neither the table nor *own* names
     is refused."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{prefix.rstrip('.')} must be an object, got {doc!r}")
     known = {key for key, _, _ in table} | set(own)
     sections = {key.split(".")[0] for key in known if "." in key}
     unknown = [key for key in doc if key not in known and key not in sections] + [
@@ -222,9 +235,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 
 def genspec_from_dict(doc: dict, schema: Schema, default_seed: int = 0) -> GenSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"generator must be an object, got {doc!r}")
-    return _parse(GenSpec, GENERATOR_FIELDS, {"seed": default_seed, **doc}, "generator.", schema=schema)
+    return _parse(GenSpec, GENERATOR_FIELDS, doc, "generator.", schema=schema, seed=default_seed)
 
 
 def config_echo(cfg: PipelineConfig) -> dict:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import ConfigError
+from .errors import ConfigError, check_ints
 
 KINDS = ("binary", "discrete", "ordinal")
 
@@ -71,13 +71,19 @@ class Schema:
 
 
 def schema_from_dict(doc: dict) -> Schema:
+    """The schema that *doc* describes: an object of ``features`` (objects of a
+    string ``name``, a ``kind`` and integer ``values``) and a string ``goal``."""
     try:
-        feats = tuple(
-            FeatureSpec(name=f["name"], kind=f["kind"], values=tuple(int(v) for v in f["values"]))
-            for f in doc["features"]
-        )
-        return Schema(features=feats, goal_name=doc.get("goal", "victim"))
-    except (KeyError, TypeError, ValueError) as exc:
+        if set(doc) - {"features", "goal"} or not isinstance(doc.get("goal", ""), str):
+            raise ConfigError(f"a schema takes only features and a string goal, got keys {sorted(doc)}")
+        feats = []
+        for f in doc["features"]:
+            if set(f) - {"name", "kind", "values"} or not isinstance(f["name"], str):
+                raise ConfigError(f"a schema feature takes only a string name, a kind and values, got {f!r}")
+            check_ints(None, **{f"feature {f['name']!r} value {i}": v for i, v in enumerate(f["values"])})
+            feats.append(FeatureSpec(name=f["name"], kind=f["kind"], values=tuple(f["values"])))
+        return Schema(features=tuple(feats), goal_name=doc.get("goal", "victim"))
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ConfigError(f"malformed schema document: {exc}") from exc
 
 
@@ -93,7 +99,11 @@ def schema_to_dict(schema: Schema) -> dict:
 def load_schema(path) -> Schema:
     """Load a schema from a JSON file ({features: [{name, kind, values}], goal})."""
     with open(path, encoding="utf-8") as fh:
-        return schema_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not text
+            raise ConfigError(f"schema {path} is not valid JSON: {exc}") from None
+    return schema_from_dict(doc)
 
 
 def save_schema(schema: Schema, path) -> None:

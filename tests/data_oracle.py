@@ -9,7 +9,8 @@ Python (it is the old ``Dataset``, renamed), ``load_dataset`` parses and
 checks a CSV file cell by cell, ``knn_categorical`` rebuilds the code matrix
 and a pool list for one seed, ``smote_n`` calls it once per distinct seed,
 ``apriori`` tests every candidate against every transaction, and
-``dissolve_dataset`` dissolves one record at a time through ``dissolve``.
+``dissolve_dataset`` dissolves one record at a time through ``dissolve``,
+which looks up each factor with ``factor_for``.
 The differential tests compare the library against them.
 """
 
@@ -33,8 +34,9 @@ from riskminer.errors import (
     PoolTooSmallError,
     RaggedRowError,
     TargetBelowCurrentError,
+    UnmappedFeatureError,
 )
-from riskminer.mining import FactorMap, dissolve
+from riskminer.mining import FactorMap
 from riskminer.schema import Schema
 from riskminer.smote import SmoteConfig
 
@@ -164,6 +166,26 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         records=ds.records + tuple(new_records),
         labels=ds.labels + tuple(new_labels),
     )
+
+
+def factor_for(fm: FactorMap, feature: str, value: int) -> int:
+    for e in fm.entries:
+        if e.feature == feature and e.value == value:
+            return e.factor_id
+    raise UnmappedFeatureError(feature)
+
+
+def dissolve(record: dict, label: int, fm: FactorMap) -> frozenset:
+    """Transaction for one record: one factor per mapped feature, plus the
+    victim item when label == 1. *record* maps feature name to code."""
+    items = set()
+    for feature in fm.features:
+        if feature not in record:
+            raise UnmappedFeatureError(feature)
+        items.add(factor_for(fm, feature, record[feature]))
+    if label == 1:
+        items.add(fm.victim_item)
+    return frozenset(items)
 
 
 def dissolve_dataset(ds: Dataset, fm: FactorMap) -> list[frozenset]:

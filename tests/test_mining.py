@@ -8,6 +8,7 @@ from itertools import chain, combinations
 import pytest
 
 from conftest import toy_dataset, toy_schema
+from data_oracle import dissolve, factor_for
 from riskminer.errors import ConfigError, UnmappedFeatureError, ZeroAntecedentSupportError
 from riskminer.mining import (
     FactorEntry,
@@ -16,7 +17,6 @@ from riskminer.mining import (
     apriori,
     default_factor_map,
     derive_rules,
-    dissolve,
     dissolve_dataset,
     rule_metrics,
 )
@@ -35,11 +35,11 @@ def test_default_factor_map_catalog():
 
 def test_dissolve_weak_password_factors():
     fm = default_factor_map()
-    assert fm.factor_for("weak-password", 1) == 1
-    assert fm.factor_for("weak-password", 0) == 2
+    assert factor_for(fm, "weak-password", 1) == 1
+    assert factor_for(fm, "weak-password", 0) == 2
     # the compulsive-buyer catalog lists its "no" factor first
-    assert fm.factor_for("compulsive-buyer", 0) == 7
-    assert fm.factor_for("compulsive-buyer", 1) == 8
+    assert factor_for(fm, "compulsive-buyer", 0) == 7
+    assert factor_for(fm, "compulsive-buyer", 1) == 8
 
 
 def test_dissolve_victim_item_and_width():
@@ -57,6 +57,12 @@ def test_dissolve_missing_feature():
     fm = default_factor_map()
     with pytest.raises(UnmappedFeatureError):
         dissolve({"weak-password": 1}, 0, fm)
+
+
+def test_dissolve_dataset_missing_feature():
+    ds = toy_dataset([[1, 0]], [0])  # its schema holds none of the catalog's features
+    with pytest.raises(UnmappedFeatureError):
+        dissolve_dataset(ds, default_factor_map())
 
 
 def test_factor_map_restrict_keeps_ids():
@@ -260,7 +266,7 @@ def test_planted_rule_recovery_through_mining():
     itemsets = apriori(transactions, min_support=0.25)
     rules = derive_rules(itemsets, 0.8, frozenset({fm.victim_item}))
     wanted = frozenset(
-        {fm.factor_for(f, v) for f, v in rule.factors}
+        {factor_for(fm, f, v) for f, v in rule.factors}
     )
     match = [r for r in rules if r.antecedent == wanted]
     assert match and match[0].confidence >= 0.8

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from riskminer.errors import ConfigError
-from riskminer.schema import FeatureSpec, Schema, default_schema, load_schema, save_schema
+from riskminer.schema import FeatureSpec, Schema, default_schema, load_schema, save_schema, schema_from_dict
 
 EXPECTED_ORDER = [
     "weak-password",
@@ -71,3 +73,35 @@ def test_schema_validation():
         Schema(features=(FeatureSpec("a", "binary", (0, 1)), FeatureSpec("a", "binary", (0, 1))))
     with pytest.raises(ConfigError):
         Schema(features=(FeatureSpec("victim", "binary", (0, 1)),))
+
+
+def _binary(**changes):
+    return {"features": [{"name": "a", "kind": "binary", "values": [0, 1], **changes}], "goal": "victim"}
+
+
+@pytest.mark.parametrize("doc", [
+    _binary(values=[0, 1.7]),
+    _binary(values=["0", "1"]),
+    _binary(values=[0, True]),
+    _binary(values="01"),
+    _binary(name=5),
+    _binary(note="x"),
+    {**_binary(), "goal": 5},
+    {**_binary(), "version": 1},
+    {"features": ["a"]},
+    [],
+])
+def test_malformed_schema_documents_are_config_errors(doc, tmp_path):
+    with pytest.raises(ConfigError):
+        schema_from_dict(doc)
+    path = tmp_path / "schema.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_schema(path)
+
+
+def test_a_schema_file_that_is_not_json_is_a_config_error(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text("{nope", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_schema(path)

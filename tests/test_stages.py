@@ -12,12 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riskminer import pipeline
+from riskminer.classifiers import ClassifierSpec, model_to_dict, train
 from riskminer.cli import main
 from riskminer.errors import ConfigError, StageError
-from riskminer.dataset import write_csv
+from riskminer.dataset import load_dataset, write_csv
 from riskminer.generate import GenSpec, PlantedFactor, generate_synthetic
 from riskminer.pipeline import config_from_dict, emit_report, run_pipeline
-from riskminer.schema import FeatureSpec, Schema, save_schema
+from riskminer.schema import FeatureSpec, Schema, load_schema, save_schema
 from test_pipeline import small_config_doc
 
 
@@ -208,6 +209,10 @@ def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys)
     config_from_dict({**small_config_doc(), "learners": ["DT"], "classifier_params": {"LR": {"max_iter": 5}}})
 
 
+def _generator(**entries):
+    return {"generator": {**small_config_doc()["generator"], **entries}}
+
+
 @pytest.mark.parametrize("change", [
     {"ratios": [0.5, 0.5, 0.5]},
     {"ratios": ["0.75", "0.175", "0.075"]},
@@ -226,6 +231,19 @@ def test_config_documents_of_the_wrong_shape_are_config_errors(tmp_path, capsys)
     {"input": 0, "generator": None},
     {"schema": 5},
     {"generator": {**small_config_doc()["generator"], "n_records": 420.5}},
+    _generator(planted_factors=[{"feature": "weak-password", "value": 1.9, "victim_prob": 0.88}]),
+    _generator(planted_factors=[{"feature": "weak-password", "value": 1, "victim_prob": "0.8"}]),
+    _generator(planted_factors=[{"feature": "weak-password", "value": 1, "victim_prob": 0.88, "margnal": 0.5}]),
+    _generator(planted_factors=[{"feature": "weak-password", "victim_prob": 0.88}]),
+    _generator(planted_factors=[[1, 2]]),
+    _generator(planted_rule={"factors": [["clicked-on-spam-email-links", 1]], "victim_prob": 0.9, "coverage": "0.3"}),
+    _generator(planted_rule={"factors": [["clicked-on-spam-email-links", "1"]], "victim_prob": 0.9, "coverage": 0.3}),
+    _generator(noise_marginals={"nosuch": {"0": 1.0}}),
+    _generator(noise_marginals={"age-range": {"1": True, "2": 0.5}}),
+    _generator(noise_marginals={"age-range": {"7": 0.1, "1": 0.9}}),
+    _generator(noise_marginals={"age-range": {"1": -0.1, "2": 0.5}}),
+    _generator(noise_marginals={"age-range": {"1": 0, "2": 0}}),
+    _generator(noise_marginals={"age-range": {"x": 0.5}}),
 ])
 def test_config_values_of_the_wrong_type_or_range_are_refused_when_parsed(change, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -251,5 +269,31 @@ def test_hyperparameters_of_the_wrong_type_or_range_are_config_errors(params, tm
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+# Each edit leaves a model file that parses, but whose params do not fit its
+# four features or, for GNB, the two classes.
+MODEL_EDITS = {
+    "LR weights short": ("LR", lambda p: p.update(weights=p["weights"][:-1])),
+    "SVC support vectors narrow": ("SVC", lambda p: p.update(support_vectors=[v[:-1] for v in p["support_vectors"]])),
+    "SVC dual_coef short": ("SVC", lambda p: p.update(dual_coef=p["dual_coef"][:-1])),
+    "GNB theta narrow": ("GNB", lambda p: p.update(theta=[row[:-1] for row in p["theta"]])),
+    "GNB class 7": ("GNB", lambda p: p.update(classes=[0, 7])),
+    "RF feature outside": ("RF", lambda p: p["feature"].__setitem__(p["roots"][0], 99)),
+}
+
+
+@pytest.mark.parametrize("name", MODEL_EDITS)
+def test_evaluate_refuses_model_params_that_do_not_fit_the_features(name, files, tmp_path, capsys):
+    kind, edit = MODEL_EDITS[name]
+    data, schema = str(files / "data.csv"), str(files / "schema.json")
+    doc = model_to_dict(train(ClassifierSpec(kind), load_dataset(data, load_schema(schema))))
+    edit(doc["params"])
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["evaluate", "--model", str(path), "--input", data, "--schema", schema, "--out", str(tmp_path / "m")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err

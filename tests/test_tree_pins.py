@@ -184,3 +184,18 @@ def test_evaluate_refuses_malformed_model_files(name, tmp_path, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_a_huge_split_code_widens_the_table_by_one_column_only():
+    # the next-node table has one column per distinct split code plus one for
+    # every other code, so a code of 10**9 costs one column, not 10**9
+    ds = _digest_dataset()
+    model = train(ClassifierSpec("RF"), ds)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    inner = next(i for i, f in enumerate(doc["params"]["feature"]) if f >= 0)
+    doc["params"]["right_values"][inner].append(10**9)
+    huge = model_from_dict(doc)
+    codes = {c for column in ("left_values", "right_values") for values in doc["params"][column] for c in values}
+    assert huge.impl.table.next.shape[1] <= len(codes) + 1
+    X = ds.codes.astype(np.float64)
+    assert score_rows(huge, X).tolist() == score_rows(model, X).tolist()
