@@ -18,6 +18,7 @@ deterministic given (kind, hyperparameters, data, features).
 
 from __future__ import annotations
 
+import copy
 import inspect
 import json
 from dataclasses import dataclass, field
@@ -26,12 +27,12 @@ import numpy as np
 
 from ..dataset import Dataset
 from ..errors import ConfigError, FeatureMismatchError
+from ..files import read_json, write_text
 from .bayes import GaussianNBLearner
 from .boosting import GradientBoostingLearner
 from .forest import DecisionTreeLearner, RandomForestLearner
 from .linear import LogisticLearner
 from .svm import PolySVCLearner
-from .tree import SplitChoice, best_split, gini
 
 __all__ = [
     "KINDS",
@@ -42,15 +43,11 @@ __all__ = [
     "predict",
     "score",
     "score_rows",
-    "predict_rows",
     "design_matrix",
     "save_model",
     "load_model",
     "model_to_dict",
     "model_from_dict",
-    "gini",
-    "best_split",
-    "SplitChoice",
 ]
 
 _LEARNERS = {
@@ -131,16 +128,12 @@ def train(spec: ClassifierSpec, ds: Dataset, features=None) -> Model:
     )
 
 
-def _as_matrix(model: Model, record) -> np.ndarray:
-    row = np.asarray(record, dtype=np.float64)
-    if row.ndim != 1 or row.shape[0] != len(model.features):
-        raise FeatureMismatchError(len(model.features), row.shape[-1])
-    return row.reshape(1, -1)
-
-
 def score(model: Model, record) -> float:
     """Victim-class score in [0, 1] for one record over the fitted features."""
-    return float(model.impl.score_rows(_as_matrix(model, record))[0])
+    row = np.asarray(record, dtype=np.float64)
+    if row.ndim != 1:
+        raise FeatureMismatchError(len(model.features), row.size)
+    return float(score_rows(model, row[None])[0])
 
 
 def predict(model: Model, record) -> int:
@@ -154,22 +147,19 @@ def score_rows(model: Model, X: np.ndarray) -> np.ndarray:
     return model.impl.score_rows(np.asarray(X, dtype=np.float64))
 
 
-def predict_rows(model: Model, X: np.ndarray) -> np.ndarray:
-    return (score_rows(model, X) >= 0.5).astype(np.int64)
-
-
 FORMAT_VERSION = 3
 
 
 def model_to_dict(model: Model) -> dict:
-    return {
+    """The model file document of *model*: a copy, so that editing it leaves *model* as it was."""
+    return copy.deepcopy({
         "format_version": FORMAT_VERSION,
         "kind": model.kind,
         "hyperparameters": model.hyperparameters,
         "features": list(model.features),
         "warnings": list(model.warnings),
         "params": {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in model.impl.params.items()},
-    }
+    })
 
 
 def model_from_dict(doc) -> Model:
@@ -183,7 +173,7 @@ def model_from_dict(doc) -> Model:
         spec = ClassifierSpec(doc["kind"], doc["hyperparameters"])
         impl = _LEARNERS[spec.kind](**spec.resolved())
         features = tuple(doc["features"])
-        impl.load_params(doc["params"], len(features))
+        impl.load_params(copy.deepcopy(doc["params"]), len(features))  # the model keeps no list of *doc*
         warnings = tuple(doc.get("warnings", ()))
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed model document ({exc!r})") from None
@@ -191,15 +181,8 @@ def model_from_dict(doc) -> Model:
 
 
 def save_model(model: Model, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(model_to_dict(model), sort_keys=True, indent=2) + "\n")
 
 
 def load_model(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
-            raise ConfigError(f"model {path} is not valid JSON: {exc}") from None
-    return model_from_dict(doc)
+    return model_from_dict(read_json(path, "model"))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingleClassError, check_ints, check_numbers
+from ..errors import SingleClassError, check_ints, check_numbers, check_shape
 from .linear import sigmoid
 from .tree import TreeTable, category_codes, grow, new_trees
 
@@ -70,6 +70,6 @@ class GradientBoostingLearner:
 
     def load_params(self, params: dict, n_features: int) -> None:
         self.params = params
-        self.init_score = float(params["init_score"])
+        self.init_score = float(check_shape("init_score", params["init_score"], ()))
         self.train_losses = [float(v) for v in params["train_losses"]]
         self.table = TreeTable(params, n_features)

@@ -126,5 +126,5 @@ class LogisticLearner:
     def load_params(self, params: dict, n_features: int) -> None:
         self.params = params
         self.weights = check_shape("weights", params["weights"], (n_features,))
-        self.bias = float(params["bias"])
+        self.bias = float(check_shape("bias", params["bias"], ()))
         self.converged = bool(params["converged"])

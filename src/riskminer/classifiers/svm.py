@@ -132,6 +132,6 @@ class PolySVCLearner:
         vectors = vectors if len(vectors) else np.empty((0, n_features))  # an empty list holds no vector
         self.support_vectors = check_shape("support_vectors", vectors, (None, n_features))
         self.dual_coef = check_shape("dual_coef", params["dual_coef"], (len(self.support_vectors),))
-        self.intercept = float(params["intercept"])
-        self.gamma_value = float(params["gamma_value"])
+        self.intercept = float(check_shape("intercept", params["intercept"], ()))
+        self.gamma_value = float(check_shape("gamma_value", params["gamma_value"], ()))
         self.converged = bool(params["converged"])

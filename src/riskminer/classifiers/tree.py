@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EmptyNodeError
+from ..errors import EmptyNodeError, check_shape
 
 
 def gini(counts) -> float:
@@ -196,25 +196,6 @@ def _search(codes: np.ndarray, y: np.ndarray, feats: np.ndarray, width: int, cri
     return SplitChoice(int(feats[plan.feature[best]]), left, right, float(gains[best]))
 
 
-def best_split(records, labels, candidate_features, criterion: str = "gini") -> SplitChoice | None:
-    """Best categorical split of a node, or None for pure/unsplittable nodes.
-
-    Ties go to the lowest feature index, then to the partition whose left
-    side is lexicographically smallest (it always holds the smallest code).
-    """
-    if criterion == "gini":
-        y = np.asarray(labels, dtype=np.int64)
-    elif criterion == "friedman-mse":
-        y = np.asarray(labels, dtype=np.float64)
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
-    feats = np.array(sorted({int(c) for c in candidate_features}), dtype=np.int64)
-    if y.size == 0 or np.all(y == y[0]) or feats.size == 0:
-        return None
-    codes = np.asarray(records)[:, feats].astype(np.int64)
-    return _search(codes, y, feats, _width(codes), criterion)
-
-
 def _width(codes: np.ndarray) -> int:
     """Histogram width of a fit's int64 code matrix: its largest code + 1."""
     if codes.size and int(codes.min()) < 0:
@@ -329,7 +310,7 @@ class TreeTable:
         self.feature = _ints(trees["feature"], "features", -1, n_features)
         left, right = _ints(trees["left"], "children", -1, size), _ints(trees["right"], "children", -1, size)
         self.n, self.pos = _ints(trees["n"], "row counts", 1), _ints(trees["pos"], "victim counts", 0)
-        self.value = np.array(trees["value"], dtype=np.float64)
+        self.value = check_shape("tree values", trees["value"], (size,))
         inner = np.flatnonzero(self.feature >= 0)
         left, right = left[inner], right[inner]
         if (left <= inner).any() or (right <= inner).any():

@@ -13,7 +13,8 @@ document (or an empty one) with the flags it was given laid over it.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure.
 A value that cannot be used is reported where it is read, as a
-configuration error.
+configuration error; so is a config, features, schema or model file that
+cannot be read.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import classifiers
 from .chisq import rank_features
 from .dataset import load_dataset, split_dataset, write_csv
 from .errors import ConfigError, DataError, StageError
+from .files import read_json, write_text
 from .generate import generate_synthetic
 from .pipeline import (
     CONFIG_FIELDS,
@@ -51,7 +53,7 @@ CONFIG_KEYS = {key for key, _, _ in CONFIG_FIELDS} | {"schema", "learners"}
 
 def _settings(args) -> PipelineConfig:
     """The ``--config`` document, or an empty one, with the config-key flags laid over it."""
-    doc = _load_config(args.config) if "config" in vars(args) else {}
+    doc = read_json(args.config, "config") if "config" in vars(args) else {}
     for key, value in vars(args).items():
         if key in CONFIG_KEYS and value is not None:
             *parents, last = key.split(".")
@@ -69,19 +71,6 @@ def _load_input(cfg: PipelineConfig):
         raise DataError(f"cannot read dataset {cfg.input_path}: {exc}") from exc
 
 
-def _load_config(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config {path} is not a JSON object")
-    return doc
-
-
 def _names(text: str) -> list[str]:
     return [n.strip() for n in text.split(",")]
 
@@ -90,15 +79,6 @@ def _known_features(names, schema) -> list[str]:
     if not isinstance(names, list) or not names or any(n not in schema for n in names):
         raise ConfigError(f"features must be schema feature names, got {names!r}")
     return names
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _write_json(path: str, doc: dict) -> None:
-    _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 # -- subcommand handlers ---------------------------------------------------
@@ -122,7 +102,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 def cmd_rank(args, cfg: PipelineConfig) -> int:
     ranking = rank_features(_load_input(cfg), cfg.alpha)
-    _write_text(args.out, ranking_csv(ranking))
+    write_text(args.out, ranking_csv(ranking))
     kept = sum(1 for _, _, keep in ranking if keep)
     print(f"ranked {len(ranking)} features, kept {kept} at alpha={cfg.alpha}")
     return 0
@@ -133,9 +113,9 @@ def cmd_eliminate(args, cfg: PipelineConfig) -> int:
     splits = split_dataset(ds, cfg.ratios, cfg.seed, stratified=cfg.stratified)
     kept = survivors(rank_features(ds, cfg.alpha), cfg.schema)
     rows, steps, (chosen, _) = eliminate(splits, cfg.learners, cfg.min_size, kept, cfg.positive_class)
-    _write_text(args.out, elimination_csv(rows, [spec.kind for spec in cfg.learners]))
+    write_text(args.out, elimination_csv(rows, [spec.kind for spec in cfg.learners]))
     if args.selection:
-        _write_json(args.selection, {"final_selection": list(chosen.features)})
+        write_text(args.selection, json.dumps({"final_selection": list(chosen.features)}, indent=2) + "\n")
     print(f"eliminated down to {len(steps[-1].features)} features; selected {len(chosen.features)}")
     return 0
 
@@ -143,7 +123,7 @@ def cmd_eliminate(args, cfg: PipelineConfig) -> int:
 def cmd_train(args, cfg: PipelineConfig) -> int:
     ds = _load_input(cfg)
     if args.features_file:
-        features = _known_features(_load_config(args.features_file).get("final_selection"), cfg.schema)
+        features = _known_features(read_json(args.features_file, "features file").get("final_selection"), cfg.schema)
     elif args.features:
         features = _known_features(_names(args.features), cfg.schema)
     else:
@@ -162,14 +142,15 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     _known_features(list(model.features), ds.schema)
     entry = validate(model, ds, cfg.positive_class)
     cm = entry["confusion"]
-    _write_json(args.out, {
+    doc = {
         "model": model.kind,
         "positive": cfg.positive_class,
         "confusion": {"tp": cm.tp, "fn": cm.fn, "fp": cm.fp, "tn": cm.tn},
         **metrics_doc(entry),
-    })
+    }
+    write_text(args.out, json.dumps(doc, sort_keys=True, indent=2) + "\n")
     if args.roc:
-        _write_text(args.roc, roc_csv(entry["curve"]))
+        write_text(args.roc, roc_csv(entry["curve"]))
     report = entry["metrics"]
     print(f"accuracy {100 * report.accuracy:.2f}%, weighted f1 {report.weighted_f1:.2f}, "
           f"auc {entry['auc']:.2f}")
@@ -180,7 +161,7 @@ def cmd_mine(args, cfg: PipelineConfig) -> int:
     ds = _load_input(cfg)
     features = _known_features(_names(args.features), cfg.schema) if args.features else cfg.schema.feature_names
     rules, descriptions, n_transactions = mine(ds, features, cfg.min_support, cfg.min_confidence, cfg.max_rules)
-    _write_text(args.out, rules_csv(rules, descriptions))
+    write_text(args.out, rules_csv(rules, descriptions))
     print(f"mined {len(rules)} victim rules from {n_transactions} transactions")
     return 0
 

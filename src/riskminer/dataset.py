@@ -2,12 +2,12 @@
 
 A dataset is a read-only small-integer code matrix, one row per record and
 one column per schema feature, plus a read-only vector of binary victim
-labels.
-Every layer reads these arrays; ``records`` and ``labels`` are tuple views
-of them, built on first use. Validation is one vectorised pass: each
-column's codes are looked up in its feature's legal set, and the first bad
-cell in row order (features left to right, then the label) names the error,
-so every error names the row and column that a cell-by-cell scan would.
+labels. Every layer reads these arrays; ``records`` and ``labels``, tuple
+views built on first use, are kept only because the benchmark reads them.
+Validation is one vectorised pass: each column's codes are looked up in its
+feature's legal set, and the first bad cell in row order (features left to
+right, then the label) names the error, so every error names the row and
+column that a cell-by-cell scan would.
 
 The only ingest format is UTF-8 comma-separated text with a mandatory
 header: the schema's feature names, in order, followed by the goal column.
@@ -17,6 +17,7 @@ Cells parse as ``int()`` parses them.
 from __future__ import annotations
 
 import csv
+import io
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -33,6 +34,7 @@ from .errors import (
     RaggedRowError,
     RatioSumError,
 )
+from .files import write_text
 from .schema import Schema
 
 
@@ -80,9 +82,6 @@ class Dataset:
     @cached_property
     def labels(self) -> tuple[int, ...]:
         return tuple(self.y.tolist())
-
-    def column(self, name: str) -> tuple[int, ...]:
-        return tuple(self.codes[:, self.schema.index_of(name)].tolist())
 
     def class_counts(self) -> dict[int, int]:
         counts = np.bincount(self.y, minlength=2)
@@ -167,12 +166,13 @@ def load_dataset(path, schema: Schema) -> Dataset:
 
 def write_csv(ds: Dataset, path) -> None:
     """Write *ds* back to CSV; load_dataset(write_csv(ds)) round-trips."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(ds.schema.feature_names) + [ds.schema.goal_name])
-        cells = np.column_stack((ds.codes, ds.y))
-        for start in range(0, len(cells), 4096):  # rows become Python lists a block at a time
-            writer.writerows(cells[start:start + 4096].tolist())
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(list(ds.schema.feature_names) + [ds.schema.goal_name])
+    cells = np.column_stack((ds.codes, ds.y))
+    for start in range(0, len(cells), 4096):  # rows become Python lists a block at a time
+        writer.writerows(cells[start:start + 4096].tolist())
+    write_text(path, text.getvalue())
 
 
 def check_ratios(ratios) -> None:

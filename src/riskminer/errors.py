@@ -129,10 +129,13 @@ def check_numbers(positive: bool = True, **values) -> None:
 
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
-    """*value* as a float array of *shape* (None matches any length), or ValueError."""
+    """*value* as a finite float array of *shape* (None matches any length,
+    and ``()`` is one number), or ValueError."""
     array = np.asarray(value, dtype=np.float64)
     if array.ndim != len(shape) or any(want not in (None, got) for got, want in zip(array.shape, shape)):
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} holds a value that is not finite")
     return array
 
 

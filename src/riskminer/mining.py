@@ -18,7 +18,6 @@ the same order as pairing every two itemsets of the level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from itertools import combinations, groupby
@@ -27,6 +26,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import ConfigError, UnmappedFeatureError, ZeroAntecedentSupportError
+from .files import read_json
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class FactorMap:
 
 def default_factor_map() -> FactorMap:
     """The shipped catalog: 19 risk features dissolved into factors 1..38."""
-    doc = json.loads(resources.files("riskminer.resources").joinpath("factors.json").read_text("utf-8"))
+    doc = read_json(resources.files("riskminer.resources") / "factors.json", "factor catalog")
     return FactorMap(
         entries=tuple(
             FactorEntry(e["id"], e["feature"], e["value"], e["description"]) for e in doc["factors"]

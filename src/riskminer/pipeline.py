@@ -27,6 +27,7 @@ from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows
 from .dataset import Dataset, check_ratios, load_dataset, split_dataset
 from .elimination import StepRecord, backward_eliminate, best_choice, check_min_size, evaluate_learners
 from .errors import ConfigError, StageError, check_ints, check_numbers
+from .files import write_text
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from .metrics import MetricsReport, RocCurve, auc, classification_metrics, confusion, oriented, roc_points
 from .mining import apriori, check_rule_limits, check_support, default_factor_map, derive_rules, dissolve_dataset
@@ -341,8 +342,6 @@ class PipelineReport:
     final_selection: tuple[str, ...]
     best: dict  # learner / features / test_accuracy / test_auc
     validation: dict  # kind -> validate() entry plus "accuracy" and "warnings"
-    roc_curves: dict  # kind -> RocCurve
-    headline_confusion: object
     rules: list  # of Rule
     factor_descriptions: dict  # factor id -> text
     n_transactions: int
@@ -365,7 +364,7 @@ class PipelineReport:
             },
             "best": self.best,
             "validation": validation,
-            "confusion": asdict(self.headline_confusion),
+            "confusion": asdict(self.validation[self.best["learner"]]["confusion"]),
             "rules": [
                 {
                     "antecedent": sorted(r.antecedent),
@@ -436,8 +435,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         final_selection=selected,
         best=best,
         validation=validation,
-        roc_curves={kind: entry["curve"] for kind, entry in validation.items()},
-        headline_confusion=validation[best["learner"]]["confusion"],
         rules=rules,
         factor_descriptions=descriptions,
         n_transactions=n_transactions,
@@ -445,11 +442,6 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
 
 # -- report emission -------------------------------------------------------
-
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
 
 def ranking_csv(ranking) -> str:
     lines = ["feature,p_value,keep"]
@@ -529,9 +521,9 @@ def emit_report(report: PipelineReport, out_dir: str) -> list[str]:
         ("ranking.csv", ranking_csv(report.ranking)),
         ("elimination.csv", elimination_csv(report.elimination_rows, kinds)),
         ("metrics.csv", metrics_csv(report.validation)),
-        *((f"roc_{kind}.csv", roc_csv(report.roc_curves[kind])) for kind in kinds),
+        *((f"roc_{kind}.csv", roc_csv(report.validation[kind]["curve"])) for kind in kinds),
         ("rules.csv", rules_csv(report.rules, report.factor_descriptions)),
-        ("confusion.csv", confusion_csv(report.headline_confusion)),
+        ("confusion.csv", confusion_csv(report.validation[report.best["learner"]]["confusion"])),
     ]
     target = os.path.abspath(out_dir)
     parent = os.path.dirname(target)
@@ -541,7 +533,7 @@ def emit_report(report: PipelineReport, out_dir: str) -> list[str]:
             staged = os.path.join(scratch, "report")
             os.mkdir(staged)  # under the umask, where the temporary directory itself is private
             for name, text in files:
-                _write(os.path.join(staged, name), text)
+                write_text(os.path.join(staged, name), text)
             if os.path.isdir(target):
                 for name, _ in files:
                     os.replace(os.path.join(staged, name), os.path.join(target, name))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import ConfigError, check_ints
+from .files import read_json, write_text
 
 KINDS = ("binary", "discrete", "ordinal")
 
@@ -98,21 +99,13 @@ def schema_to_dict(schema: Schema) -> dict:
 
 def load_schema(path) -> Schema:
     """Load a schema from a JSON file ({features: [{name, kind, values}], goal})."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # not JSON, or not text
-            raise ConfigError(f"schema {path} is not valid JSON: {exc}") from None
-    return schema_from_dict(doc)
+    return schema_from_dict(read_json(path, "schema"))
 
 
 def save_schema(schema: Schema, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(schema_to_dict(schema), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(schema_to_dict(schema), indent=2) + "\n")
 
 
 def default_schema() -> Schema:
     """The shipped 26-attribute questionnaire schema with goal "victim"."""
-    doc = json.loads(resources.files("riskminer.resources").joinpath("schema.json").read_text("utf-8"))
-    return schema_from_dict(doc)
+    return load_schema(resources.files("riskminer.resources") / "schema.json")

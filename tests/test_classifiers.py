@@ -9,23 +9,22 @@ import numpy as np
 import pytest
 
 from conftest import toy_dataset, toy_schema
+from tree_oracle import engine_split
 from riskminer.classifiers import (
     KINDS,
     ClassifierSpec,
-    best_split,
     design_matrix,
-    gini,
     load_model,
     model_from_dict,
     model_to_dict,
     predict,
-    predict_rows,
     save_model,
     score,
     score_rows,
     train,
 )
 from riskminer.classifiers.linear import LogisticLearner
+from riskminer.classifiers.tree import gini
 from riskminer.errors import EmptyNodeError, FeatureMismatchError, SingleClassError
 
 
@@ -40,13 +39,13 @@ def test_gini_values():
 def test_best_split_prefers_label_copy():
     records = [[0, 1], [0, 0], [1, 1], [1, 0]]
     labels = [0, 0, 1, 1]
-    choice = best_split(records, labels, [0, 1])
+    choice = engine_split(records, labels, [0, 1])
     assert choice.feature == 0
     assert choice.decrease == pytest.approx(0.5)
 
 
 def test_best_split_pure_node_is_none():
-    assert best_split([[0, 1], [1, 0]], [1, 1], [0, 1]) is None
+    assert engine_split([[0, 1], [1, 0]], [1, 1], [0, 1]) is None
 
 
 def test_best_split_tie_goes_to_lower_feature_index():
@@ -55,10 +54,10 @@ def test_best_split_tie_goes_to_lower_feature_index():
     # exhaustive check: both features fully separate, so the decreases tie
     decreases = {}
     for f in (0, 1):
-        only = best_split(records, labels, [f])
+        only = engine_split(records, labels, [f])
         decreases[f] = only.decrease
     assert decreases[0] == decreases[1]
-    assert best_split(records, labels, [0, 1]).feature == 0
+    assert engine_split(records, labels, [0, 1]).feature == 0
 
 
 def test_best_split_partition_tie_takes_smallest_left():
@@ -66,7 +65,7 @@ def test_best_split_partition_tie_takes_smallest_left():
     records = [[0], [0], [1], [1], [2], [2]]
     labels = [0, 1, 0, 0, 1, 1]
     # partitions {0,1}|{2} and {0,2}|{1} tie at the maximal decrease
-    choice = best_split(records, labels, [0])
+    choice = engine_split(records, labels, [0])
     assert choice.left_values == (0, 1)
     del schema
 
@@ -76,7 +75,7 @@ def test_best_split_allows_zero_gain_on_impure_nodes():
     # the node is impure, so a split must still be offered.
     records = [[0, 0], [0, 1], [1, 0], [1, 1]]
     labels = [0, 1, 1, 0]
-    choice = best_split(records, labels, [0, 1])
+    choice = engine_split(records, labels, [0, 1])
     assert choice is not None
     assert choice.decrease == pytest.approx(0.0)
     assert choice.feature == 0
@@ -84,7 +83,7 @@ def test_best_split_allows_zero_gain_on_impure_nodes():
 
 def _training_accuracy(model, ds, features):
     X, y = design_matrix(ds, features)
-    return float((predict_rows(model, X) == y).mean())
+    return float(((score_rows(model, X) >= 0.5) == y).mean())
 
 
 def test_decision_tree_solves_xor():
@@ -120,7 +119,7 @@ def test_random_forest_single_label_data():
         ds = toy_dataset([[0, 1], [1, 0], [1, 1], [0, 0]], [label] * 4)
         model = train(ClassifierSpec("RF"), ds)
         X, _ = design_matrix(ds, ds.schema.feature_names)
-        assert set(predict_rows(model, X).tolist()) == {label}
+        assert set((score_rows(model, X) >= 0.5).astype(int).tolist()) == {label}
 
 
 def test_random_forest_score_granularity():
@@ -325,6 +324,22 @@ def test_determinism_and_persistence(kind, tmp_path):
     assert np.array_equal(score_rows(model_a, X), score_rows(restored, X))
     save_model(restored, tmp_path / "again.json")
     assert path.read_text() == (tmp_path / "again.json").read_text()
+
+
+@pytest.mark.parametrize("kind, edit", [
+    ("DT", lambda doc: doc["params"]["feature"].__setitem__(0, 99)),
+    ("GNB", lambda doc: doc["params"]["classes"].append(7)),
+    ("RF", lambda doc: doc["hyperparameters"].update(seed=7)),
+])
+def test_editing_a_model_document_leaves_the_model_as_it_was(kind, edit):
+    model = train(ClassifierSpec(kind), _separable_dataset(n=60, seed=3))
+    before = json.dumps(model_to_dict(model), sort_keys=True)
+    edit(model_to_dict(model))
+    assert json.dumps(model_to_dict(model), sort_keys=True) == before
+    doc = model_to_dict(model)
+    loaded = model_from_dict(doc)
+    edit(doc)  # the document a model was loaded from
+    assert json.dumps(model_to_dict(loaded), sort_keys=True) == before
 
 
 @pytest.mark.parametrize("kind", KINDS)

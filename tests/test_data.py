@@ -206,7 +206,7 @@ def test_generate_planted_conditional_rate():
     planted = PlantedFactor("clicked-on-spam-email-links", 1, victim_prob=0.9)
     spec = GenSpec(n_records=3286, class_balance=0.5, planted_factors=(planted,), seed=13)
     ds = generate_synthetic(spec)
-    col = ds.column("clicked-on-spam-email-links")
+    col = ds.codes[:, ds.schema.index_of("clicked-on-spam-email-links")]
     hits = [lab for value, lab in zip(col, ds.labels) if value == 1]
     assert abs(sum(hits) / len(hits) - 0.9) <= 0.05
 
@@ -230,7 +230,7 @@ def test_generate_planted_rule_confidence():
     )
     spec = GenSpec(n_records=3286, class_balance=0.5, planted_rule=rule, seed=2)
     ds = generate_synthetic(spec)
-    cols = [ds.column(f) for f, _ in rule.factors]
+    cols = [ds.codes[:, ds.schema.index_of(f)] for f, _ in rule.factors]
     combo = [all(c[i] == 1 for c in cols) for i in range(len(ds))]
     n_combo = sum(combo)
     n_combo_victim = sum(1 for i, hit in enumerate(combo) if hit and ds.labels[i] == 1)

@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from conftest import toy_dataset
-from riskminer.classifiers import KINDS, ClassifierSpec, design_matrix, predict_rows, train
+from riskminer.classifiers import KINDS, ClassifierSpec, design_matrix, score_rows, train
 from riskminer.dataset import split_dataset
 from riskminer.elimination import StepRecord, backward_eliminate, best_choice, evaluate_learners
 from riskminer.errors import ConfigError
@@ -32,7 +32,7 @@ def _accuracy(splits, learners, features):
     best = 0.0
     for spec in learners:
         model = train(spec, splits.train, features)
-        best = max(best, float((predict_rows(model, X) == y).mean()))
+        best = max(best, float(((score_rows(model, X) >= 0.5) == y).mean()))
     return best
 
 
@@ -125,7 +125,7 @@ def test_evaluate_learners_returns_models_and_scores():
     assert set(acc) == {"DT", "GNB"}
     assert set(models) == {"DT", "GNB"}
     X, y = design_matrix(splits.test, ("f0", "f1", "f2"))
-    manual = float((predict_rows(models["DT"], X) == y).mean())
+    manual = float(((score_rows(models["DT"], X) >= 0.5) == y).mean())
     assert acc["DT"] == pytest.approx(manual)
     assert 0.0 <= aucs["GNB"] <= 1.0
 

@@ -24,7 +24,7 @@ from test_pipeline import small_config_doc
 
 def test_failed_emission_leaves_no_report_and_no_temporary_directory(tmp_path, monkeypatch):
     report = run_pipeline(config_from_dict(small_config_doc()))
-    real_write = pipeline._write
+    real_write = pipeline.write_text
     calls = []
 
     def failing_write(path, text):
@@ -33,7 +33,7 @@ def test_failed_emission_leaves_no_report_and_no_temporary_directory(tmp_path, m
             raise OSError("disk full")
         real_write(path, text)
 
-    monkeypatch.setattr(pipeline, "_write", failing_write)
+    monkeypatch.setattr(pipeline, "write_text", failing_write)
     parent = tmp_path / "reports"
     parent.mkdir()
     with pytest.raises((OSError, StageError)):
@@ -77,6 +77,7 @@ def files(tmp_path_factory):
     (root / "config.json").write_text(json.dumps(config), encoding="utf-8")
     (root / "model-v1.json").write_text(json.dumps({"format_version": 1}), encoding="utf-8")
     (root / "model-list.json").write_text("[1]", encoding="utf-8")
+    (root / "latin-1.json").write_bytes('{"final_selection": ["caf\xe9"]}'.encode("latin-1"))
     return root
 
 
@@ -156,10 +157,15 @@ def test_malformed_argument_values_exit_with_a_documented_code(files, data):
     ["evaluate", "--model", "{files}/model-v1.json"],
     ["evaluate", "--model", "{files}/model-list.json"],
     ["eliminate", "--learners", ""],
+    ["evaluate", "--model", "{files}/nosuch.json"],
+    ["rank", "--schema", "{files}/nosuch.json"],
+    ["pipeline", "--config", "{files}/latin-1.json"],
+    ["train", "--learner", "DT", "--features-file", "{files}/latin-1.json"],
 ])
 def test_bad_values_are_config_errors(files, argv, capsys):
-    common = ["--input", str(files / "data.csv"), "--schema", str(files / "schema.json"),
-              "--out", str(files / "out.file")]
+    common = ["--out", str(files / "out.file")]
+    if argv[0] != "pipeline":  # it reads its data and schema from --config
+        common += ["--input", str(files / "data.csv"), "--schema", str(files / "schema.json")]
     argv = [arg.replace("{files}", str(files)) for arg in argv]
     assert main(argv[:1] + common + argv[1:]) == 2
     err = capsys.readouterr().err
@@ -287,7 +293,38 @@ MODEL_EDITS = {
 
 @pytest.mark.parametrize("name", MODEL_EDITS)
 def test_evaluate_refuses_model_params_that_do_not_fit_the_features(name, files, tmp_path, capsys):
-    kind, edit = MODEL_EDITS[name]
+    _evaluate_refuses(*MODEL_EDITS[name], files, tmp_path, capsys)
+
+
+def _set(key, value, index=None):
+    """An edit that sets param *key*, or its entry *index*, to *value*."""
+    return lambda p: p.update({key: value}) if index is None else p[key].__setitem__(index, value)
+
+
+# Each edit sets one param to a value that is not finite; JSON writes these as
+# NaN and Infinity, which the reader accepts.
+NON_FINITE_EDITS = {
+    "LR weight NaN": ("LR", _set("weights", float("nan"), 0)),
+    "LR bias NaN": ("LR", _set("bias", float("nan"))),
+    "SVC intercept NaN": ("SVC", _set("intercept", float("nan"))),
+    "SVC gamma_value inf": ("SVC", _set("gamma_value", float("inf"))),
+    "SVC dual_coef -inf": ("SVC", _set("dual_coef", float("-inf"), 0)),
+    "GB init_score NaN": ("GB", _set("init_score", float("nan"))),
+    "GB leaf value inf": ("GB", _set("value", float("inf"), -1)),
+    "GNB log_prior NaN": ("GNB", _set("log_prior", float("nan"), 0)),
+    "DT value NaN": ("DT", _set("value", float("nan"), 0)),
+    "RF value NaN": ("RF", _set("value", float("nan"), 0)),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE_EDITS)
+def test_evaluate_refuses_model_params_that_are_not_finite(name, files, tmp_path, capsys):
+    _evaluate_refuses(*NON_FINITE_EDITS[name], files, tmp_path, capsys)
+
+
+def _evaluate_refuses(kind, edit, files, tmp_path, capsys):
+    """``evaluate --model`` on a *kind* model file whose params *edit*
+    changed exits 2 with one ``config error:`` line."""
     data, schema = str(files / "data.csv"), str(files / "schema.json")
     doc = model_to_dict(train(ClassifierSpec(kind), load_dataset(data, load_schema(schema))))
     edit(doc["params"])

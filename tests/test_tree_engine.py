@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tree_oracle
-from riskminer.classifiers import best_split
 from riskminer.classifiers.tree import TreeTable, category_codes
-from tree_oracle import TreeNode, flatten
+from tree_oracle import TreeNode, engine_split, flatten
 
 # -- split search against the scalar oracle ----------------------------------
 
@@ -61,7 +60,7 @@ def _same_choice(got, want):
 @given(split_problems())
 def test_best_split_matches_scalar_oracle(problem):
     records, labels, features, criterion = problem
-    got = best_split(records, labels, features, criterion)
+    got = engine_split(records, labels, features, criterion)
     want = tree_oracle.best_split(records, labels, features, criterion)
     assert _same_choice(got, want), (got, want)
 
@@ -77,7 +76,7 @@ def test_best_split_matches_oracle_on_large_nodes():
         labels = (rng.random(n) < rng.random()).astype(int).tolist()
         targets = (rng.random(n) - 0.5).tolist()
         for ys, criterion in ((labels, "gini"), (targets, "friedman-mse")):
-            got = best_split(records, ys, range(6), criterion)
+            got = engine_split(records, ys, range(6), criterion)
             want = tree_oracle.best_split(records, ys, range(6), criterion)
             assert _same_choice(got, want), (trial, criterion, got, want)
 
@@ -88,7 +87,7 @@ def test_gini_gain_rounds_squares_as_scalar_pow(left, right):
     # changing the gain by an ulp
     records = [[0]] * sum(left) + [[1]] * sum(right)
     labels = [0] * left[0] + [1] * left[1] + [0] * right[0] + [1] * right[1]
-    got = best_split(records, labels, [0])
+    got = engine_split(records, labels, [0])
     want = tree_oracle.best_split(records, labels, [0])
     assert _same_choice(got, want), (got, want)
 

@@ -5,8 +5,9 @@ These are the scalar implementations the histogram engine in
 one bipartition at a time with ``_gini_gain`` / ``_friedman_gain``, and
 ``_descend`` walks one row down a tree of ``TreeNode`` objects, the form fitted
 trees took before they became per-node lists. The differential tests compare
-the engine against them bit for bit; ``flatten`` turns ``TreeNode`` trees into
-the engine's tree record.
+the engine against them bit for bit: ``engine_split`` puts ``best_split``'s
+question to the engine's ``_search``, and ``flatten`` turns ``TreeNode`` trees
+into the engine's tree record.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from riskminer.classifiers.tree import TREE_COLUMNS, SplitChoice, gini
+from riskminer.classifiers.tree import TREE_COLUMNS, SplitChoice, _search, _width, gini
 
 
 @dataclass
@@ -105,6 +106,18 @@ def best_split(records, labels, candidate_features, criterion: str = "gini") -> 
             if best is None or decrease > best.decrease:
                 best = SplitChoice(f, left, right, decrease)
     return best
+
+
+def engine_split(records, labels, candidate_features, criterion: str = "gini") -> SplitChoice | None:
+    """The engine's best split of the node that ``best_split`` is given: its
+    candidate features' codes as the int64 matrix ``grow`` passes to
+    ``_search``, or None for a pure node."""
+    y = np.asarray(labels, dtype=np.int64 if criterion == "gini" else np.float64)
+    feats = np.array(sorted({int(c) for c in candidate_features}), dtype=np.int64)
+    if y.size == 0 or np.all(y == y[0]) or feats.size == 0:
+        return None
+    codes = np.asarray(records)[:, feats].astype(np.int64)
+    return _search(codes, y, feats, _width(codes), criterion)
 
 
 def _gini_gain(codes, y, left_values):
