@@ -7,7 +7,7 @@ reports full classification metrics with ROC/AUC, and mines high-confidence
 victim association rules with Apriori.
 """
 
-from .chisq import ChiSqResult, ContingencyTable, chi_squared_test, contingency, rank_features
+from .chisq import ChiSqResult, chi_squared_test, contingency, rank_features
 from .classifiers import ClassifierSpec, Model, predict, score, train
 from .dataset import Dataset, SplitBundle, load_dataset, split_dataset, write_csv
 from .elimination import backward_eliminate
@@ -33,7 +33,7 @@ from .mining import (
 )
 from .pipeline import PipelineConfig, PipelineReport, emit_report, run_pipeline
 from .schema import FeatureSpec, Schema, default_schema, load_schema, save_schema
-from .smote import SmoteConfig, knn_categorical, smote_n
+from .smote import knn_categorical, resolve_targets, smote_n
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "ChiSqResult",
     "ClassifierSpec",
     "ConfusionMatrix",
-    "ContingencyTable",
     "Dataset",
     "FactorMap",
     "FeatureSpec",
@@ -55,7 +54,6 @@ __all__ = [
     "RocCurve",
     "Rule",
     "Schema",
-    "SmoteConfig",
     "SplitBundle",
     "apriori",
     "auc",
@@ -75,6 +73,7 @@ __all__ = [
     "load_schema",
     "predict",
     "rank_features",
+    "resolve_targets",
     "roc_auc",
     "roc_points",
     "rule_metrics",

@@ -1,10 +1,10 @@
 """Chi-squared independence testing and feature ranking.
 
-The test is the uncorrected Pearson statistic over the feature-by-label
-contingency table (empty rows and columns dropped first). The upper-tail
-p-value comes from the regularized upper incomplete gamma function Q(a, x),
-evaluated with the classic series / continued-fraction pair, accurate to
-well under 1e-10 absolute.
+The test is the uncorrected Pearson statistic over a count matrix, such as
+the feature-by-label array of ``contingency``, empty rows and columns dropped
+first. The upper-tail p-value comes from the regularized upper incomplete
+gamma function Q(a, x), evaluated with the classic series / continued-fraction
+pair, accurate to well under 1e-10 absolute.
 """
 
 from __future__ import annotations
@@ -22,36 +22,20 @@ _MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
-    counts: tuple[tuple[int, ...], ...]  # rows: feature levels, cols: labels 0/1
-    row_totals: tuple[int, ...]
-    col_totals: tuple[int, ...]
-    n: int
-
-    @classmethod
-    def from_counts(cls, counts) -> "ContingencyTable":
-        rows = tuple(tuple(int(c) for c in row) for row in counts)
-        row_totals = tuple(sum(row) for row in rows)
-        col_totals = tuple(sum(col) for col in zip(*rows))
-        return cls(counts=rows, row_totals=row_totals, col_totals=col_totals, n=sum(row_totals))
-
-
-@dataclass(frozen=True)
 class ChiSqResult:
     statistic: float
     dof: int
     p_value: float
 
 
-def contingency(ds: Dataset, feature: str) -> ContingencyTable:
-    """Tally feature level x label counts, rows in FeatureSpec value order."""
+def contingency(ds: Dataset, feature: str) -> np.ndarray:
+    """Feature level x label counts, a (levels x 2) array in FeatureSpec value order."""
     if feature not in ds.schema:
         raise UnknownFeatureError(feature)
     values = ds.schema.feature(feature).values
     order = np.argsort(values)
     level = order[np.searchsorted(values, ds.codes[:, ds.schema.index_of(feature)], sorter=order)]
-    counts = np.bincount(2 * level + ds.y, minlength=2 * len(values)).reshape(-1, 2)
-    return ContingencyTable.from_counts(counts.tolist())
+    return np.bincount(2 * level + ds.y, minlength=2 * len(values)).reshape(-1, 2)
 
 
 def _lower_gamma_series(a: float, x: float) -> float:
@@ -104,24 +88,22 @@ def regularized_gamma_q(a: float, x: float) -> float:
     return _upper_gamma_cf(a, x)
 
 
-def chi_squared_test(table: ContingencyTable) -> ChiSqResult:
-    """Pearson chi-squared test of independence, no continuity correction."""
-    rows = [i for i, t in enumerate(table.row_totals) if t > 0]
-    cols = [j for j, t in enumerate(table.col_totals) if t > 0]
-    if len(rows) < 2 or len(cols) < 2:
-        raise DegenerateTableError(
-            f"need at least 2 non-empty rows and columns, got {len(rows)}x{len(cols)}"
-        )
-    n = table.n
+def chi_squared_test(counts) -> ChiSqResult:
+    """Pearson chi-squared test of independence on a count matrix, uncorrected."""
+    counts = np.asarray(counts, dtype=np.int64)
+    counts = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
+    rows, cols = counts.shape
+    if rows < 2 or cols < 2:
+        raise DegenerateTableError(f"need at least 2 non-empty rows and columns, got {rows}x{cols}")
+    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / int(counts.sum())
+    diff = counts - expected
+    # a plain left-to-right sum in row-major order: np.sum, math.fsum and
+    # sum() (compensated from Python 3.12) each round differently
     stat = 0.0
-    for i in rows:
-        for j in cols:
-            expected = table.row_totals[i] * table.col_totals[j] / n
-            diff = table.counts[i][j] - expected
-            stat += diff * diff / expected
-    dof = (len(rows) - 1) * (len(cols) - 1)
-    p = regularized_gamma_q(dof / 2.0, stat / 2.0)
-    return ChiSqResult(statistic=stat, dof=dof, p_value=p)
+    for term in (diff * diff / expected).ravel().tolist():
+        stat += term
+    dof = (rows - 1) * (cols - 1)
+    return ChiSqResult(statistic=stat, dof=dof, p_value=regularized_gamma_q(dof / 2.0, stat / 2.0))
 
 
 def check_alpha(alpha: float) -> None:
@@ -139,11 +121,9 @@ def rank_features(ds: Dataset, alpha: float) -> list[tuple[str, float, bool]]:
     scored = []
     for idx, spec in enumerate(ds.schema.features):
         try:
-            result = chi_squared_test(contingency(ds, spec.name))
-            p = result.p_value
-            keep = p < alpha
+            p = chi_squared_test(contingency(ds, spec.name)).p_value
         except DegenerateTableError:
-            p, keep = 1.0, False
-        scored.append((p, idx, spec.name, keep))
+            p = 1.0  # never below alpha, so never kept
+        scored.append((p, idx, spec.name, p < alpha))
     scored.sort(key=lambda item: (item[0], item[1]))
     return [(name, p, keep) for p, _, name, keep in scored]

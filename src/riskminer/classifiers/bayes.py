@@ -11,7 +11,8 @@ class GaussianNBLearner:
     """Per-class, per-feature Gaussians with class-frequency priors.
 
     Every variance is floored by var_smoothing times the largest overall
-    feature variance, which keeps constant features finite. Tolerates
+    feature variance, or by var_smoothing itself when every feature is
+    constant, which keeps constant features finite. Tolerates
     single-class training data (the posterior is then constant).
     """
 
@@ -21,7 +22,8 @@ class GaussianNBLearner:
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         classes = sorted(set(int(v) for v in y))
-        eps = self.var_smoothing * float(X.var(axis=0).max()) if X.size else self.var_smoothing
+        spread = float(X.var(axis=0).max()) if X.size else 0.0
+        eps = self.var_smoothing * spread if spread > 0 else self.var_smoothing
         theta, var, priors = [], [], []
         for c in classes:
             rows = X[y == c]
@@ -60,3 +62,5 @@ class GaussianNBLearner:
         self.log_prior = check_shape("log_prior", params["log_prior"], (c,))
         self.theta = check_shape("theta", params["theta"], (c, n_features))  # [class, feature] means
         self.var = check_shape("var", params["var"], (c, n_features))
+        if (self.var <= 0).any():
+            raise ValueError("var holds a value that is not positive")

@@ -3,9 +3,10 @@
 Subcommands mirror the pipeline stages (generate, augment, rank, eliminate,
 train, evaluate, mine) plus `pipeline`, which runs everything and emits the
 report file set. Each stage subcommand loads its files and calls the same
-stage function that ``run_pipeline`` calls (``augment``, ``survivors`` and
-``eliminate``, ``validate``, ``mine``), so chaining the individual
-subcommands with the same seeds reproduces the pipeline's outputs.
+stage function that ``run_pipeline`` calls (``smote_n`` on
+``resolve_targets``, ``survivors`` and ``eliminate``, ``validate``,
+``mine``), so chaining the individual subcommands with the same seeds
+reproduces the pipeline's outputs.
 
 Every setting flag is a config key: a subcommand's settings are one
 ``PipelineConfig``, parsed by ``config_from_dict`` from its ``--config``
@@ -26,26 +27,25 @@ import sys
 from . import classifiers
 from .chisq import rank_features
 from .dataset import load_dataset, split_dataset, write_csv
+from .elimination import metrics_doc, validate
 from .errors import ConfigError, DataError, StageError
 from .files import read_json, write_text
 from .generate import generate_synthetic
 from .pipeline import (
     CONFIG_FIELDS,
     PipelineConfig,
-    augment,
     config_from_dict,
     eliminate,
     elimination_csv,
     emit_report,
-    metrics_doc,
     mine,
     ranking_csv,
     roc_csv,
     rules_csv,
     run_pipeline,
     survivors,
-    validate,
 )
+from .smote import resolve_targets, smote_n
 
 # the keys a flag can set: a flag's dest names its config key
 CONFIG_KEYS = {key for key, _, _ in CONFIG_FIELDS} | {"schema", "learners"}
@@ -94,7 +94,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
     ds = _load_input(cfg)
-    out = augment(ds, cfg.smote_balance, cfg.smote_target_total, cfg.smote_k, cfg.seed)
+    out = smote_n(ds, resolve_targets(ds, cfg.smote_balance, cfg.smote_target_total), cfg.smote_k, cfg.seed)
     write_csv(out, args.out)
     print(f"wrote {len(out)} records ({len(out) - len(ds)} synthetic) to {args.out}")
     return 0

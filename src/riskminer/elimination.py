@@ -1,25 +1,23 @@
-"""Greedy backward elimination wrapper search.
+"""Greedy backward elimination wrapper search, and ``validate``, the one scorer.
 
 Each step trains every configured learner on every candidate set obtained by
-dropping one active feature, scores accuracy on the test split, and removes
-the feature whose removal gives the highest best-learner accuracy (ties drop
-the lowest-schema-index feature). Training is a pure function of
-(spec, data, features), so candidate evaluations are order-independent and
-could run in parallel without changing the trace. Each visited set keeps the
+dropping one active feature, scores it on the test split, and removes the
+feature whose removal gives the highest best-learner accuracy (ties drop
+the lowest-schema-index feature). Training is a pure function of (spec,
+data, features), so candidate evaluations are order-independent and could
+run in parallel without changing the trace. Each visited set keeps the
 models it was scored with, so later stages can score them again instead of
 re-training; the models of candidates that are not kept are dropped.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import asdict, dataclass, field
 
 from .classifiers import KINDS, design_matrix, score_rows, train
-from .dataset import SplitBundle
+from .dataset import Dataset, SplitBundle
 from .errors import ConfigError
-from .metrics import oriented, roc_auc
+from .metrics import auc, classification_metrics, confusion, oriented, roc_points
 
 
 @dataclass(frozen=True)
@@ -31,6 +29,27 @@ class StepRecord:
     models: dict = field(default_factory=dict, compare=False, repr=False)  # kind -> Model
 
 
+def validate(model, ds: Dataset, positive: int) -> dict:
+    """Score *model* on *ds*: its confusion matrix, metrics, ROC curve and AUC."""
+    X, y = design_matrix(ds, model.features)
+    scores = score_rows(model, X)
+    cm = confusion(y, (scores >= 0.5).astype(int), positive)
+    curve = roc_points(y, oriented(scores, positive), positive)
+    return {"confusion": cm, "metrics": classification_metrics(cm), "curve": curve, "auc": auc(curve)}
+
+
+def metrics_doc(entry: dict) -> dict:
+    """The JSON form of a ``validate`` result's metrics."""
+    report = entry["metrics"]
+    return {
+        "accuracy": report.accuracy,
+        "weighted_f1": report.weighted_f1,
+        "auc": entry["auc"],
+        "flags": list(report.flags),
+        "per_class": {str(label): asdict(m) for label, m in report.per_class.items()},
+    }
+
+
 def evaluate_learners(
     splits: SplitBundle,
     learners,
@@ -39,14 +58,12 @@ def evaluate_learners(
 ) -> tuple[dict, dict, dict]:
     """Train each learner on splits.train over *features*; return
     (accuracy, auc, model) maps keyed by learner kind, scored on splits.test."""
-    X_eval, y_eval = design_matrix(splits.test, features)
     accuracies, aucs, models = {}, {}, {}
     for spec in learners:
         model = train(spec, splits.train, features)
-        scores = score_rows(model, X_eval)
-        predictions = (scores >= 0.5).astype(np.int64)
-        accuracies[spec.kind] = float((predictions == y_eval).mean())
-        aucs[spec.kind] = roc_auc(y_eval, oriented(scores, positive), positive)
+        entry = validate(model, splits.test, positive)
+        accuracies[spec.kind] = entry["metrics"].accuracy
+        aucs[spec.kind] = entry["auc"]
         models[spec.kind] = model
     return accuracies, aucs, models
 

@@ -1,12 +1,13 @@
 """End-to-end orchestration: load or generate, augment, rank, eliminate,
 evaluate, and mine, with deterministic report emission.
 
-Each stage is one function here (``augment``, ``survivors``, ``eliminate``,
-``validate``, ``mine``) that both ``run_pipeline`` and the CLI subcommands
-call, so a stage run on its own computes what it computes inside the
-pipeline. Stages run strictly in that order; any failure surfaces as a
-StageError naming the stage, and no report files are written for a failed
-run. Two runs with the same config and seed emit byte-identical files.
+Each stage is one function (``smote_n`` on ``resolve_targets``,
+``survivors``, ``eliminate``, ``validate``, ``mine``) that both
+``run_pipeline`` and the CLI subcommands call, so a stage run on its own
+computes what it computes inside the pipeline. Stages run strictly in that
+order; any failure surfaces as a StageError naming the stage, and no report
+files are written for a failed run. Two runs with the same config and seed
+emit byte-identical files.
 
 The config document is read, and echoed into the report, from one table of
 (dotted config key, dataclass field, parser) entries per config dataclass. A
@@ -23,16 +24,17 @@ import tempfile
 from dataclasses import asdict, dataclass, field, is_dataclass
 
 from .chisq import check_alpha, rank_features
-from .classifiers import KINDS, ClassifierSpec, design_matrix, score_rows
+from .classifiers import KINDS, ClassifierSpec
 from .dataset import Dataset, check_ratios, load_dataset, split_dataset
 from .elimination import StepRecord, backward_eliminate, best_choice, check_min_size, evaluate_learners
+from .elimination import metrics_doc, validate
 from .errors import ConfigError, StageError, check_ints, check_numbers
 from .files import write_text
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
-from .metrics import MetricsReport, RocCurve, auc, classification_metrics, confusion, oriented, roc_points
+from .metrics import MetricsReport, RocCurve
 from .mining import apriori, check_rule_limits, check_support, default_factor_map, derive_rules, dissolve_dataset
 from .schema import Schema, default_schema, load_schema
-from .smote import SmoteConfig, resolve_targets, smote_n
+from .smote import check_k, resolve_targets, smote_n
 
 DEFAULT_RATIOS = (0.75, 0.175, 0.075)
 
@@ -61,6 +63,7 @@ class PipelineConfig:
             raise ConfigError("exactly one of input path / generator must be set")
         if self.positive_class not in (0, 1):
             raise ConfigError("positive_class must be 0 or 1")
+        check_k(self.smote_k)
         check_alpha(self.alpha)
         check_ratios(self.ratios)
         check_min_size(self.min_size)
@@ -120,7 +123,7 @@ CONFIG_FIELDS = (
     ("alpha", "alpha", _number),
     ("ratios", "ratios", _ratios),
     ("stratified", "stratified", _flag),
-    ("smote.k", "smote_k", _integer),  # its range is checked only when SMOTE adds records
+    ("smote.k", "smote_k", _integer),
     ("smote.target_total", "smote_target_total", lambda key, v: None if v is None else _integer(key, v)),
     ("smote.balance", "smote_balance", _flag),
     ("elimination.min_size", "min_size", _integer),
@@ -252,15 +255,6 @@ def config_echo(cfg: PipelineConfig) -> dict:
 
 # -- stages shared with the CLI ----------------------------------------------
 
-def augment(ds: Dataset, balance: bool, target_total: int | None, k: int, seed: int) -> Dataset:
-    """*ds* grown by categorical SMOTE to the targets that *balance* and
-    *target_total* resolve to; *ds* itself when they add no record."""
-    targets = resolve_targets(ds, balance, target_total)
-    if targets == ds.class_counts():
-        return ds
-    return smote_n(ds, SmoteConfig(target_per_class=targets, k=k, seed=seed))
-
-
 def survivors(ranking, schema: Schema) -> tuple[str, ...]:
     """The features *ranking* keeps, in schema order."""
     kept = tuple(sorted((f for f, _, keep in ranking if keep), key=schema.index_of))
@@ -299,27 +293,6 @@ def eliminate(splits, learners, min_size: int, features, positive: int):
     return rows, steps, best_choice(steps)
 
 
-def validate(model, ds: Dataset, positive: int) -> dict:
-    """Score *model* on *ds*: its confusion matrix, metrics, ROC curve and AUC."""
-    X, y = design_matrix(ds, model.features)
-    scores = score_rows(model, X)
-    cm = confusion(y.tolist(), (scores >= 0.5).astype(int).tolist(), positive)
-    curve = roc_points(y, oriented(scores, positive), positive)
-    return {"confusion": cm, "metrics": classification_metrics(cm), "curve": curve, "auc": auc(curve)}
-
-
-def metrics_doc(entry: dict) -> dict:
-    """The JSON form of a ``validate`` result's metrics."""
-    report: MetricsReport = entry["metrics"]
-    return {
-        "accuracy": report.accuracy,
-        "weighted_f1": report.weighted_f1,
-        "auc": entry["auc"],
-        "flags": list(report.flags),
-        "per_class": {str(label): asdict(m) for label, m in report.per_class.items()},
-    }
-
-
 def mine(ds: Dataset, features, min_support: float, min_confidence: float, max_rules: int):
     """Victim rules over the catalog factors of *features*: the rules, the
     factor descriptions, and the number of transactions."""
@@ -341,7 +314,7 @@ class PipelineReport:
     elimination_rows: list  # dicts: n_features/features/accuracies/aucs/removed/baseline
     final_selection: tuple[str, ...]
     best: dict  # learner / features / test_accuracy / test_auc
-    validation: dict  # kind -> validate() entry plus "accuracy" and "warnings"
+    validation: dict  # kind -> validate() entry plus "warnings"
     rules: list  # of Rule
     factor_descriptions: dict  # factor id -> text
     n_transactions: int
@@ -393,7 +366,8 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         ds = _stage("load", load_dataset, cfg.input_path, cfg.schema)
     else:
         ds = _stage("load", generate_synthetic, cfg.generator)
-    augmented = _stage("augment", augment, ds, cfg.smote_balance, cfg.smote_target_total, cfg.smote_k, cfg.seed)
+    targets = _stage("augment", resolve_targets, ds, cfg.smote_balance, cfg.smote_target_total)
+    augmented = _stage("augment", smote_n, ds, targets, cfg.smote_k, cfg.seed)
     ranking = _stage("rank", rank_features, augmented, cfg.alpha)
     kept = _stage("rank", survivors, ranking, cfg.schema)
     splits = _stage("split", split_dataset, augmented, cfg.ratios, cfg.seed, cfg.stratified)
@@ -410,15 +384,10 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
 
     # evaluate on validation the models that elimination trained on the
     # selected set; training is pure, so re-training would give the same ones
-    def _validate():
-        validation = {}
-        for spec in cfg.learners:
-            model = chosen.models[spec.kind]
-            entry = validate(model, splits.validation, cfg.positive_class)
-            validation[spec.kind] = {**entry, "accuracy": entry["metrics"].accuracy, "warnings": model.warnings}
-        return validation
-
-    validation = _stage("evaluate", _validate)
+    validation = _stage("evaluate", lambda: {
+        kind: {**validate(model, splits.validation, cfg.positive_class), "warnings": model.warnings}
+        for kind, model in chosen.models.items()
+    })
     rules, descriptions, n_transactions = _stage(
         "mine", mine, augmented, selected, cfg.min_support, cfg.min_confidence, cfg.max_rules
     )
@@ -426,11 +395,7 @@ def run_pipeline(cfg: PipelineConfig) -> PipelineReport:
         config=config_echo(cfg),
         ranking=ranking,
         survivors=kept,
-        split_sizes={
-            "train": len(splits.train),
-            "test": len(splits.test),
-            "validation": len(splits.validation),
-        },
+        split_sizes={part: len(getattr(splits, part)) for part in ("train", "test", "validation")},
         elimination_rows=rows,
         final_selection=selected,
         best=best,

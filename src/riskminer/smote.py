@@ -1,4 +1,5 @@
-"""Categorical SMOTE: grow a dataset to per-class targets.
+"""Categorical SMOTE: ``smote_n`` grows a dataset to the per-class targets
+that ``resolve_targets`` derives from the ``smote`` settings.
 
 Classic SMOTE interpolates real-valued vectors; survey answers are integer
 codes, so this is the nominal variant (SMOTE-N, Chawla et al. 2002):
@@ -26,7 +27,6 @@ draws come first and neighbours are computed once for each distinct seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,9 @@ _BLOCK_BYTES = 1 << 20
 _BYTES_PER_CELL = 2 + 1 + 8 + 8
 
 
-@dataclass(frozen=True)
-class SmoteConfig:
-    target_per_class: dict  # label -> desired output count
-    k: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
+def check_k(k: int) -> None:
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
 
 
 def nearest_in_pool(matrix: np.ndarray, pool: np.ndarray, queries: np.ndarray, k: int) -> np.ndarray:
@@ -94,23 +88,24 @@ def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = Tru
     return nearest_in_pool(ds.codes, pool, column, k)[0].tolist()
 
 
-def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
+def smote_n(ds: Dataset, targets: dict, k: int = 5, seed: int = 0) -> Dataset:
     """Return *ds* with synthetic records appended until each class reaches
-    its configured target count. Original records come first, untouched."""
+    its count in *targets* (label -> count). Original records come first, untouched."""
+    check_k(k)
     counts = ds.class_counts()
     grow: dict[int, int] = {}
-    for label, target in sorted(cfg.target_per_class.items()):
+    for label, target in sorted(targets.items()):
         current = counts.get(label, 0)
         if target < current:
             raise TargetBelowCurrentError(label, target, current)
         if target > current:
-            if current < cfg.k + 1:
-                raise ClassTooSmallError(label, current, cfg.k)
+            if current < k + 1:
+                raise ClassTooSmallError(label, current, k)
             grow[label] = target - current
     if not grow:
         return ds  # immutable, nothing to add
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     matrix = ds.codes
     width = matrix.shape[1]
     new_records: list[np.ndarray] = [matrix]
@@ -121,10 +116,10 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         coins = np.empty((grow[label], width))
         for row in coins:
             seeds.append(rng.randrange(len(members)))
-            slots.append(rng.randrange(cfg.k))
+            slots.append(rng.randrange(k))
             row[:] = [rng.random() for _ in range(width)]
         distinct, seed_of = np.unique(seeds, return_inverse=True)
-        neighbours = nearest_in_pool(matrix, members, distinct, cfg.k)
+        neighbours = nearest_in_pool(matrix, members, distinct, k)
         seed_rows = matrix[members[seeds]]
         donor_rows = matrix[neighbours[seed_of, slots]]
         new_records.append(np.where(coins < 0.5, seed_rows, donor_rows))
@@ -132,38 +127,19 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
     return Dataset(ds.schema, np.concatenate(new_records), np.concatenate(new_labels))
 
 
-def balanced_targets(ds: Dataset, total: int | None = None) -> dict[int, int]:
-    """Per-class targets that balance the classes.
-
-    Without *total*, every class grows to the current majority size. With
-    *total*, the classes split it as evenly as the arithmetic allows (the
-    victim class takes any odd remainder), provided no class shrinks.
-    """
+def resolve_targets(ds: Dataset, balance: bool, total: int | None) -> dict[int, int]:
+    """Per-class targets for ``smote_n``. *balance* alone grows both classes
+    to the majority size, and with *total* splits it evenly, the odd record
+    to the victim class; *total* alone grows each class along its current
+    share; with neither, nothing grows."""
     counts = ds.class_counts()
-    if total is None:
+    if balance and total is None:
         top = max(counts.values())
-        return {label: top for label in counts}
-    base = total // len(counts)
-    targets = {label: base for label in counts}
-    leftover = total - base * len(counts)
-    for label in sorted(counts, reverse=True)[:leftover]:
-        targets[label] += 1
-    return targets
-
-
-def proportional_targets(ds: Dataset, total: int) -> dict[int, int]:
-    """Grow every class along its current share until *total* records."""
+        return {0: top, 1: top}
+    if balance:
+        return {0: total // 2, 1: total - total // 2}
+    if total is None:
+        return counts
     if total < len(ds):
         raise TargetBelowCurrentError(-1, total, len(ds))
-    return apportion(ds.class_counts(), total)
-
-
-def resolve_targets(ds: Dataset, balance: bool, target_total: int | None) -> dict[int, int]:
-    """Shared target semantics for the CLI and the pipeline: balancing grows
-    toward equal classes, otherwise a target total grows proportionally, and
-    with neither the targets equal the current counts (a no-op)."""
-    if balance:
-        return balanced_targets(ds, target_total)
-    if target_total is not None:
-        return proportional_targets(ds, target_total)
-    return ds.class_counts()
+    return apportion(counts, total)

@@ -38,7 +38,6 @@ from riskminer.errors import (
 )
 from riskminer.mining import FactorMap
 from riskminer.schema import Schema
-from riskminer.smote import SmoteConfig
 
 
 @dataclass(frozen=True)
@@ -126,21 +125,21 @@ def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = Tru
     return [pool[i] for i in order[:k]]
 
 
-def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
+def smote_n(ds: Dataset, targets: dict, k: int = 5, seed: int = 0) -> Dataset:
     """Return *ds* with synthetic records appended until each class reaches
-    its configured target count. Original records come first, untouched."""
+    its count in *targets*. Original records come first, untouched."""
     counts = ds.class_counts()
     grow: dict[int, int] = {}
-    for label, target in sorted(cfg.target_per_class.items()):
+    for label, target in sorted(targets.items()):
         current = counts.get(label, 0)
         if target < current:
             raise TargetBelowCurrentError(label, target, current)
         if target > current:
-            if current < cfg.k + 1:
-                raise ClassTooSmallError(label, current, cfg.k)
+            if current < k + 1:
+                raise ClassTooSmallError(label, current, k)
             grow[label] = target - current
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     positions = {label: [i for i, lab in enumerate(ds.labels) if lab == label] for label in grow}
     neighbour_cache: dict[int, list[int]] = {}
 
@@ -151,8 +150,8 @@ def smote_n(ds: Dataset, cfg: SmoteConfig) -> Dataset:
         for _ in range(grow[label]):
             seed_pos = members[rng.randrange(len(members))]
             if seed_pos not in neighbour_cache:
-                neighbour_cache[seed_pos] = knn_categorical(ds, seed_pos, cfg.k, same_class_only=True)
-            donor_pos = neighbour_cache[seed_pos][rng.randrange(cfg.k)]
+                neighbour_cache[seed_pos] = knn_categorical(ds, seed_pos, k, same_class_only=True)
+            donor_pos = neighbour_cache[seed_pos][rng.randrange(k)]
             seed_rec = ds.records[seed_pos]
             donor_rec = ds.records[donor_pos]
             synthetic = tuple(

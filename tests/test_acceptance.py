@@ -17,7 +17,7 @@ import mpmath as mp
 import numpy as np
 
 from conftest import toy_dataset, toy_schema
-from riskminer.chisq import ContingencyTable, chi_squared_test
+from riskminer.chisq import chi_squared_test
 from riskminer.classifiers import (
     KINDS,
     ClassifierSpec,
@@ -33,7 +33,7 @@ from riskminer.dataset import split_dataset
 from riskminer.metrics import classification_metrics, confusion, roc_auc
 from riskminer.mining import Rule, apriori, derive_rules
 from riskminer.pipeline import config_from_dict, run_pipeline
-from riskminer.smote import SmoteConfig, smote_n
+from riskminer.smote import smote_n
 
 mp.mp.dps = 40
 
@@ -83,7 +83,7 @@ def test_criterion_2_split_arithmetic():
 
 def test_criterion_3_chi_squared_oracles():
     with criterion(3, "chi-squared statistic and p-value oracles", 1.0):
-        uniform = chi_squared_test(ContingencyTable.from_counts([[10, 10], [10, 10]]))
+        uniform = chi_squared_test([[10, 10], [10, 10]])
         assert uniform.statistic == 0.0
         assert uniform.p_value == 1.0
         rng = random.Random(2024)
@@ -93,7 +93,7 @@ def test_criterion_3_chi_squared_oracles():
             n = sum(map(sum, counts))
             if n > 500:
                 continue
-            result = chi_squared_test(ContingencyTable.from_counts(counts))
+            result = chi_squared_test(counts)
             # direct O/E summation
             stat = 0.0
             for row in counts:
@@ -183,15 +183,12 @@ def test_criterion_6_smote_invariants():
                 labels[i], labels[n - 1 - i] = 0, 1
             ds = toy_dataset(records, labels)
             counts = ds.class_counts()
-            cfg = SmoteConfig(
-                target_per_class={c: counts[c] + rng.randint(0, 25) for c in counts},
-                k=k,
-                seed=rng.randint(0, 9999),
-            )
-            out = smote_n(ds, cfg)
-            assert out.class_counts() == cfg.target_per_class  # exact sizing
+            targets = {c: counts[c] + rng.randint(0, 25) for c in counts}
+            seed = rng.randint(0, 9999)
+            out = smote_n(ds, targets, k, seed)
+            assert out.class_counts() == targets  # exact sizing
             assert out.records[: len(ds)] == ds.records  # prefix preserved
-            redo = smote_n(ds, cfg)
+            redo = smote_n(ds, targets, k, seed)
             assert redo.records == out.records and redo.labels == out.labels
             by_class = {
                 c: {tuple(r) for r, lab in zip(ds.records, ds.labels) if lab == c}
@@ -306,7 +303,7 @@ def test_criterion_8_planted_signal_pipeline():
         top10 = {feature for feature, _, _ in report.ranking[:10]}
         assert set(SIGNAL_FEATURES) <= top10
         best_kind = report.best["learner"]
-        assert report.validation[best_kind]["accuracy"] >= 0.90
+        assert report.validation[best_kind]["metrics"].accuracy >= 0.90
         planted = [r for r in report.rules if r.antecedent == RULE_FACTOR_IDS]
         assert planted, "planted rule not mined"
         assert planted[0].confidence >= 0.8

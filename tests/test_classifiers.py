@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,17 @@ def test_gnb_symmetric_midpoint():
     model = train(ClassifierSpec("GNB"), ds)
     # the midpoint is not an integer code, but score accepts real rows
     assert float(score_rows(model, np.array([[0.5, 0.5]]))[0]) == pytest.approx(0.5, abs=1e-9)
+
+
+def test_gnb_on_constant_features_scores_finite_values():
+    # every feature variance is 0, so var_smoothing itself floors the variances
+    ds = toy_dataset([[1, 1, 1]] * 10, [0, 1] * 5)
+    model = train(ClassifierSpec("GNB"), ds)
+    assert (model.impl.var > 0).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scores = score_rows(model, design_matrix(ds, model.features)[0])
+    assert scores.tolist() == [0.5] * 10
 
 
 def test_lr_zero_model_scores_half_and_predicts_victim():

@@ -21,7 +21,7 @@ from riskminer.errors import (
     UnmappedFeatureError,
 )
 from riskminer.mining import FactorEntry, FactorMap, apriori, dissolve_dataset
-from riskminer.smote import SmoteConfig, knn_categorical, nearest_in_pool, smote_n
+from riskminer.smote import knn_categorical, nearest_in_pool, resolve_targets, smote_n
 
 # -- neighbours --------------------------------------------------------------
 
@@ -101,12 +101,12 @@ def smote_problems(draw):
     # too small for k, so both implementations must raise the same error
     targets = {c: counts[c] + draw(st.integers(-2, 40)) for c in counts}
     seed = draw(st.integers(0, 2**32 - 1))
-    return ds, SmoteConfig(target_per_class=targets, k=k, seed=seed)
+    return ds, targets, k, seed
 
 
-def _outcome(fn, ds, cfg):
+def _outcome(fn, ds, targets, k, seed):
     try:
-        return fn(ds, cfg)
+        return fn(ds, targets, k, seed)
     except (ClassTooSmallError, TargetBelowCurrentError) as exc:
         return type(exc), str(exc)
 
@@ -114,9 +114,8 @@ def _outcome(fn, ds, cfg):
 @settings(max_examples=200, deadline=None)
 @given(smote_problems())
 def test_smote_matches_oracle_record_for_record(problem):
-    ds, cfg = problem
-    got = _outcome(smote_n, ds, cfg)
-    want = _outcome(oracle.smote_n, ds, cfg)
+    got = _outcome(smote_n, *problem)
+    want = _outcome(oracle.smote_n, *problem)
     if isinstance(want, tuple):
         assert got == want
     else:
@@ -126,20 +125,20 @@ def test_smote_matches_oracle_record_for_record(problem):
 
 def test_smote_errors_match_oracle():
     ds = toy_dataset([[0, 0], [1, 1], [1, 0], [0, 1]], [0, 1, 1, 1])
-    below = SmoteConfig(target_per_class={1: 2}, k=1, seed=0)
-    small = SmoteConfig(target_per_class={0: 5}, k=1, seed=0)
-    for cfg, error in ((below, TargetBelowCurrentError), (small, ClassTooSmallError)):
+    below = {1: 2}
+    small = {0: 5}
+    for targets, error in ((below, TargetBelowCurrentError), (small, ClassTooSmallError)):
         for fn in (smote_n, oracle.smote_n):
             with pytest.raises(error):
-                fn(ds, cfg)
+                fn(ds, targets, k=1, seed=0)
 
 
 def test_smote_matches_oracle_on_a_generated_survey():
     from riskminer.generate import GenSpec, generate_synthetic
 
     ds = generate_synthetic(GenSpec(n_records=1200, class_balance=0.3, seed=19))
-    cfg = SmoteConfig(target_per_class=smote.balanced_targets(ds), k=5, seed=8)
-    got, want = smote_n(ds, cfg), oracle.smote_n(ds, cfg)
+    targets = resolve_targets(ds, True, None)
+    got, want = smote_n(ds, targets, k=5, seed=8), oracle.smote_n(ds, targets, k=5, seed=8)
     assert got.records == want.records and got.labels == want.labels
 
 

@@ -9,7 +9,7 @@ from riskminer.dataset import write_csv
 from riskminer.generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from riskminer.mining import apriori, default_factor_map, derive_rules, dissolve_dataset
 from riskminer.pipeline import rules_csv
-from riskminer.smote import SmoteConfig, balanced_targets, smote_n
+from riskminer.smote import resolve_targets, smote_n
 
 
 def _pinned_dataset():
@@ -38,7 +38,7 @@ RULES_CSV_SHA256 = "00d7baa015bc5c22ebed63fbd11a977152735ea71cf7a7637b2910bbb92c
 
 def test_augmented_csv_and_rules_match_pinned_digests(tmp_path):
     ds = _pinned_dataset()
-    augmented = smote_n(ds, SmoteConfig(target_per_class=balanced_targets(ds, 1500), k=5, seed=23))
+    augmented = smote_n(ds, resolve_targets(ds, True, 1500), k=5, seed=23)
     path = tmp_path / "augmented.csv"
     write_csv(augmented, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == AUGMENTED_CSV_SHA256

@@ -8,8 +8,10 @@ import hashlib
 import json
 import sys
 
-from riskminer import cli, pipeline
+from riskminer import cli
 from riskminer.classifiers import train as real_train
+from riskminer.dataset import split_dataset as real_split_dataset
+from riskminer.elimination import validate as real_validate
 from riskminer.pipeline import config_from_dict, run_pipeline
 from riskminer.schema import FeatureSpec, Schema, save_schema
 
@@ -58,24 +60,32 @@ def test_each_model_is_trained_once_and_validation_scores_elimination_models(mon
         trained.setdefault((spec.kind, model.features), []).append(model)
         return model
 
-    scored = {}
-    real_score_rows = pipeline.score_rows
+    bundles = []
 
-    def recording_score_rows(model, X):
-        scored[model.kind] = model
-        return real_score_rows(model, X)
+    def recording_split_dataset(*args, **kwargs):
+        bundles.append(real_split_dataset(*args, **kwargs))
+        return bundles[-1]
+
+    validated = []  # (model, dataset) of every validate call
+
+    def recording_validate(model, ds, positive):
+        validated.append((model, ds))
+        return real_validate(model, ds, positive)
 
     _rebind(monkeypatch, real_train, counting_train)
-    monkeypatch.setattr(pipeline, "score_rows", recording_score_rows)
+    _rebind(monkeypatch, real_split_dataset, recording_split_dataset)
+    _rebind(monkeypatch, real_validate, recording_validate)
 
     report = run_pipeline(config_from_dict(small_doc(["DT", "GNB", "LR"])))
     assert len(report.survivors) < 26  # the baseline is a set of its own
     repeated = {key: len(models) for key, models in trained.items() if len(models) > 1}
     assert repeated == {}
     selected = tuple(report.best["features"])
-    assert set(scored) == {"DT", "GNB", "LR"}
-    for kind, model in scored.items():
-        assert model is trained[(kind, selected)][0]
+    (splits,) = bundles
+    scored = [model for model, ds in validated if ds is splits.validation]
+    assert sorted(model.kind for model in scored) == ["DT", "GNB", "LR"]
+    for model in scored:
+        assert model is trained[(model.kind, selected)][0]
 
 
 def _digest(out_dir) -> str:

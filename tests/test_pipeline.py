@@ -56,6 +56,14 @@ def test_readme_config_block_is_the_echo_of_itself():
     assert echo == {**{k: v for k, v in doc.items() if k != "schema"}, "input": None}
 
 
+def test_readme_library_imports_resolve():
+    # a name that the package stops exporting fails here, so the README cannot go stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert block.startswith("from riskminer import (")
+    exec(block, {})
+
+
 def test_config_requires_exactly_one_source():
     with pytest.raises(ConfigError):
         PipelineConfig(input_path=None, generator=None)

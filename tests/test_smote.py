@@ -8,7 +8,7 @@ import pytest
 
 from conftest import toy_dataset
 from riskminer.errors import ClassTooSmallError, PoolTooSmallError, TargetBelowCurrentError
-from riskminer.smote import SmoteConfig, balanced_targets, knn_categorical, smote_n
+from riskminer.smote import knn_categorical, resolve_targets, smote_n
 
 
 def test_knn_hand_ordering():
@@ -38,14 +38,14 @@ def test_knn_pool_too_small():
 
 def test_smote_noop_when_targets_met():
     ds = toy_dataset([[0, 0, 0], [0, 1, 1], [1, 1, 1], [1, 0, 0]], [0, 0, 1, 1])
-    out = smote_n(ds, SmoteConfig(target_per_class={0: 2, 1: 2}, k=1, seed=3))
+    out = smote_n(ds, {0: 2, 1: 2}, k=1, seed=3)
     assert out.records == ds.records
     assert out.labels == ds.labels
 
 
 def test_smote_identical_records_synthesize_themselves():
     ds = toy_dataset([[1, 0, 1], [1, 0, 1], [0, 0, 0], [0, 1, 0]], [1, 1, 0, 0])
-    out = smote_n(ds, SmoteConfig(target_per_class={1: 5}, k=1, seed=7))
+    out = smote_n(ds, {1: 5}, k=1, seed=7)
     assert len(out) == 7
     for rec, lab in zip(out.records[4:], out.labels[4:]):
         assert rec == (1, 0, 1)
@@ -55,7 +55,7 @@ def test_smote_identical_records_synthesize_themselves():
 def test_smote_mixes_only_varying_attributes():
     # Seed (1,0,1) and sole neighbour (1,1,1): attributes 1 and 3 always 1.
     ds = toy_dataset([[1, 0, 1], [1, 1, 1], [0, 0, 0], [0, 1, 0]], [1, 1, 0, 0])
-    out = smote_n(ds, SmoteConfig(target_per_class={1: 12}, k=1, seed=5))
+    out = smote_n(ds, {1: 12}, k=1, seed=5)
     synthetics = out.records[4:]
     assert len(synthetics) == 10
     for rec in synthetics:
@@ -67,9 +67,9 @@ def test_smote_mixes_only_varying_attributes():
 def test_smote_errors():
     ds = toy_dataset([[0, 0, 0], [1, 1, 1], [1, 0, 1]], [0, 1, 1])
     with pytest.raises(TargetBelowCurrentError):
-        smote_n(ds, SmoteConfig(target_per_class={1: 1}, k=1, seed=0))
+        smote_n(ds, {1: 1}, k=1, seed=0)
     with pytest.raises(ClassTooSmallError):
-        smote_n(ds, SmoteConfig(target_per_class={0: 5}, k=1, seed=0))
+        smote_n(ds, {0: 5}, k=1, seed=0)
 
 
 def test_smote_large_balanced_growth():
@@ -77,16 +77,33 @@ def test_smote_large_balanced_growth():
     records = [[rng.randint(0, 1) for _ in range(6)] for _ in range(700)]
     labels = [1 if i < 350 else 0 for i in range(700)]
     ds = toy_dataset(records, labels)
-    out = smote_n(ds, SmoteConfig(target_per_class={0: 1643, 1: 1643}, k=5, seed=42))
+    out = smote_n(ds, {0: 1643, 1: 1643}, k=5, seed=42)
     assert len(out) == 3286
     assert out.class_counts() == {0: 1643, 1: 1643}
     assert out.records[:700] == ds.records
 
 
-def test_balanced_targets():
+@pytest.mark.parametrize("balance, total, want", [
+    # every class grows to the majority size
+    pytest.param(True, None, {0: 2, 1: 2}, id="balance"),
+    # an even split, the odd record to the victim class
+    pytest.param(True, 9, {0: 4, 1: 5}, id="balance-odd-total"),
+    pytest.param(True, 8, {0: 4, 1: 4}, id="balance-even-total"),
+    # each class along its current share; the largest remainder takes the extra record
+    pytest.param(False, 9, {0: 6, 1: 3}, id="proportional"),
+    pytest.param(False, 4, {0: 3, 1: 1}, id="proportional-remainder"),
+    # the current counts: nothing grows
+    pytest.param(False, None, {0: 2, 1: 1}, id="neither"),
+])
+def test_resolve_targets(balance, total, want):
     ds = toy_dataset([[0, 0], [0, 1], [1, 1]], [0, 0, 1])
-    assert balanced_targets(ds) == {0: 2, 1: 2}
-    assert balanced_targets(ds, total=9) == {0: 4, 1: 5}
+    assert resolve_targets(ds, balance, total) == want
+
+
+def test_resolve_targets_refuses_a_proportional_total_below_the_current_size():
+    ds = toy_dataset([[0, 0], [0, 1], [1, 1]], [0, 0, 1])
+    with pytest.raises(TargetBelowCurrentError):
+        resolve_targets(ds, False, 2)
 
 
 def _random_config(rng: random.Random):
@@ -104,26 +121,26 @@ def _random_config(rng: random.Random):
     ds = toy_dataset(records, labels)
     counts = ds.class_counts()
     targets = {c: counts[c] + rng.randint(0, 30) for c in counts}
-    return ds, SmoteConfig(target_per_class=targets, k=k, seed=rng.randint(0, 10_000))
+    return ds, targets, k, rng.randint(0, 10_000)
 
 
 def test_smote_invariants_random_configs():
     rng = random.Random(99)
     for _ in range(20):
-        ds, cfg = _random_config(rng)
-        out = smote_n(ds, cfg)
-        again = smote_n(ds, cfg)
+        ds, targets, k, seed = _random_config(rng)
+        out = smote_n(ds, targets, k, seed)
+        again = smote_n(ds, targets, k, seed)
         # determinism
         assert out.records == again.records and out.labels == again.labels
         # prefix preservation
         assert out.records[: len(ds)] == ds.records
         assert out.labels[: len(ds)] == ds.labels
         # exact per-class sizing
-        assert out.class_counts() == cfg.target_per_class
+        assert out.class_counts() == targets
         # value closure: synthetic values occur among same-class originals
         by_class = {
             c: {tuple(r) for r, lab in zip(ds.records, ds.labels) if lab == c}
-            for c in cfg.target_per_class
+            for c in targets
         }
         for rec, lab in zip(out.records[len(ds):], out.labels[len(ds):]):
             for j, value in enumerate(rec):

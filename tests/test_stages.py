@@ -161,6 +161,7 @@ def test_malformed_argument_values_exit_with_a_documented_code(files, data):
     ["rank", "--schema", "{files}/nosuch.json"],
     ["pipeline", "--config", "{files}/latin-1.json"],
     ["train", "--learner", "DT", "--features-file", "{files}/latin-1.json"],
+    ["augment", "--k", "0", "--no-balance"],  # refused even when nothing would grow
 ])
 def test_bad_values_are_config_errors(files, argv, capsys):
     common = ["--out", str(files / "out.file")]
@@ -250,6 +251,7 @@ def _generator(**entries):
     _generator(noise_marginals={"age-range": {"1": -0.1, "2": 0.5}}),
     _generator(noise_marginals={"age-range": {"1": 0, "2": 0}}),
     _generator(noise_marginals={"age-range": {"x": 0.5}}),
+    {"smote": {"k": 0}},
 ])
 def test_config_values_of_the_wrong_type_or_range_are_refused_when_parsed(change, tmp_path, capsys):
     path = tmp_path / "config.json"
@@ -320,6 +322,11 @@ NON_FINITE_EDITS = {
 @pytest.mark.parametrize("name", NON_FINITE_EDITS)
 def test_evaluate_refuses_model_params_that_are_not_finite(name, files, tmp_path, capsys):
     _evaluate_refuses(*NON_FINITE_EDITS[name], files, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0])
+def test_evaluate_refuses_a_gnb_variance_row_that_is_not_positive(value, files, tmp_path, capsys):
+    _evaluate_refuses("GNB", lambda p: p["var"].__setitem__(0, [value] * len(p["var"][0])), files, tmp_path, capsys)
 
 
 def _evaluate_refuses(kind, edit, files, tmp_path, capsys):
