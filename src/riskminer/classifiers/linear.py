@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from ..errors import SingleClassError, check_ints, check_numbers, check_shape
+from ..errors import SingleClassError, check_flag, check_ints, check_numbers, check_shape
 
 
 def sigmoid(z):
@@ -127,4 +127,4 @@ class LogisticLearner:
         self.params = params
         self.weights = check_shape("weights", params["weights"], (n_features,))
         self.bias = float(check_shape("bias", params["bias"], ()))
-        self.converged = bool(params["converged"])
+        self.converged = check_flag("converged", params["converged"])

@@ -139,6 +139,13 @@ def check_shape(name: str, value, shape: tuple) -> np.ndarray:
     return array
 
 
+def check_flag(name: str, value) -> bool:
+    """*value* if it is a bool (a JSON true or false), or ValueError."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 # -- rule mining ---------------------------------------------------------
 
 class UnmappedFeatureError(DataError):

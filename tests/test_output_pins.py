@@ -8,6 +8,9 @@ reads, models moved to format 2 and ROC points became plain floats; each
 new file equals the old one with exactly those edits. The model pin was
 re-recorded again for model format 3 (the same trees as per-node lists in
 preorder) and the report pin when the config echo lost ``smote.seed``.
+The SVC ROC and report pins were re-recorded when SVC moved to the
+second-order SMO solver: the report differs from the old one only in its
+four SVC AUCs, the ROC file only in its SVC scores.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ PINS = {
     "pipeline/elimination.csv": "66ec29e3732dec5fa78aac4470e0701d077037730c3f77a904fb85f52c0e7f51",
     "pipeline/metrics.csv": "d96f601de555f89b72c6f2e06de0dd49a91afbdc0c25a3f90a4c7b6efd9915ac",
     "pipeline/ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "pipeline/report.json": "16422ba37e84472b8dc729b69690e31f9ea545d357b7eaea4b81a9b0ccd5d72d",
+    "pipeline/report.json": "c9f100825154530d829a55ee8a830c3e4b59f00c7371a631d616db435812d5e0",
     "pipeline/roc_DT.csv": "d783de2895ab6b1c370a7acf4206d171f406384ef1ebf5243bc86075d6aad76a",
     "pipeline/roc_GB.csv": "81eca0fe385782250e95f321fecc593e83e6228d48712c552debedde1c236e9e",
     "pipeline/roc_GNB.csv": "19f577214998dc161940cc86c5508dd5ea80af9a4230d36ab06226ee666638cd",
     "pipeline/roc_LR.csv": "c35ef841e4a7ed73146c3094086d757a480dca37c46d20f7e7dd8251f48543bb",
     "pipeline/roc_RF.csv": "869529de3295b1b03ecdf3f8617385757bffc2cd0b31335b191fdf8b239a229f",
-    "pipeline/roc_SVC.csv": "56c63e847ad93ddde9737fdf787419af907c5e75ec030d44d9d9b92ec33d1644",
+    "pipeline/roc_SVC.csv": "5a7d1659fc46979226e75d5c234ec8d8c2e43c2a22829e70072852faca3ec1c7",
     "pipeline/rules.csv": "d29b69cc81f9283d67c727ba0fce612b40a949a3fb1f1a9c88af264fffc1fe7c",
     "ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
     "roc.csv": "fd0ae38922bb8562cfeacdebdeb794f32c14cef01917162dd955bff40f7eb2b4",

@@ -324,6 +324,12 @@ def test_evaluate_refuses_model_params_that_are_not_finite(name, files, tmp_path
     _evaluate_refuses(*NON_FINITE_EDITS[name], files, tmp_path, capsys)
 
 
+@pytest.mark.parametrize("kind", ["LR", "SVC"])
+@pytest.mark.parametrize("value", ["no", 0.5, 1, [], None])
+def test_evaluate_refuses_a_converged_flag_that_is_not_a_boolean(kind, value, files, tmp_path, capsys):
+    _evaluate_refuses(kind, _set("converged", value), files, tmp_path, capsys)
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0])
 def test_evaluate_refuses_a_gnb_variance_row_that_is_not_positive(value, files, tmp_path, capsys):
     _evaluate_refuses("GNB", lambda p: p["var"].__setitem__(0, [value] * len(p["var"][0])), files, tmp_path, capsys)
