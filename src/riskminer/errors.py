@@ -7,7 +7,22 @@ import numpy as np
 
 
 class RiskminerError(Exception):
-    """Base class for all riskminer errors."""
+    """Base class for all riskminer errors.
+
+    An error pickles as its message arguments and attributes, not as the
+    arguments of its constructor, so that it comes back from a worker
+    process as it was raised.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls, args, state):
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 class ConfigError(RiskminerError):

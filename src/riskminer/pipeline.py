@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from .chisq import check_alpha, rank_features
 from .classifiers import KINDS, ClassifierSpec
 from .dataset import Dataset, check_ratios, load_dataset, split_dataset
-from .elimination import StepRecord, backward_eliminate, best_choice, check_min_size, evaluate_learners
-from .elimination import metrics_doc, validate
+from .elimination import backward_eliminate, best_choice, check_min_size, metrics_doc, validate
 from .errors import ConfigError, StageError, check_ints, check_numbers
 from .files import write_text
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
@@ -268,17 +267,8 @@ def eliminate(splits, learners, min_size: int, features, positive: int):
 
     Returns the report rows (baseline first), the visited steps in the same
     order, and their ``best_choice``: the selected (step, learner kind).
-    When *features* is the whole schema the first step is the baseline, so
-    its models are not trained again.
     """
-    everything = splits.train.schema.feature_names
-    visited = backward_eliminate(splits, learners, min_size, features=features, positive=positive)
-    first = visited[0]
-    if first.features == everything:
-        base = (first.accuracies, first.aucs, first.models)
-    else:
-        base = evaluate_learners(splits, learners, everything, positive=positive)
-    steps = (StepRecord(everything, base[0], base[1], None, base[2]),) + visited
+    steps = backward_eliminate(splits, learners, min_size, features, positive, baseline=True)
     rows = [
         {
             "baseline": i == 0,

@@ -1,14 +1,23 @@
 """Validation scores the models that elimination trained: no (learner,
-feature set) pair is trained twice in a run, and the pipeline's output
-bytes for a roster without LR are pinned."""
+feature set) pair is trained twice in a run, in this process or in the
+worker pool, and the pipeline's output bytes for a roster without LR are
+pinned.
+
+The counting tests rebind ``train`` in this process and give it one usable
+CPU, so that the fits run in this process: there a model's identity says
+which fit made it. The pool test gives it two CPUs and counts the tasks the
+pool is sent and the models it sends back.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
-from riskminer import cli
+from riskminer import cli, pipeline
 from riskminer.classifiers import train as real_train
 from riskminer.dataset import split_dataset as real_split_dataset
 from riskminer.elimination import validate as real_validate
@@ -52,7 +61,12 @@ def _rebind(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, key, replacement)
 
 
+def _usable_cpus(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
 def test_each_model_is_trained_once_and_validation_scores_elimination_models(monkeypatch):
+    _usable_cpus(monkeypatch, 1)
     trained = {}  # (kind, features) -> models
 
     def counting_train(spec, ds, features=None):
@@ -121,6 +135,7 @@ def test_pipeline_output_without_lr_matches_pin(tmp_path):
 
 
 def test_no_model_is_trained_twice_when_every_feature_survives(monkeypatch, tmp_path):
+    _usable_cpus(monkeypatch, 1)
     trained = {}
 
     def counting_train(spec, ds, features=None):
@@ -139,3 +154,39 @@ def test_no_model_is_trained_twice_when_every_feature_survives(monkeypatch, tmp_
     report = run_pipeline(config_from_dict(doc))
     assert report.survivors == schema.feature_names  # the baseline set is the first step's
     assert {key: n for key, n in trained.items() if n > 1} == {}
+
+
+def test_the_pool_fits_each_pair_once_and_validation_scores_the_models_it_sent_back(monkeypatch):
+    _usable_cpus(monkeypatch, 2)  # two workers on any machine
+    sent = []  # (kind, features) of every task the pool is given
+    batches = []  # the number of tasks of each batch
+    returned = {}  # (kind, features) -> the model the pool sent back
+    real_map = ProcessPoolExecutor.map
+
+    def recording_map(pool, fn, tasks, **kwargs):
+        tasks = list(tasks)
+        sent.extend(tasks)
+        batches.append(len(tasks))
+        for task, result in zip(tasks, real_map(pool, fn, tasks, **kwargs)):
+            returned[task] = result[2]
+            yield result
+
+    validated = []
+
+    def recording_validate(model, ds, positive):
+        validated.append(model)
+        return real_validate(model, ds, positive)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "map", recording_map)
+    # only the pipeline's copy: a rebound elimination function would keep the fits in this process
+    monkeypatch.setattr(pipeline, "validate", recording_validate)
+    report = run_pipeline(config_from_dict(small_doc(["DT", "GNB", "LR"])))
+    n = len(report.survivors)
+    assert 2 < n < 26
+    assert len(set(sent)) == len(sent)
+    # the start set, the baseline and step 1's candidates, then one step's candidates a batch
+    assert batches == [(2 + n) * 3] + [size * 3 for size in range(n - 1, 2, -1)]
+    selected = tuple(report.best["features"])
+    assert sorted(model.kind for model in validated) == ["DT", "GNB", "LR"]
+    for model in validated:
+        assert model is returned[(model.kind, selected)]
