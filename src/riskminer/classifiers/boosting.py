@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import SingleClassError, check_ints, check_numbers, check_shape
 from .linear import sigmoid
-from .tree import TreeTable, category_codes, grow, new_trees
+from .tree import TreeGrower, TreeTable
 
 
 def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
@@ -38,26 +38,33 @@ class GradientBoostingLearner:
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(set(y.tolist())) < 2:
             raise SingleClassError("gradient boosting")
-        codes = category_codes(X)
+        grower = TreeGrower(X, refits=True)
         y = y.astype(np.float64)
         prior = float(y.mean())
         init_score = float(np.log(prior / (1.0 - prior)))
         raw = np.full(X.shape[0], init_score)
-        trees = new_trees()
-        losses = [log_loss(y, sigmoid(raw))]
+        prob = sigmoid(raw)
+        losses = [log_loss(y, prob)]
         for _ in range(self.n_estimators):
-            prob = sigmoid(raw)
             residual = y - prob
-            leaf = grow(trees, codes, residual, "friedman-mse", max_depth=self.max_depth)
-            # the leaves partition the rows, so step is each row's tree output
+            leaf = grower.grow(residual, "friedman-mse", max_depth=self.max_depth)
+            # each leaf's rows, in row order, are a slice of the rows sorted
+            # by leaf; its Newton step sums their residuals and hessians
+            order = np.argsort(leaf, kind="stable")
+            sizes = np.bincount(leaf - leaf.min())
+            sizes = sizes[sizes > 0]
+            ends = np.cumsum(sizes).tolist()
+            starts = [0] + ends[:-1]
+            by_leaf, hessians = residual[order], (prob * (1.0 - prob))[order]
+            steps = [float(by_leaf[a:b].sum()) / max(float(hessians[a:b].sum()), 1e-12) for a, b in zip(starts, ends)]
+            for i, value in zip(leaf[order][starts].tolist(), steps):
+                grower.value[i] = value
             step = np.empty(X.shape[0])
-            for i in set(leaf.tolist()):  # np.unique's first call costs 1.6 MB of RSS
-                idx = np.flatnonzero(leaf == i)
-                hessian = float((prob[idx] * (1.0 - prob[idx])).sum())
-                trees["value"][i] = step[idx] = float(residual[idx].sum()) / max(hessian, 1e-12)
+            step[order] = np.repeat(steps, sizes)
             raw = raw + self.learning_rate * step
-            losses.append(log_loss(y, sigmoid(raw)))
-        self.load_params({"init_score": init_score, **trees, "train_losses": losses}, X.shape[1])
+            prob = sigmoid(raw)
+            losses.append(log_loss(y, prob))
+        self.load_params({"init_score": init_score, **grower.record(), "train_losses": losses}, X.shape[1])
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.full(X.shape[0], self.init_score)

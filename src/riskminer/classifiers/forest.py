@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import check_ints
-from .tree import TreeTable, category_codes, grow, new_trees
+from .tree import TreeGrower, TreeTable
 
 
 class DecisionTreeLearner:
@@ -16,9 +16,9 @@ class DecisionTreeLearner:
         self.min_samples_split = min_samples_split
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        trees = new_trees()
-        grow(trees, category_codes(X), y, "gini", min_samples_split=self.min_samples_split)
-        self.load_params(trees, X.shape[1])
+        grower = TreeGrower(X)
+        grower.grow(y, "gini", min_samples_split=self.min_samples_split)
+        self.load_params(grower.record(), X.shape[1])
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         return self.table.leaf_values(X, self.output)[:, 0]
@@ -32,9 +32,10 @@ class DecisionTreeLearner:
 class RandomForestLearner(DecisionTreeLearner):
     """Bagged gini trees with sqrt-of-feature-count sampling at every split.
 
-    Each tree draws its bootstrap sample and split-time feature subsets from
-    an independent stream derived from (seed, tree index), so trees could be
-    fit concurrently without changing the result.
+    Each tree draws its bootstrap sample and then, level by level, the
+    feature subsets of its splitting nodes from an independent stream
+    derived from (seed, tree index); the trees grow together, one level at a
+    time, and a tree's draws do not depend on the other trees.
     """
 
     def __init__(self, n_estimators: int = 10, seed: int = 42, min_samples_split: int = 2):
@@ -45,15 +46,13 @@ class RandomForestLearner(DecisionTreeLearner):
         self.seed = seed
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        codes = category_codes(X)
         n = X.shape[0]
+        rngs = [np.random.default_rng([self.seed, t]) for t in range(self.n_estimators)]
+        samples = [rng.integers(0, n, size=n) for rng in rngs]
+        grower = TreeGrower(X)
         max_features = max(1, int(np.sqrt(X.shape[1])))
-        trees = new_trees()
-        for t in range(self.n_estimators):
-            rng = np.random.default_rng([self.seed, t])
-            sample = rng.integers(0, n, size=n)
-            grow(trees, codes[sample], y[sample], "gini", self.min_samples_split, max_features=max_features, rng=rng)
-        self.load_params(trees, X.shape[1])
+        grower.grow(y, "gini", samples, self.min_samples_split, max_features=max_features, rngs=rngs)
+        self.load_params(grower.record(), X.shape[1])
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         # Fraction of trees voting victim; each tree votes its leaf majority

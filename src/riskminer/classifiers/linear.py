@@ -48,9 +48,10 @@ class LogisticLearner:
     starts at the objective of the zero model and adds the change of each
     accepted step, so it never increases. Training stops when the gradient
     norm is at most `tol` and the Newton decrement puts the objective within
-    1e-10 of its minimum, relative to it, or no step lowers it any more in
-    float precision. Otherwise it stops after `max_iter` Newton steps and
-    the model carries a non-convergence warning instead of failing.
+    1e-10 of its minimum, relative to it, or the last step lowered it by at
+    most 1e-10 of it, or no step lowers it any more in float precision.
+    Otherwise it stops after `max_iter` Newton steps and the model carries a
+    non-convergence warning instead of failing.
     """
 
     def __init__(self, C: float = 1.0, max_iter: int = 1000, tol: float = 1e-6):
@@ -86,6 +87,7 @@ class LogisticLearner:
         obj = self.objective(X, y, w, b)
         self.objective_path = [obj]
         converged = False
+        settled = False  # the last step lowered the objective by at most 1e-10 of it
         for _ in range(self.max_iter):
             gw, gb = self.gradient(X, y, w, b)
             grad = np.append(gw, gb)
@@ -96,9 +98,13 @@ class LogisticLearner:
             direction = np.linalg.solve(hessian, grad)
             decrease = float(grad @ direction)
             # the objective lies about decrease / 2 above its minimum; on
-            # separable data a small gradient alone can leave it far above
+            # separable data a small gradient alone can leave it far above.
+            # Near a separating fit with a weak penalty the objective is
+            # tiny, the gradient sits at its rounding floor and the
+            # decrement is rounding noise above 1e-10 of it; there a step
+            # that barely moved the objective is the same news.
             small_gradient = bool(np.sqrt(grad @ grad) <= self.tol)
-            if small_gradient and decrease <= 1e-10 * obj:
+            if small_gradient and (decrease <= 1e-10 * obj or settled):
                 converged = True
                 break
             u, slope = sign * z, sign * (A @ direction)
@@ -116,6 +122,7 @@ class LogisticLearner:
                 # gradient that is the optimum as far as floats can tell
                 converged = small_gradient
                 break
+            settled = change >= -1e-10 * obj
             w, b, obj = w - step * dw, b - step * float(direction[-1]), obj + change
             self.objective_path.append(obj)
         self.load_params({"weights": w, "bias": b, "converged": converged}, X.shape[1])

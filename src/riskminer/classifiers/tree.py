@@ -7,26 +7,35 @@ split as long as they are impure and some feature still varies, so a tree can
 work through XOR-like interactions whose first split has zero gain; a pure or
 constant-featured node becomes a leaf.
 
-The split search works from histograms. A fit casts its code matrix to int64
-once; at each node, one ``np.bincount`` over the node's codes, offset by
-feature, counts every code of every candidate feature (per label for gini,
-with per-code target sums for Friedman MSE). All bipartitions of all those
-features are then scored from the histogram at once. The bipartition tables
-are built on first use and cached by the feature's present-code tuple, and a
-node's list of candidate splits by the presence pattern of all its codes. The
-vectorised arithmetic repeats the scalar formulas operation for operation,
-so gains, and with them the grown trees, are bit-identical to scoring one
-partition at a time.
+Trees grow one level at a time (``TreeGrower``), and a forest grows all of
+its trees at once. A fit first maps each feature's codes to their ranks,
+so a histogram is as wide as the most codes any feature
+has, whatever their values. Each level keeps a node id for each of its rows.
+One ``np.bincount`` keyed by (node, candidate feature, position) counts the
+codes of every node of the level, and a weighted one sums their victims
+(gini) or targets (Friedman MSE); every bipartition of the present codes of
+every (node, feature) pair is then scored in one vectorised pass. The
+bipartitions of a presence pattern are listed once and cached, and a grower
+that refits the same rows (boosting) reuses a level's candidates when the
+splits above it repeat.
+
+The arithmetic repeats the one-node-at-a-time search of the depth-first
+grower this one replaced, operation for operation: a node's per-code sums add
+its rows in ascending row order, a feature's sums add one code at a time in
+code order, and squares are taken by Python's float power. numpy adds fewer
+than eight numbers one by one too, so while every code is below 7 the grown
+trees are bit-identical to the depth-first ones.
 
 Ties go to the lowest feature index, then to the partition whose left set is
 lexicographically smallest (the left set always holds the smallest present
-code).
+code). A forest draws each tree's feature subsets from that tree's stream,
+level by level, for its splitting nodes in level order.
 
 A learner's fitted trees are one record of per-node lists (``TREE_COLUMNS``),
-in preorder and one tree after another: ``grow`` appends to it, routing
-row-index arrays down an explicit stack, ``TreeTable`` builds the scoring
-table from it, and model files store it. Scoring steps all rows down all
-trees at once, one level per step. It truncates float codes toward zero, as
+in preorder and one tree after another: ``TreeGrower.record`` renumbers the
+level-grown nodes to preorder, ``TreeTable`` builds the scoring table from
+the record, and model files store it. Scoring steps all rows down all trees
+at once, one level per step. It truncates float codes toward zero, as
 ``int()`` does. A code the node never saw at fit time follows the heavier
 child; when the children are equally heavy it goes left.
 """
@@ -34,173 +43,17 @@ child; when the children are equally heavy it goes left.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
-from ..errors import EmptyNodeError, check_shape
+from ..errors import check_shape
 
-
-def gini(counts) -> float:
-    """Gini impurity 1 - sum((c_i / n)^2) of a class-count vector."""
-    total = float(sum(counts))
-    if total <= 0:
-        raise EmptyNodeError("gini of an empty count vector")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
-
-
-@dataclass(frozen=True)
-class SplitChoice:
-    feature: int
-    left_values: tuple[int, ...]
-    right_values: tuple[int, ...]
-    decrease: float
-
-
-def _partitions(present: list[int]):
-    # Non-trivial bipartitions; the left side always holds the smallest code
-    # and candidates come out in lexicographic left-tuple order.
-    first, rest = present[0], present[1:]
-    out = []
-    for mask in range(2 ** len(rest) - 1):
-        left = [first] + [v for b, v in enumerate(rest) if mask >> b & 1]
-        right = [v for b, v in enumerate(rest) if not mask >> b & 1]
-        out.append((tuple(left), tuple(right)))
-    out.sort(key=lambda lr: lr[0])
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _partition_table(present: tuple[int, ...]) -> tuple:
-    """The bipartitions of one present-code tuple, built on first use."""
-    return tuple(_partitions(list(present)))
-
-
-@dataclass(frozen=True)
-class _Plan:
-    """Every candidate split of a node whose (feature, code) presence matrix
-    has one pattern, listed feature by feature in tie-break order."""
-
-    feature: np.ndarray  # (candidates,) feature position
-    splits: tuple  # (left, right) code tuples per candidate
-    left_bins: tuple  # (candidate rows, (rows, size) flat bins of the left codes) per left size
-    widths: tuple  # (feature positions, width) per distinct width, for per-feature sums
-
-
-# A plan takes a few kB and a run meets thousands of presence patterns, so
-# only the recent ones are kept; the patterns of shallow nodes recur most.
-@functools.lru_cache(maxsize=256)
-def _plan(k: int, width: int, presence: bytes) -> _Plan | None:
-    """The plan for a (k, width) presence matrix, or None when no feature has
-    two present codes."""
-    seen = np.frombuffer(presence, dtype=bool).reshape(k, width)
-    feature, splits, bins = [], [], []
-    by_width: dict[int, list[int]] = {}
-    for j in range(k):
-        present = tuple(np.flatnonzero(seen[j]).tolist())
-        if len(present) < 2:
-            continue
-        by_width.setdefault(present[-1] + 1, []).append(j)
-        for left, right in _partition_table(present):
-            feature.append(j)
-            splits.append((left, right))
-            bins.append([j * width + c for c in left])
-    if not feature:
-        return None
-    sizes = sorted({len(b) for b in bins})
-    return _Plan(
-        feature=np.array(feature),
-        splits=tuple(splits),
-        left_bins=tuple(
-            (
-                np.array([i for i, b in enumerate(bins) if len(b) == size]),
-                np.array([b for b in bins if len(b) == size]),
-            )
-            for size in sizes
-        ),
-        widths=tuple((np.array(js), w) for w, js in by_width.items()),
-    )
-
-
-def _squares(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` elementwise, rounded as the scalar ``gini`` rounds it.
-
-    A scalar ``** 2`` calls the C library's ``pow``, which can round a square
-    lying within a hair of a rounding midpoint differently from ``x * x``;
-    so the squares are taken by Python's float power, which calls that pow.
-    """
-    return np.array([v**2 for v in x.tolist()])
-
-
-def _left_sums(plan: _Plan, hist: np.ndarray) -> np.ndarray:
-    """Per candidate, *hist* summed over its left codes. Each sum runs over the
-    same values, in the same order, as ``hist[list(left_values)].sum(axis=0)``
-    in a one-partition scorer, so float sums round the same way."""
-    out = np.empty((len(plan.splits),) + hist.shape[1:], dtype=hist.dtype)
-    for rows, bins in plan.left_bins:
-        out[rows] = hist[bins].sum(axis=1)
-    return out
-
-
-def _gini_gains(plan: _Plan, hist: np.ndarray, totals: list[int]) -> np.ndarray:
-    """Per-candidate gini decrease from flat (feature-code, label) counts;
-    *totals* holds the node's label counts."""
-    left = _left_sums(plan, hist)
-    l0, l1 = left[:, 0], left[:, 1]
-    r0, r1 = totals[0] - l0, totals[1] - l1
-    n_l, n_r = l0 + l1, r0 + r1
-    n = totals[0] + totals[1]
-    sq = _squares(np.concatenate([l0 / n_l, l1 / n_l, r0 / n_r, r1 / n_r]))
-    c = len(plan.splits)
-    gini_l = 1.0 - (sq[:c] + sq[c : 2 * c])
-    gini_r = 1.0 - (sq[2 * c : 3 * c] + sq[3 * c :])
-    return gini(totals) - (n_l / n) * gini_l - (n_r / n) * gini_r
-
-
-def _friedman_gains(plan: _Plan, cnt: np.ndarray, sums: np.ndarray, n: int, width: int) -> np.ndarray:
-    """Per-candidate Friedman MSE improvement from flat per-code counts and
-    target sums. Like the left sums, each feature's total runs over the array
-    a one-partition scorer sums: its codes from 0 up to its largest present."""
-    n_l = _left_sums(plan, cnt)
-    n_r = n - n_l
-    s_l = _left_sums(plan, sums)
-    per_feature = sums.reshape(-1, width)
-    s = np.zeros(per_feature.shape[0])
-    for js, w in plan.widths:
-        s[js] = per_feature[js, :w].sum(axis=1)
-    s_r = s[plan.feature] - s_l
-    diff = s_l / n_l - s_r / n_r
-    return (n_l * n_r / (n_l + n_r)) * diff * diff
-
-
-def _search(codes: np.ndarray, y: np.ndarray, feats: np.ndarray, width: int, criterion: str):
-    """Best split of an impure node from its (rows, candidate features) int64
-    codes, all in [0, width), with *feats* the ascending feature indices."""
-    n, k = codes.shape
-    bins = (codes + np.arange(k) * width).ravel()
-    if criterion == "gini":
-        hist = np.bincount(bins * 2 + np.repeat(y, k), minlength=2 * k * width).reshape(k * width, 2)
-        cnt = hist[:, 0] + hist[:, 1]
-    else:
-        cnt = np.bincount(bins, minlength=k * width)
-    plan = _plan(k, width, (cnt > 0).tobytes())
-    if plan is None:
-        return None
-    if criterion == "gini":
-        gains = _gini_gains(plan, hist, hist[:width].sum(axis=0).tolist())
-    else:
-        sums = np.bincount(bins, weights=np.repeat(y, k), minlength=k * width)
-        gains = _friedman_gains(plan, cnt, sums, n, width)
-    best = int(gains.argmax())  # first maximum: lowest feature, then smallest left set
-    left, right = plan.splits[best]
-    return SplitChoice(int(feats[plan.feature[best]]), left, right, float(gains[best]))
-
-
-def _width(codes: np.ndarray) -> int:
-    """Histogram width of a fit's int64 code matrix: its largest code + 1."""
-    if codes.size and int(codes.min()) < 0:
-        raise ValueError("category codes must be non-negative")
-    return int(codes.max()) + 1 if codes.size else 1
+# Most histogram cells plus candidate splits scored at once; a level with
+# more is scored in runs of nodes, so wide features cost time, not memory.
+_LEVEL_CELLS = 1 << 20
+_BITS = 1 << np.arange(63)  # a presence pattern's bit of each position
+_MEMO_LEVELS = 16  # level layouts a refitting grower keeps
 
 
 def category_codes(X) -> np.ndarray:
@@ -212,6 +65,123 @@ def category_codes(X) -> np.ndarray:
     return X.astype(np.int64)
 
 
+@functools.lru_cache(maxsize=None)
+def _partitions(present: int, width: int) -> tuple:
+    """The non-trivial bipartitions of the positions whose bits are set in
+    *present*, in lexicographic left order (the left side holds the smallest
+    position): their (left, right) position tuples and a (partitions, width)
+    matrix marking the left positions."""
+    first, *rest = [j for j in range(width) if present >> j & 1]
+    parts = []
+    for mask in range(2 ** len(rest) - 1):
+        left = (first,) + tuple(v for b, v in enumerate(rest) if mask >> b & 1)
+        right = tuple(v for b, v in enumerate(rest) if not mask >> b & 1)
+        parts.append((left, right))
+    parts.sort()
+    member = np.zeros((len(parts), width), dtype=bool)
+    for i, (left, _) in enumerate(parts):
+        member[i, list(left)] = True
+    return tuple(parts), member
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` elementwise, by Python's float power on each distinct value.
+
+    A scalar ``** 2`` calls the C library's ``pow``, which can round a square
+    lying within a hair of a rounding midpoint differently from ``x * x``;
+    the one-node search squared its ratios that way, so these are too.
+    """
+    distinct, inverse = np.unique(x, return_inverse=True)
+    return np.array([v**2 for v in distinct.tolist()])[inverse]
+
+
+@functools.lru_cache(maxsize=1024)
+def _grid(patterns: tuple, width: int) -> tuple:
+    """The bipartitions of each of a level's presence *patterns* (ascending
+    bit masks over positions): a (patterns, most, width) grid of their
+    left-position masks, padded with empty masks, their (left, right)
+    positions in one list and each pattern's first index into it."""
+    tables = [_partitions(key, width) for key in patterns]
+    sizes = np.array([len(parts) for parts, _ in tables])
+    grid = np.zeros((sizes.size, max(1, sizes.max()), width), dtype=bool)
+    for u, (_, member) in enumerate(tables):
+        grid[u, : len(member)] = member
+    return grid, [p for parts, _ in tables for p in parts], np.cumsum(sizes) - sizes
+
+
+def _layout(cells, counts, width: int) -> tuple:
+    """The candidate splits of ``len(counts)`` nodes, which depend only on
+    which rows each node holds.
+
+    *cells* holds, for each of the nodes' rows and each of k candidate
+    slots, the histogram cell ``(node * k + slot) * width + position`` of the
+    row's code, with the rows in ascending order; *counts* holds each node's
+    rows. Candidates lie on a (pairs, most, width) grid of left-position
+    masks, (node, slot) pair by pair in tie-break order, padded with empty
+    masks.
+    """
+    k = cells.shape[1]
+    pairs = counts.size * k
+    flat = cells.ravel()
+    cnt = np.bincount(flat, minlength=pairs * width).reshape(pairs, width)
+    # each pair's presence pattern; a table over all 2 ** width patterns is
+    # smaller than the root's list of the widest feature's bipartitions
+    keys = (cnt > 0) @ _BITS[:width]
+    patterns = np.flatnonzero(np.bincount(keys, minlength=1 << width))
+    grid, parts, offsets = _grid(tuple(patterns.tolist()), width)
+    pattern = np.searchsorted(patterns, keys)
+    left = grid[pattern]
+    n = np.repeat(counts, k)[:, None]
+    n_l = (cnt[:, None, :] * left).sum(axis=2)
+    n_r = n - n_l
+    valid = n_l > 0
+    # a padded candidate counts one row on the left, so that nothing divides
+    # by zero; it is masked out of the choice
+    return flat, k, n, np.where(valid, n_l, 1), n_r, n_l * n_r / n, valid, left, pattern, grid, parts, offsets
+
+
+def _best_splits(layout: tuple, y, pos, criterion: str):
+    """The best split of each node of a ``_layout``, given the targets *y*
+    of its rows and the victims *pos* of each node.
+
+    Returns per node the best candidate's slot (-1 when no feature varies),
+    the index of its (left, right) positions in the returned list, its
+    left-position mask and its gain.
+    """
+    flat, k, n, n_l, n_r, factor, valid, left, pattern, grid, parts, offsets = layout
+    m = n.size // k
+    # per cell, the victims (gini) or the target sum (Friedman MSE); a
+    # cell's sum adds its rows in ascending order
+    weight = np.bincount(flat, weights=np.repeat(y, k), minlength=left.shape[0] * left.shape[2])
+    weight = weight.reshape(left.shape[0], left.shape[2])
+    if criterion == "gini":
+        l1 = (weight[:, None, :] * left).sum(axis=2)
+        l0, r1 = n_l - l1, np.repeat(pos, k)[:, None] - l1
+        r0 = n_r - r1
+        counts = n[::k, 0]
+        c = l1.size
+        sq = _squares(np.concatenate([(l0 / n_l).ravel(), (l1 / n_l).ravel(), (r0 / n_r).ravel(), (r1 / n_r).ravel(),
+                                      (counts - pos) / counts, pos / counts]))
+        parent = np.repeat(1.0 - (sq[4 * c : 4 * c + m] + sq[4 * c + m :]), k)[:, None]
+        gini_l = 1.0 - (sq[:c] + sq[c : 2 * c]).reshape(n_l.shape)
+        gini_r = 1.0 - (sq[2 * c : 3 * c] + sq[3 * c : 4 * c]).reshape(n_l.shape)
+        gains = parent - (n_l / n) * gini_l - (n_r / n) * gini_r
+    else:
+        # a feature's sums add one code at a time, in code order; a
+        # masked-out code adds +0.0, which changes no sum
+        s_l = np.where(left, weight[:, None, :], 0.0).cumsum(axis=2)[:, :, -1]
+        s_r = weight.cumsum(axis=1)[:, -1:] - s_l
+        diff = s_l / n_l - s_r / n_r
+        gains = factor * diff * diff  # factor is n_l * n_r / (n_l + n_r)
+    # the first maximum of each node: lowest feature, then smallest left set
+    score = np.where(valid, gains, -np.inf).reshape(m, -1)
+    best = score.argmax(axis=1)
+    gain = score.max(axis=1)
+    slot, part = np.divmod(best, grid.shape[1])
+    u = pattern[np.arange(m) * k + slot]
+    return np.where(gain > -np.inf, slot, -1), offsets[u] + part, grid[u, part], gain, parts
+
+
 # A fitted tree set is one record of per-node lists, in preorder, one tree
 # after another; ``roots`` holds each tree's first node. An inner node tests
 # ``feature`` and sends the codes of ``left_values`` to node ``left`` and those
@@ -221,64 +191,217 @@ def category_codes(X) -> np.ndarray:
 TREE_COLUMNS = ("roots", "feature", "left", "right", "left_values", "right_values", "n", "pos", "value")
 
 
-def new_trees() -> dict:
-    return {column: [] for column in TREE_COLUMNS}
+class TreeGrower:
+    """Trees grown level by level on one fit's codes, kept in creation order
+    until ``record`` puts them in preorder.
 
-
-def grow(
-    trees: dict,
-    codes: np.ndarray,
-    y: np.ndarray,
-    criterion: str,
-    min_samples_split: int = 2,
-    max_depth: int | None = None,
-    max_features: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Append to *trees* one tree grown on an int64 code matrix (see
-    ``category_codes``) and return the node id of the leaf each row reaches.
-
-    A node splits while it holds ``min_samples_split`` rows, lies above
-    *max_depth* and its targets vary. With *max_features*, each such node
-    draws its candidate features from *rng*, in preorder. A regression tree's
-    ``value`` is left at 0.0 for the caller to set from each leaf's rows.
+    ``grow`` numbers the nodes it creates on from those of earlier calls,
+    one level after another, and returns each row's leaf by that number;
+    ``value`` holds a regression leaf's output under the same number. With
+    *refits*, ``grow`` is called again and again on every row, as boosting
+    does, and the grower keeps the candidate layouts of its recent levels,
+    keyed by the splits above them.
     """
-    width = _width(codes)
-    n_features = codes.shape[1]
-    every = np.arange(n_features)
-    leaf = np.empty(codes.shape[0], dtype=np.int64)
-    trees["roots"].append(len(trees["n"]))
-    stack = [(np.arange(codes.shape[0]), 0, None)]  # rows, depth, (parent, side) to link
-    while stack:  # popping the left child first keeps the nodes in preorder
-        idx, depth, link = stack.pop()
-        i = len(trees["n"])
-        if link:
-            trees[link[1]][link[0]] = i
-        sub_y = y[idx]
-        pos = int(sub_y.sum()) if criterion == "gini" else 0
-        for column, v in zip(TREE_COLUMNS[1:], (-1, -1, -1, (), (), int(idx.size), pos, 0.0)):
-            trees[column].append(v)
-        choice = None
-        if idx.size >= min_samples_split and (max_depth is None or depth < max_depth) and (sub_y != sub_y[0]).any():
-            if max_features is not None and max_features < n_features:
-                feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
-                choice = _search(codes[idx[:, None], feats], sub_y, feats, width, criterion)
+
+    def __init__(self, X, refits: bool = False):
+        # each code's position: its rank among the codes its feature takes
+        codes = category_codes(X)
+        if codes.size and int(codes.min()) < 0:
+            raise ValueError("category codes must be non-negative")
+        self.positions = np.empty(codes.shape, dtype=np.int64)
+        self.codes = []  # per feature, the code at each position
+        for j in range(codes.shape[1]):
+            present, self.positions[:, j] = np.unique(codes[:, j], return_inverse=True)
+            self.codes.append(present)
+        self.width = max(map(len, self.codes), default=1)  # the most codes a feature takes
+        self.memo = {} if refits else None  # recent levels' layouts, by the splits above them
+        self.levels = []  # (feature, split, n, pos) of each grown level
+        self.inner = []  # per depth, the first node id, size and inner nodes of each grown level
+        self.roots, self.parts, self.value = [], [], []  # the splits' (left, right) positions
+
+    def grow(
+        self,
+        y: np.ndarray,
+        criterion: str,
+        samples: list | None = None,
+        min_samples_split: int = 2,
+        max_depth: int | None = None,
+        max_features: int | None = None,
+        rngs: list | None = None,
+    ) -> np.ndarray:
+        """Grow one tree per entry of *samples* (row-index arrays; one tree on
+        every row when None) and return the leaf each sampled row reaches.
+
+        A node splits while it holds ``min_samples_split`` rows, lies above
+        *max_depth* and its targets vary. With *max_features*, tree t draws
+        the candidate features of its splitting nodes from ``rngs[t]``, one
+        level at a time.
+        """
+        gini = criterion == "gini"
+        positions, width = self.positions, self.width
+        n_features = positions.shape[1]
+        stack = np.arange(len(y)) if samples is None else np.concatenate(samples)
+        y = np.asarray(y, dtype=np.int64 if gini else np.float64)[stack]
+        draw = max_features is not None and max_features < n_features
+        k = max_features if draw else n_features  # candidate slots per node
+        counts = np.array([len(y)] if samples is None else [len(s) for s in samples])
+        rows = stack  # the rows of the level's nodes, in ascending stack order
+        node = np.repeat(np.arange(counts.size), counts)  # each row's node in the level
+        tree = np.arange(counts.size)  # each node's tree
+        first = len(self.value)  # the level's first node id
+        self.roots += range(first, first + counts.size)
+        leaf = np.empty(len(stack), dtype=np.int64)  # each row's leaf
+        at_row = np.arange(len(stack))  # each row's place in *leaf*
+        key = ()  # the splits so far, which fix the level's rows
+        for depth in itertools.count():
+            m = counts.size
+            sub_y = y[at_row] if at_row.size < y.size else y
+            pos = np.bincount(node, weights=sub_y, minlength=m).astype(np.int64) if gini else np.zeros(m, np.int64)
+            search = counts >= min_samples_split
+            if max_depth is not None and depth >= max_depth:
+                search[:] = False
+            elif gini:
+                search &= (pos > 0) & (pos < counts)
             else:
-                choice = _search(codes[idx], sub_y, every, width, criterion)
-        if choice is None:
-            leaf[idx] = i
-            continue
-        trees["feature"][i] = choice.feature
-        trees["left_values"][i], trees["right_values"][i] = choice.left_values, choice.right_values
-        mask = (codes[idx, choice.feature][:, None] == np.asarray(choice.left_values)).any(axis=1)
-        stack += [(idx[~mask], depth + 1, (i, "right")), (idx[mask], depth + 1, (i, "left"))]
-    return leaf
+                ref = np.empty(m)
+                ref[node] = sub_y  # some row of each node
+                search &= np.bincount(node, weights=sub_y != ref[node], minlength=m) > 0
+            feature, split = np.full((2, m), -1)
+            member = np.zeros((m, width), dtype=bool)  # each split node's left positions
+            if search.any():
+                searched, s_rows, s_at, local = np.arange(m), rows, at_row, node
+                if not search.all():
+                    at = search[node]
+                    searched, s_rows, s_at = np.flatnonzero(search), rows[at], at_row[at]
+                    local = (np.cumsum(search) - 1)[node[at]]
+                if draw:
+                    per_tree = np.bincount(tree[searched], minlength=len(rngs)).tolist()
+                    keys = np.concatenate([rngs[t].random((e, n_features)) for t, e in enumerate(per_tree) if e])
+                    feats = np.sort(np.argpartition(keys, k - 1, axis=1)[:, :k], axis=1)
+                    codes = positions[s_rows[:, None], feats[local]]
+                    codes += np.arange(k) * width
+                    layouts = self._layouts(codes, local, counts[searched])
+                elif self.memo is None or samples is not None:
+                    layouts = self._layouts(self.cells[s_rows], local, counts[searched])
+                else:  # a refit that meets the same rows again reuses their layouts
+                    key = (key, search.tobytes())
+                    layouts = self.memo.pop(key, None) or self._layouts(self.cells[s_rows], local, counts[searched])
+                    self.memo[key] = layouts
+                    if len(self.memo) > _MEMO_LEVELS:
+                        del self.memo[next(iter(self.memo))]
+                for lo, hi, chunk, layout in layouts:
+                    nodes = searched[lo:hi]
+                    s_y = y if s_at.size == y.size and hi - lo == searched.size else y[s_at[chunk]]
+                    slot, chosen, left, _, parts = _best_splits(layout, s_y, pos[nodes], criterion)
+                    feature[nodes] = slot if not draw else np.where(slot >= 0, feats[lo:hi][np.arange(hi - lo), slot], -1)
+                    split[nodes] = len(self.parts) + chosen
+                    member[nodes] = left
+                    self.parts += parts
+            splits = feature >= 0
+            inner = np.flatnonzero(splits)
+            self.levels.append((feature, split, counts, pos))
+            self.value += [0.0] * m
+            if len(self.inner) == depth:
+                self.inner.append([])
+            self.inner[depth].append((first, m, inner))
+            if inner.size < m:  # the rows of leaves stop here
+                at = splits[node]
+                leaf[at_row[~at]] = node[~at] + first
+                rows, node, at_row = rows[at], node[at], at_row[at]
+            if not inner.size:
+                return leaf
+            go_left = member[node, positions[rows, feature[node]]]
+            if self.memo is not None:
+                key = (key, feature.tobytes(), (member @ _BITS[:width]).tobytes())
+            # children in level order, each split node's left then its right
+            node = (2 * node if inner.size == m else (2 * np.cumsum(splits) - 2)[node]) + ~go_left
+            counts = np.bincount(node, minlength=2 * inner.size)
+            if draw:
+                tree = np.repeat(tree[inner], 2)
+            first += m
+
+    @functools.cached_property
+    def cells(self) -> np.ndarray:
+        """Each row's histogram cells as a row of node 0, over every feature."""
+        return self.positions + np.arange(self.positions.shape[1]) * self.width
+
+    def _layouts(self, codes, local, counts) -> list:
+        """The ``_layout`` of the searched nodes of a level, in runs small
+        enough to score at once: (first node, end node, row mask, layout).
+        *codes* holds the searched rows' cells as node-0 rows and *local*
+        their node among the searched."""
+        k, width = codes.shape[1], self.width
+        step = max(1, _LEVEL_CELLS // (k * width * (2 + 2 ** (width - 1))))
+        runs = []
+        for lo in range(0, counts.size, step):
+            hi = min(lo + step, counts.size)
+            rows = slice(None) if hi - lo == counts.size else (local >= lo) & (local < hi)
+            cells = codes[rows]  # the level's own array, or a copy of a run of it
+            cells += ((local[rows] - lo) * (k * width))[:, None]
+            runs.append((lo, hi, rows, _layout(cells, counts[lo:hi], width)))
+        return runs
+
+    def record(self) -> dict:
+        """The grown trees as a tree record (see ``TREE_COLUMNS``): tree
+        after tree, each in preorder."""
+        feature, split, n, pos = (np.concatenate(column) for column in zip(*self.levels))
+        total = feature.size
+        by_depth = [
+            (np.concatenate([first + inner for first, _, inner in depth]),
+             np.concatenate([first + m + 2 * np.arange(inner.size) for first, m, inner in depth]))
+            for depth in self.inner
+        ]
+        left = np.zeros(total, dtype=np.int64)  # a leaf's 0 is never read
+        for ids, lefts in by_depth:
+            left[ids] = lefts
+        size = np.ones(total, dtype=np.int64)  # of each node's subtree
+        for ids, lefts in reversed(by_depth):
+            size[ids] += size[lefts] + size[lefts + 1]
+        roots = np.array(self.roots)
+        pre = np.empty(total, dtype=np.int64)  # each node's place in preorder
+        pre[roots] = np.cumsum(size[roots]) - size[roots]
+        for ids, lefts in by_depth:
+            pre[lefts] = pre[ids] + 1
+            pre[lefts + 1] = pre[ids] + 1 + size[lefts]
+        order = np.empty(total, dtype=np.int64)
+        order[pre] = np.arange(total)
+        # the code sets of each distinct (feature, split), built once; a leaf
+        # picks the last entry, the empty set
+        inner = np.flatnonzero(feature >= 0)
+        distinct, index = np.unique(feature[inner] * len(self.parts) + split[inner], return_inverse=True)
+        left_values, right_values = np.empty(distinct.size + 1, dtype=object), np.empty(distinct.size + 1, dtype=object)
+        for i, key in enumerate(distinct.tolist()):
+            f, (lp, rp) = key // len(self.parts), self.parts[key % len(self.parts)]
+            codes = self.codes[f]
+            left_values[i], right_values[i] = tuple(codes[list(lp)].tolist()), tuple(codes[list(rp)].tolist())
+        left_values[-1] = right_values[-1] = ()
+        sets = np.full(total, -1)
+        sets[inner] = index
+        # in preorder an inner node's left child comes next, its right child
+        # after the left child's subtree
+        feature, n, pos, size_left, sets = np.stack([feature, n, pos, size[left], sets])[:, order]
+        after = np.arange(1, total + 1)
+        inner = feature >= 0
+        trees = {"roots": pre[roots].tolist()}
+        for column, values in (
+            ("feature", feature),
+            ("left", np.where(inner, after, -1)),
+            ("right", np.where(inner, after + size_left, -1)),
+            ("left_values", left_values[sets]),
+            ("right_values", right_values[sets]),
+            ("n", n),
+            ("pos", pos),
+            ("value", np.array(self.value)[order]),
+        ):
+            trees[column] = values.tolist()
+        return {column: trees[column] for column in TREE_COLUMNS}
 
 
 def _ints(values, name: str, least: int, below: int | None = None) -> np.ndarray:
-    if not all(type(v) is int and least <= v and (below is None or v < below) for v in values):
+    array = np.array(values, dtype=np.int64) if set(map(type, values)) <= {int} else None  # a bool is no int
+    if array is None or (array < least).any() or below is not None and (array >= below).any():
         raise ValueError(f"tree {name} must be integers in [{least}, {below or 'inf'})")
-    return np.array(values, dtype=np.int64)
+    return array
 
 
 class TreeTable:

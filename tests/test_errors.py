@@ -24,7 +24,6 @@ EXAMPLES = [
     errors.TargetBelowCurrentError(1, 10, 20),
     errors.UnknownFeatureError("no-such-feature"),
     errors.DegenerateTableError("one column left"),
-    errors.EmptyNodeError("no counts"),
     errors.SingleClassError("gradient boosting"),
     errors.FeatureMismatchError(3, 4),
     errors.UnmappedFeatureError("weak-password"),

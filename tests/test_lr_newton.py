@@ -57,6 +57,20 @@ def _problem(rows, labels, C):
     [[4, 1, 0, 1, 2, 4], [2, 0, 1, 3, 4, 3], [4, 0, 4, 0, 2, 1], [1, 3, 1, 2, 1, 0]],
     [1, 0, 1, 1], 1e12,
 ))
+# separable, C = 1e12: the objective falls by a factor e per step down to
+# about 2e-10, then the decrement is rounding noise above 1e-10 of it; the
+# solver took 59 steps here, 26 of them noise, before it stopped at steps
+# that barely move the objective
+@example(_problem(
+    [[1, 2, 0, 0, 2, 1, 3, 2, 2, 1, 4, 2, 0, 4], [0, 3, 4, 1, 2, 4, 3, 1, 3, 3, 4, 2, 2, 0],
+     [4, 0, 0, 4, 0, 2, 0, 3, 4, 4, 1, 0, 3, 2], [1, 1, 1, 2, 3, 1, 3, 0, 2, 0, 2, 1, 2, 1],
+     [3, 0, 0, 4, 3, 3, 3, 1, 1, 4, 1, 0, 1, 3], [2, 4, 4, 0, 3, 1, 0, 4, 3, 0, 3, 2, 3, 0],
+     [1, 1, 4, 4, 2, 0, 1, 4, 2, 0, 2, 0, 4, 4], [3, 4, 4, 0, 1, 1, 1, 4, 1, 1, 1, 0, 3, 2],
+     [1, 1, 3, 2, 1, 3, 4, 2, 1, 4, 1, 0, 4, 4], [0, 3, 2, 3, 0, 2, 2, 4, 2, 2, 3, 3, 4, 1],
+     [3, 0, 3, 0, 2, 0, 4, 1, 2, 2, 3, 2, 0, 2], [1, 4, 3, 3, 0, 1, 3, 1, 3, 0, 0, 3, 1, 4],
+     [2, 3, 0, 2, 4, 3, 3, 0, 0, 4, 2, 0, 1, 1], [4, 1, 3, 1, 2, 4, 2, 2, 2, 0, 0, 4, 3, 1]],
+    [0, 1, 1, 1, 1, 0, 1, 0, 1, 1, 1, 1, 1, 0], 1e12,
+))
 def test_newton_converges_and_never_loses_to_gradient_descent(problem):
     X, y, C = problem
     learner = LogisticLearner(C=C)

@@ -10,7 +10,12 @@ re-recorded again for model format 3 (the same trees as per-node lists in
 preorder) and the report pin when the config echo lost ``smote.seed``.
 The SVC ROC and report pins were re-recorded when SVC moved to the
 second-order SMO solver: the report differs from the old one only in its
-four SVC AUCs, the ROC file only in its SVC scores.
+four SVC AUCs, the ROC file only in its SVC scores. The RF pins were
+re-recorded when RF grew its trees level by level and drew each tree's
+feature subsets level by level: ``pipeline/roc_RF.csv``, the RF accuracies
+and AUCs of ``pipeline/report.json`` and ``pipeline/elimination.csv`` (no
+removal or best learner changed), and the RF ``model.json`` with the
+``metrics.json`` and ``roc.csv`` that evaluate it.
 """
 
 from __future__ import annotations
@@ -26,22 +31,22 @@ PINS = {
     "augmented.csv": "4059066ee6ad37cb19fe68ba3a7e041c609e75388d1197916beeaa0cdd40c8a5",
     "data.csv": "7980c1188306f0272070cdde235e6d738a42fe12e17e1c33f99bdb2f282a318e",
     "elimination.csv": "b6f4b079ccbf5f3b7a74e3cfe63b097df9ad407973a206b8c2202539fa04e2ff",
-    "metrics.json": "b4f6789fc39551d134b69a1e313b3cb7e133d3d49e6f2114fb840e2e0b9468ef",
-    "model.json": "b97555b8fce4094ee9ea39f89e0c3baf05cc792bace6397107a5af11edcab8f6",
+    "metrics.json": "61242f4c7a575690276ee71b17ff510f7ca042a54a7d57b450d440bf0923cc81",
+    "model.json": "d83aff18849d07f331423a1d5b40a6975f10cc57210f521ecc2e5fd95f0e0cbf",
     "pipeline/confusion.csv": "5fd66a77ad14da08ff800223e5a2bb3272bd32ff73d8ebb378b2b2fa76513500",
-    "pipeline/elimination.csv": "66ec29e3732dec5fa78aac4470e0701d077037730c3f77a904fb85f52c0e7f51",
+    "pipeline/elimination.csv": "799d731cf9f170779fec4ee32584a45fb162cfe246888795f0d9a667b42955d3",
     "pipeline/metrics.csv": "d96f601de555f89b72c6f2e06de0dd49a91afbdc0c25a3f90a4c7b6efd9915ac",
     "pipeline/ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "pipeline/report.json": "c9f100825154530d829a55ee8a830c3e4b59f00c7371a631d616db435812d5e0",
+    "pipeline/report.json": "96dd8c19a628984b98638f33a258f07afa4f0b60ef14859104a3d242820ad9df",
     "pipeline/roc_DT.csv": "d783de2895ab6b1c370a7acf4206d171f406384ef1ebf5243bc86075d6aad76a",
     "pipeline/roc_GB.csv": "81eca0fe385782250e95f321fecc593e83e6228d48712c552debedde1c236e9e",
     "pipeline/roc_GNB.csv": "19f577214998dc161940cc86c5508dd5ea80af9a4230d36ab06226ee666638cd",
     "pipeline/roc_LR.csv": "c35ef841e4a7ed73146c3094086d757a480dca37c46d20f7e7dd8251f48543bb",
-    "pipeline/roc_RF.csv": "869529de3295b1b03ecdf3f8617385757bffc2cd0b31335b191fdf8b239a229f",
+    "pipeline/roc_RF.csv": "3ac93e72d18903fe824597eebb8647815fc6631b8c9e82aaf0cadfa2106390f6",
     "pipeline/roc_SVC.csv": "5a7d1659fc46979226e75d5c234ec8d8c2e43c2a22829e70072852faca3ec1c7",
     "pipeline/rules.csv": "d29b69cc81f9283d67c727ba0fce612b40a949a3fb1f1a9c88af264fffc1fe7c",
     "ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "roc.csv": "fd0ae38922bb8562cfeacdebdeb794f32c14cef01917162dd955bff40f7eb2b4",
+    "roc.csv": "10727d134f68ac90cc42b7943629550f193bb4060233926be5b92d7b941496ae",
     "rules.csv": "d29b69cc81f9283d67c727ba0fce612b40a949a3fb1f1a9c88af264fffc1fe7c",
     "selection.json": "6a4cdc3e175038e80ce9dbb3a710df7577d88dea75cd39266a7a455ad1e24e08",
 }

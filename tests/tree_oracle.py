@@ -1,22 +1,50 @@
-"""Reference oracle for the tree learners' split search and routing.
+"""Reference oracles for the tree learners' growth, split search and routing.
 
-These are the scalar implementations the histogram engine in
-``riskminer.classifiers.tree`` replaced, kept verbatim: ``best_split`` scores
-one bipartition at a time with ``_gini_gain`` / ``_friedman_gain``, and
-``_descend`` walks one row down a tree of ``TreeNode`` objects, the form fitted
-trees took before they became per-node lists. The differential tests compare
-the engine against them bit for bit: ``engine_split`` puts ``best_split``'s
-question to the engine's ``_search``, and ``flatten`` turns ``TreeNode`` trees
-into the engine's tree record.
+These are the implementations the level-wise grower in
+``riskminer.classifiers.tree`` replaced, kept verbatim:
+
+- ``grow`` is the depth-first grower: it routes row-index arrays down an
+  explicit stack and runs one histogram search, ``_search``, per node (with
+  the bipartition plans of ``_plan``), appending each tree in preorder.
+- ``best_split`` is the scalar search that ``_search`` replaced before it: it
+  scores one bipartition at a time with ``_gini_gain`` / ``_friedman_gain``.
+- ``_descend`` walks one row down a tree of ``TreeNode`` objects, the form
+  fitted trees took before they became per-node lists.
+
+The differential tests compare the grower against them bit for bit:
+``engine_split`` puts ``best_split``'s question to the grower's level search
+for a single node, and ``flatten`` turns ``TreeNode`` trees into the tree
+record.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from riskminer.classifiers.tree import TREE_COLUMNS, SplitChoice, _search, _width, gini
+from riskminer.classifiers.tree import TREE_COLUMNS, TreeGrower, _best_splits, _layout
+
+
+class EmptyNodeError(ValueError):
+    """Impurity requested for an empty class-count vector."""
+
+
+def gini(counts) -> float:
+    """Gini impurity 1 - sum((c_i / n)^2) of a class-count vector."""
+    total = float(sum(counts))
+    if total <= 0:
+        raise EmptyNodeError("gini of an empty count vector")
+    return 1.0 - sum((c / total) ** 2 for c in counts)
+
+
+@dataclass(frozen=True)
+class SplitChoice:
+    feature: int
+    left_values: tuple[int, ...]
+    right_values: tuple[int, ...]
+    decrease: float
 
 
 @dataclass
@@ -109,15 +137,22 @@ def best_split(records, labels, candidate_features, criterion: str = "gini") -> 
 
 
 def engine_split(records, labels, candidate_features, criterion: str = "gini") -> SplitChoice | None:
-    """The engine's best split of the node that ``best_split`` is given: its
-    candidate features' codes as the int64 matrix ``grow`` passes to
-    ``_search``, or None for a pure node."""
+    """The grower's best split of the node that ``best_split`` is given, from
+    its level search run on that one node, or None for a pure node."""
     y = np.asarray(labels, dtype=np.int64 if criterion == "gini" else np.float64)
     feats = np.array(sorted({int(c) for c in candidate_features}), dtype=np.int64)
     if y.size == 0 or np.all(y == y[0]) or feats.size == 0:
         return None
-    codes = np.asarray(records)[:, feats].astype(np.int64)
-    return _search(codes, y, feats, _width(codes), criterion)
+    grower = TreeGrower(np.asarray(records)[:, feats])
+    pos = np.array([int(y.sum()) if criterion == "gini" else 0])
+    layout = _layout(grower.cells, np.array([y.size]), grower.width)
+    slot, chosen, _, gain, parts = _best_splits(layout, y, pos, criterion)
+    if slot[0] < 0:
+        return None
+    codes = grower.codes[slot[0]]
+    left, right = parts[chosen[0]]
+    return SplitChoice(int(feats[slot[0]]), tuple(codes[list(left)].tolist()), tuple(codes[list(right)].tolist()),
+                       float(gain[0]))
 
 
 def _gini_gain(codes, y, left_values):
@@ -158,3 +193,189 @@ def _descend(node: TreeNode, row) -> TreeNode:
         else:  # code unseen at fit time: follow the heavier child
             node = node.left if node.left.n >= node.right.n else node.right
     return node
+
+
+# -- the depth-first grower ---------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _partition_table(present: tuple[int, ...]) -> tuple:
+    """The bipartitions of one present-code tuple, built on first use."""
+    return tuple(_partitions(list(present)))
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Every candidate split of a node whose (feature, code) presence matrix
+    has one pattern, listed feature by feature in tie-break order."""
+
+    feature: np.ndarray  # (candidates,) feature position
+    splits: tuple  # (left, right) code tuples per candidate
+    left_bins: tuple  # (candidate rows, (rows, size) flat bins of the left codes) per left size
+    widths: tuple  # (feature positions, width) per distinct width, for per-feature sums
+
+
+# A plan takes a few kB and a run meets thousands of presence patterns, so
+# only the recent ones are kept; the patterns of shallow nodes recur most.
+@functools.lru_cache(maxsize=256)
+def _plan(k: int, width: int, presence: bytes) -> _Plan | None:
+    """The plan for a (k, width) presence matrix, or None when no feature has
+    two present codes."""
+    seen = np.frombuffer(presence, dtype=bool).reshape(k, width)
+    feature, splits, bins = [], [], []
+    by_width: dict[int, list[int]] = {}
+    for j in range(k):
+        present = tuple(np.flatnonzero(seen[j]).tolist())
+        if len(present) < 2:
+            continue
+        by_width.setdefault(present[-1] + 1, []).append(j)
+        for left, right in _partition_table(present):
+            feature.append(j)
+            splits.append((left, right))
+            bins.append([j * width + c for c in left])
+    if not feature:
+        return None
+    sizes = sorted({len(b) for b in bins})
+    return _Plan(
+        feature=np.array(feature),
+        splits=tuple(splits),
+        left_bins=tuple(
+            (
+                np.array([i for i, b in enumerate(bins) if len(b) == size]),
+                np.array([b for b in bins if len(b) == size]),
+            )
+            for size in sizes
+        ),
+        widths=tuple((np.array(js), w) for w, js in by_width.items()),
+    )
+
+
+def _squares(x: np.ndarray) -> np.ndarray:
+    """``x ** 2`` elementwise, rounded as the scalar ``gini`` rounds it.
+
+    A scalar ``** 2`` calls the C library's ``pow``, which can round a square
+    lying within a hair of a rounding midpoint differently from ``x * x``;
+    so the squares are taken by Python's float power, which calls that pow.
+    """
+    return np.array([v**2 for v in x.tolist()])
+
+
+def _left_sums(plan: _Plan, hist: np.ndarray) -> np.ndarray:
+    """Per candidate, *hist* summed over its left codes. Each sum runs over the
+    same values, in the same order, as ``hist[list(left_values)].sum(axis=0)``
+    in a one-partition scorer, so float sums round the same way."""
+    out = np.empty((len(plan.splits),) + hist.shape[1:], dtype=hist.dtype)
+    for rows, bins in plan.left_bins:
+        out[rows] = hist[bins].sum(axis=1)
+    return out
+
+
+def _gini_gains(plan: _Plan, hist: np.ndarray, totals: list[int]) -> np.ndarray:
+    """Per-candidate gini decrease from flat (feature-code, label) counts;
+    *totals* holds the node's label counts."""
+    left = _left_sums(plan, hist)
+    l0, l1 = left[:, 0], left[:, 1]
+    r0, r1 = totals[0] - l0, totals[1] - l1
+    n_l, n_r = l0 + l1, r0 + r1
+    n = totals[0] + totals[1]
+    sq = _squares(np.concatenate([l0 / n_l, l1 / n_l, r0 / n_r, r1 / n_r]))
+    c = len(plan.splits)
+    gini_l = 1.0 - (sq[:c] + sq[c : 2 * c])
+    gini_r = 1.0 - (sq[2 * c : 3 * c] + sq[3 * c :])
+    return gini(totals) - (n_l / n) * gini_l - (n_r / n) * gini_r
+
+
+def _friedman_gains(plan: _Plan, cnt: np.ndarray, sums: np.ndarray, n: int, width: int) -> np.ndarray:
+    """Per-candidate Friedman MSE improvement from flat per-code counts and
+    target sums. Like the left sums, each feature's total runs over the array
+    a one-partition scorer sums: its codes from 0 up to its largest present."""
+    n_l = _left_sums(plan, cnt)
+    n_r = n - n_l
+    s_l = _left_sums(plan, sums)
+    per_feature = sums.reshape(-1, width)
+    s = np.zeros(per_feature.shape[0])
+    for js, w in plan.widths:
+        s[js] = per_feature[js, :w].sum(axis=1)
+    s_r = s[plan.feature] - s_l
+    diff = s_l / n_l - s_r / n_r
+    return (n_l * n_r / (n_l + n_r)) * diff * diff
+
+
+def _search(codes: np.ndarray, y: np.ndarray, feats: np.ndarray, width: int, criterion: str):
+    """Best split of an impure node from its (rows, candidate features) int64
+    codes, all in [0, width), with *feats* the ascending feature indices."""
+    n, k = codes.shape
+    bins = (codes + np.arange(k) * width).ravel()
+    if criterion == "gini":
+        hist = np.bincount(bins * 2 + np.repeat(y, k), minlength=2 * k * width).reshape(k * width, 2)
+        cnt = hist[:, 0] + hist[:, 1]
+    else:
+        cnt = np.bincount(bins, minlength=k * width)
+    plan = _plan(k, width, (cnt > 0).tobytes())
+    if plan is None:
+        return None
+    if criterion == "gini":
+        gains = _gini_gains(plan, hist, hist[:width].sum(axis=0).tolist())
+    else:
+        sums = np.bincount(bins, weights=np.repeat(y, k), minlength=k * width)
+        gains = _friedman_gains(plan, cnt, sums, n, width)
+    best = int(gains.argmax())  # first maximum: lowest feature, then smallest left set
+    left, right = plan.splits[best]
+    return SplitChoice(int(feats[plan.feature[best]]), left, right, float(gains[best]))
+
+
+def _width(codes: np.ndarray) -> int:
+    """Histogram width of a fit's int64 code matrix: its largest code + 1."""
+    if codes.size and int(codes.min()) < 0:
+        raise ValueError("category codes must be non-negative")
+    return int(codes.max()) + 1 if codes.size else 1
+
+
+def grow(
+    trees: dict,
+    codes: np.ndarray,
+    y: np.ndarray,
+    criterion: str,
+    min_samples_split: int = 2,
+    max_depth: int | None = None,
+    max_features: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> np.ndarray:
+    """Append to *trees* one tree grown on an int64 code matrix (see
+    ``category_codes``) and return the node id of the leaf each row reaches.
+
+    A node splits while it holds ``min_samples_split`` rows, lies above
+    *max_depth* and its targets vary. With *max_features*, each such node
+    draws its candidate features from *rng*, in preorder. A regression tree's
+    ``value`` is left at 0.0 for the caller to set from each leaf's rows.
+    """
+    width = _width(codes)
+    n_features = codes.shape[1]
+    every = np.arange(n_features)
+    leaf = np.empty(codes.shape[0], dtype=np.int64)
+    trees["roots"].append(len(trees["n"]))
+    stack = [(np.arange(codes.shape[0]), 0, None)]  # rows, depth, (parent, side) to link
+    while stack:  # popping the left child first keeps the nodes in preorder
+        idx, depth, link = stack.pop()
+        i = len(trees["n"])
+        if link:
+            trees[link[1]][link[0]] = i
+        sub_y = y[idx]
+        pos = int(sub_y.sum()) if criterion == "gini" else 0
+        for column, v in zip(TREE_COLUMNS[1:], (-1, -1, -1, (), (), int(idx.size), pos, 0.0)):
+            trees[column].append(v)
+        choice = None
+        if idx.size >= min_samples_split and (max_depth is None or depth < max_depth) and (sub_y != sub_y[0]).any():
+            if max_features is not None and max_features < n_features:
+                feats = np.sort(rng.choice(n_features, size=max_features, replace=False))
+                choice = _search(codes[idx[:, None], feats], sub_y, feats, width, criterion)
+            else:
+                choice = _search(codes[idx], sub_y, every, width, criterion)
+        if choice is None:
+            leaf[idx] = i
+            continue
+        trees["feature"][i] = choice.feature
+        trees["left_values"][i], trees["right_values"][i] = choice.left_values, choice.right_values
+        mask = (codes[idx, choice.feature][:, None] == np.asarray(choice.left_values)).any(axis=1)
+        stack += [(idx[~mask], depth + 1, (i, "right")), (idx[mask], depth + 1, (i, "left"))]
+    return leaf
