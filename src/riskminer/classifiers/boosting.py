@@ -78,5 +78,5 @@ class GradientBoostingLearner:
     def load_params(self, params: dict, n_features: int) -> None:
         self.params = params
         self.init_score = float(check_shape("init_score", params["init_score"], ()))
-        self.train_losses = [float(v) for v in params["train_losses"]]
+        self.train_losses = check_shape("train_losses", params["train_losses"], (None,)).tolist()
         self.table = TreeTable(params, n_features)

@@ -31,13 +31,14 @@ lexicographically smallest (the left set always holds the smallest present
 code). A forest draws each tree's feature subsets from that tree's stream,
 level by level, for its splitting nodes in level order.
 
-A learner's fitted trees are one record of per-node lists (``TREE_COLUMNS``),
-in preorder and one tree after another: ``TreeGrower.record`` renumbers the
-level-grown nodes to preorder, ``TreeTable`` builds the scoring table from
-the record, and model files store it. Scoring steps all rows down all trees
-at once, one level per step. It truncates float codes toward zero, as
-``int()`` does. A code the node never saw at fit time follows the heavier
-child; when the children are equally heavy it goes left.
+A learner's fitted trees are one record of per-node lists (``TREE_COLUMNS``)
+in the order the nodes grew, so a forest's trees interleave; ``TreeTable``
+builds the scoring table from it and needs only each child after its parent,
+so the preorder records of older files load too. Model files store the
+record. Scoring steps all rows down all trees at once, one level per step.
+It truncates float codes toward zero, as ``int()`` does. A code the node
+never saw at fit time follows the heavier child; when the children are
+equally heavy it goes left.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def _best_splits(layout: tuple, y, pos, criterion: str):
     return np.where(gain > -np.inf, slot, -1), offsets[u] + part, grid[u, part], gain, parts
 
 
-# A fitted tree set is one record of per-node lists, in preorder, one tree
-# after another; ``roots`` holds each tree's first node. An inner node tests
+# A fitted tree set is one record of per-node lists, each child after its
+# parent; ``roots`` holds each tree's first node. An inner node tests
 # ``feature`` and sends the codes of ``left_values`` to node ``left`` and those
 # of ``right_values`` to node ``right``; a leaf has feature -1, children -1 and
 # empty code sets. ``n`` counts the node's training rows, ``pos`` its victims
@@ -192,12 +193,12 @@ TREE_COLUMNS = ("roots", "feature", "left", "right", "left_values", "right_value
 
 
 class TreeGrower:
-    """Trees grown level by level on one fit's codes, kept in creation order
-    until ``record`` puts them in preorder.
+    """Trees grown level by level on one fit's codes.
 
     ``grow`` numbers the nodes it creates on from those of earlier calls,
-    one level after another, and returns each row's leaf by that number;
-    ``value`` holds a regression leaf's output under the same number. With
+    level after level, a split node's children next to each other in the
+    order of their parents; it returns each row's leaf, and ``value`` (a
+    regression leaf's output) and ``record`` use the same numbers. With
     *refits*, ``grow`` is called again and again on every row, as boosting
     does, and the grower keeps the candidate layouts of its recent levels,
     keyed by the splits above them.
@@ -216,7 +217,6 @@ class TreeGrower:
         self.width = max(map(len, self.codes), default=1)  # the most codes a feature takes
         self.memo = {} if refits else None  # recent levels' layouts, by the splits above them
         self.levels = []  # (feature, split, n, pos) of each grown level
-        self.inner = []  # per depth, the first node id, size and inner nodes of each grown level
         self.roots, self.parts, self.value = [], [], []  # the splits' (left, right) positions
 
     def grow(
@@ -301,9 +301,6 @@ class TreeGrower:
             inner = np.flatnonzero(splits)
             self.levels.append((feature, split, counts, pos))
             self.value += [0.0] * m
-            if len(self.inner) == depth:
-                self.inner.append([])
-            self.inner[depth].append((first, m, inner))
             if inner.size < m:  # the rows of leaves stop here
                 at = splits[node]
                 leaf[at_row[~at]] = node[~at] + first
@@ -342,59 +339,27 @@ class TreeGrower:
         return runs
 
     def record(self) -> dict:
-        """The grown trees as a tree record (see ``TREE_COLUMNS``): tree
-        after tree, each in preorder."""
+        """The grown trees as a tree record (see ``TREE_COLUMNS``), the nodes
+        numbered as ``grow`` created them."""
         feature, split, n, pos = (np.concatenate(column) for column in zip(*self.levels))
-        total = feature.size
-        by_depth = [
-            (np.concatenate([first + inner for first, _, inner in depth]),
-             np.concatenate([first + m + 2 * np.arange(inner.size) for first, m, inner in depth]))
-            for depth in self.inner
-        ]
-        left = np.zeros(total, dtype=np.int64)  # a leaf's 0 is never read
-        for ids, lefts in by_depth:
-            left[ids] = lefts
-        size = np.ones(total, dtype=np.int64)  # of each node's subtree
-        for ids, lefts in reversed(by_depth):
-            size[ids] += size[lefts] + size[lefts + 1]
-        roots = np.array(self.roots)
-        pre = np.empty(total, dtype=np.int64)  # each node's place in preorder
-        pre[roots] = np.cumsum(size[roots]) - size[roots]
-        for ids, lefts in by_depth:
-            pre[lefts] = pre[ids] + 1
-            pre[lefts + 1] = pre[ids] + 1 + size[lefts]
-        order = np.empty(total, dtype=np.int64)
-        order[pre] = np.arange(total)
-        # the code sets of each distinct (feature, split), built once; a leaf
-        # picks the last entry, the empty set
-        inner = np.flatnonzero(feature >= 0)
-        distinct, index = np.unique(feature[inner] * len(self.parts) + split[inner], return_inverse=True)
-        left_values, right_values = np.empty(distinct.size + 1, dtype=object), np.empty(distinct.size + 1, dtype=object)
-        for i, key in enumerate(distinct.tolist()):
+        # the children of a level's split nodes open the next level, in the
+        # order of their parents, each left child before its right
+        sizes = [level[0].size for level in self.levels]
+        ends, splits = np.cumsum(sizes), feature >= 0
+        before = np.cumsum(splits) - splits  # the split nodes before each node
+        left = np.where(splits, np.repeat(ends - 2 * before[ends - sizes], sizes) + 2 * before, -1)
+        # the code sets of each distinct (feature, split), built once; the
+        # leaves' key -1 comes first (every tree has a leaf), the empty set
+        distinct, sets = np.unique(np.where(splits, feature * len(self.parts) + split, -1), return_inverse=True)
+        left_values, right_values = np.empty(distinct.size, dtype=object), np.empty(distinct.size, dtype=object)
+        left_values[0] = right_values[0] = ()
+        for i, key in enumerate(distinct.tolist()[1:], 1):
             f, (lp, rp) = key // len(self.parts), self.parts[key % len(self.parts)]
             codes = self.codes[f]
             left_values[i], right_values[i] = tuple(codes[list(lp)].tolist()), tuple(codes[list(rp)].tolist())
-        left_values[-1] = right_values[-1] = ()
-        sets = np.full(total, -1)
-        sets[inner] = index
-        # in preorder an inner node's left child comes next, its right child
-        # after the left child's subtree
-        feature, n, pos, size_left, sets = np.stack([feature, n, pos, size[left], sets])[:, order]
-        after = np.arange(1, total + 1)
-        inner = feature >= 0
-        trees = {"roots": pre[roots].tolist()}
-        for column, values in (
-            ("feature", feature),
-            ("left", np.where(inner, after, -1)),
-            ("right", np.where(inner, after + size_left, -1)),
-            ("left_values", left_values[sets]),
-            ("right_values", right_values[sets]),
-            ("n", n),
-            ("pos", pos),
-            ("value", np.array(self.value)[order]),
-        ):
-            trees[column] = values.tolist()
-        return {column: trees[column] for column in TREE_COLUMNS}
+        right = np.where(splits, left + 1, -1)
+        columns = (self.roots, feature, left, right, left_values[sets], right_values[sets], n, pos, self.value)
+        return {column: np.asarray(values).tolist() for column, values in zip(TREE_COLUMNS, columns)}
 
 
 def _ints(values, name: str, least: int, below: int | None = None) -> np.ndarray:
@@ -420,7 +385,8 @@ class TreeTable:
     A record read from a file is outside input: one that does not describe
     trees over *n_features* features (lists of unequal length, an index
     outside the nodes or the features, a child that does not come after its
-    parent, a split code that is not an integer >= 0) raises ValueError.
+    parent, a split code that is not an integer >= 0, a node with more
+    victims than rows) raises ValueError.
     """
 
     def __init__(self, trees: dict, n_features: int):
@@ -433,6 +399,8 @@ class TreeTable:
         self.feature = _ints(trees["feature"], "features", -1, n_features)
         left, right = _ints(trees["left"], "children", -1, size), _ints(trees["right"], "children", -1, size)
         self.n, self.pos = _ints(trees["n"], "row counts", 1), _ints(trees["pos"], "victim counts", 0)
+        if (self.pos > self.n).any():
+            raise ValueError("a tree node holds more victims than rows")
         self.value = check_shape("tree values", trees["value"], (size,))
         inner = np.flatnonzero(self.feature >= 0)
         left, right = left[inner], right[inner]

@@ -141,7 +141,13 @@ def check_numbers(positive: bool = True, **values) -> None:
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
     """*value* as a finite float array of *shape* (None matches any length,
-    and ``()`` is one number), or ValueError."""
+    and ``()`` is one number), or ValueError; a string or a bool is no number."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        plain = value.dtype.kind in "iuf"
+    else:  # numpy would read a numeric string or a bool in a list as a number
+        plain = set(map(type, np.asarray(value, dtype=object).ravel().tolist())) <= {int, float}
+    if not plain:
+        raise ValueError(f"{name} holds a value that is not a number")
     array = np.asarray(value, dtype=np.float64)
     if array.ndim != len(shape) or any(want not in (None, got) for got, want in zip(array.shape, shape)):
         raise ValueError(f"{name} has shape {array.shape}, expected {shape}")

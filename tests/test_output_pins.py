@@ -15,7 +15,10 @@ re-recorded when RF grew its trees level by level and drew each tree's
 feature subsets level by level: ``pipeline/roc_RF.csv``, the RF accuracies
 and AUCs of ``pipeline/report.json`` and ``pipeline/elimination.csv`` (no
 removal or best learner changed), and the RF ``model.json`` with the
-``metrics.json`` and ``roc.csv`` that evaluate it.
+``metrics.json`` and ``roc.csv`` that evaluate it. The ``model.json`` pin
+was re-recorded when fits kept the grower's node numbering, level by level,
+instead of renumbering each tree to preorder: the same file with its nodes
+in preorder still hashes to the old pin, ``PREORDER_MODEL``.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import tree_oracle
 from riskminer.classifiers import KINDS
 from riskminer.cli import main
 from test_pipeline import small_config_doc
@@ -32,7 +36,7 @@ PINS = {
     "data.csv": "7980c1188306f0272070cdde235e6d738a42fe12e17e1c33f99bdb2f282a318e",
     "elimination.csv": "b6f4b079ccbf5f3b7a74e3cfe63b097df9ad407973a206b8c2202539fa04e2ff",
     "metrics.json": "61242f4c7a575690276ee71b17ff510f7ca042a54a7d57b450d440bf0923cc81",
-    "model.json": "d83aff18849d07f331423a1d5b40a6975f10cc57210f521ecc2e5fd95f0e0cbf",
+    "model.json": "67088c929e37359000da13c80bb75a98f08e46dc309c7f0a1d087c5d6feb19f4",
     "pipeline/confusion.csv": "5fd66a77ad14da08ff800223e5a2bb3272bd32ff73d8ebb378b2b2fa76513500",
     "pipeline/elimination.csv": "799d731cf9f170779fec4ee32584a45fb162cfe246888795f0d9a667b42955d3",
     "pipeline/metrics.csv": "d96f601de555f89b72c6f2e06de0dd49a91afbdc0c25a3f90a4c7b6efd9915ac",
@@ -50,6 +54,7 @@ PINS = {
     "rules.csv": "d29b69cc81f9283d67c727ba0fce612b40a949a3fb1f1a9c88af264fffc1fe7c",
     "selection.json": "6a4cdc3e175038e80ce9dbb3a710df7577d88dea75cd39266a7a455ad1e24e08",
 }
+PREORDER_MODEL = "d83aff18849d07f331423a1d5b40a6975f10cc57210f521ecc2e5fd95f0e0cbf"
 
 
 def test_cli_output_bytes_match_pins(tmp_path):
@@ -81,3 +86,7 @@ def test_cli_output_bytes_match_pins(tmp_path):
         if path.is_file()
     }
     assert digests == PINS
+    doc = json.loads((out / "model.json").read_text(encoding="utf-8"))
+    doc["params"].update(tree_oracle.preorder(doc["params"])[0])
+    preorder = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(preorder.encode()).hexdigest() == PREORDER_MODEL

@@ -316,12 +316,38 @@ NON_FINITE_EDITS = {
     "GNB log_prior NaN": ("GNB", _set("log_prior", float("nan"), 0)),
     "DT value NaN": ("DT", _set("value", float("nan"), 0)),
     "RF value NaN": ("RF", _set("value", float("nan"), 0)),
+    "GB train loss NaN": ("GB", _set("train_losses", float("nan"), 1)),
 }
 
 
 @pytest.mark.parametrize("name", NON_FINITE_EDITS)
 def test_evaluate_refuses_model_params_that_are_not_finite(name, files, tmp_path, capsys):
     _evaluate_refuses(*NON_FINITE_EDITS[name], files, tmp_path, capsys)
+
+
+# Each edit puts a string or a bool where a number belongs; numpy would read
+# "0.5" and true as numbers, even a single true among numbers.
+NOT_A_NUMBER_EDITS = {
+    "LR bias string": ("LR", _set("bias", "0.5")),
+    "LR weight string": ("LR", _set("weights", "1", 0)),
+    "LR bias true": ("LR", _set("bias", True)),
+    "LR weight true": ("LR", _set("weights", True, 1)),
+    "SVC intercept string": ("SVC", _set("intercept", "0")),
+    "SVC gamma_value true": ("SVC", _set("gamma_value", True)),
+    "SVC dual_coef false": ("SVC", _set("dual_coef", False, 0)),
+    "GNB log_prior string": ("GNB", _set("log_prior", "-0.5", 0)),
+    "GNB theta true": ("GNB", lambda p: p["theta"][0].__setitem__(0, True)),
+    "GB init_score string": ("GB", _set("init_score", "0.1")),
+    "GB train loss string": ("GB", _set("train_losses", "0.6", 0)),
+    "GB train loss nan string": ("GB", _set("train_losses", "nan", 1)),
+    "DT values strings": ("DT", lambda p: p.update(value=[str(v) for v in p["value"]])),
+    "RF value true": ("RF", _set("value", True, 0)),
+}
+
+
+@pytest.mark.parametrize("name", NOT_A_NUMBER_EDITS)
+def test_evaluate_refuses_model_params_that_are_not_numbers(name, files, tmp_path, capsys):
+    _evaluate_refuses(*NOT_A_NUMBER_EDITS[name], files, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("kind", ["LR", "SVC"])

@@ -105,8 +105,8 @@ def random_trees(draw, n_features=3, max_depth=4):
         cut = draw(st.integers(1, len(codes) - 1))
         # equal child sizes are frequent, so the left-on-tie rule is exercised
         left, right = node(depth + 1), node(depth + 1)
-        if draw(st.booleans()):
-            right.n = left.n
+        if draw(st.booleans()):  # a node holds no more victims than rows
+            right.n, right.pos = left.n, min(right.pos, left.n)
         return TreeNode(
             n=left.n + right.n,
             feature=draw(st.integers(0, n_features - 1)),

@@ -1,6 +1,6 @@
 """The level-wise grower against the depth-first grower it replaced
-(``tree_oracle.grow``): DT and GB trees list for list, RF by its properties,
-and fits on schemas with large codes."""
+(``tree_oracle.grow``): DT and GB trees list for list once renumbered to
+preorder, RF by its properties, and fits on schemas with large codes."""
 
 from __future__ import annotations
 
@@ -40,13 +40,6 @@ def _oracle_record(grow_calls) -> dict:
     return trees, leaves
 
 
-def _same_leaves(got: np.ndarray, want: np.ndarray) -> bool:
-    # the grower numbers leaves in creation order, the oracle in preorder:
-    # the rows must fall into the same groups
-    pairs = set(zip(got.tolist(), want.tolist()))
-    return len(pairs) == len(set(got.tolist())) == len(set(want.tolist()))
-
-
 @settings(max_examples=300, deadline=None)
 @given(code_matrices(), st.data())
 def test_decision_trees_match_the_depth_first_grower(X, data):
@@ -55,8 +48,10 @@ def test_decision_trees_match_the_depth_first_grower(X, data):
     grower = TreeGrower(X)
     leaf = grower.grow(y, "gini", min_samples_split=min_samples_split)
     want, (want_leaf,) = _oracle_record([((category_codes(X), y, "gini", min_samples_split), {})])
-    assert grower.record() == want
-    assert _same_leaves(leaf, want_leaf)
+    # the grower numbers nodes in creation order, the oracle in preorder
+    got, ids = tree_oracle.preorder(grower.record())
+    assert got == want
+    assert ids[leaf].tolist() == want_leaf.tolist()
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,8 +72,9 @@ def test_regression_trees_match_the_depth_first_grower(X, data):
     want, want_leaves = _oracle_record(
         [((category_codes(X), r, "friedman-mse", min_samples_split, max_depth), {}) for r in calls]
     )
-    assert grower.record() == want
-    assert all(_same_leaves(a, b) for a, b in zip(leaves, want_leaves))
+    got, ids = tree_oracle.preorder(grower.record())
+    assert got == want
+    assert [ids[leaf].tolist() for leaf in leaves] == [leaf.tolist() for leaf in want_leaves]
 
 
 def test_levels_scored_in_runs_grow_the_same_trees(monkeypatch):
@@ -134,10 +130,14 @@ def test_a_forest_is_the_first_trees_of_a_larger_forest(t):
     small, large = RandomForestLearner(n_estimators=t), RandomForestLearner(n_estimators=10)
     small.fit(X, y)
     large.fit(X, y)
-    end = large.params["roots"][t]
-    first = {column: values[:end] for column, values in large.params.items()}
-    first["roots"] = large.params["roots"][:t]
-    assert small.params == first
+    # the trees share levels, so their nodes interleave; tree by tree, in
+    # preorder, the small forest is the first t trees of the large one
+    assert [_tree(small.params, i) for i in range(t)] == [_tree(large.params, i) for i in range(t)]
+
+
+def _tree(trees: dict, t: int) -> dict:
+    """Tree *t* of a tree record, as a record of its own in preorder."""
+    return tree_oracle.preorder({**trees, "roots": [trees["roots"][t]]})[0]
 
 
 def _planted(seed, n):

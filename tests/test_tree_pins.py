@@ -1,6 +1,7 @@
 """Fixed behaviour of the tree learners, stated through the public API only:
-fitted-model digests, the routing of codes unseen at fit time, and the
-refusal of malformed model files."""
+fitted-model digests in the grower's node order and in preorder, the
+loading of model files written in preorder, the routing of codes unseen at
+fit time, and the refusal of malformed model files."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import random
 import numpy as np
 import pytest
 
+import tree_oracle
 from riskminer.classifiers import (
     ClassifierSpec,
     model_from_dict,
@@ -62,19 +64,53 @@ def _digest_dataset() -> Dataset:
 # preorder (with ``pos`` on inner nodes too). The RF digest was re-recorded
 # when RF grew level by level, drawing each tree's feature subsets level by
 # level instead of node by node in preorder; ``test_tree_grower`` pins the
-# old forest to its old digest.
-PINNED_DIGESTS = {
+# old forest to its old digest. These are the digests of the models with
+# their nodes in preorder; a fit numbers them as the grower creates them,
+# level by level, and ``PINNED_DIGESTS`` holds the digests of that order.
+PREORDER_DIGESTS = {
     "DT": "db59bae1900b574e448656e50c57d5b22ed700dd9f7d76ef909e68da2c169976",
     "RF": "335cb5f4b7fc8f68ec8dec8f9573a78f3b315620532ef8f9e4e9218dbc9a0327",
     "GB": "16ad1f43194972546cda600eee95c583381c8d8b11f47567ae3de5a8c0995031",
 }
+PINNED_DIGESTS = {
+    "DT": "525a8832ce38cc9bb5287437c1c910888d155f8767acb071612521a133302441",
+    "RF": "0f8868634e7cfbffdaba49cd1f5791ea5ff0546f81e3006fdf6587c4126972e4",
+    "GB": "f7115493fb61f36746ca14271a7d5a28d30d8d8ff983964ac5b7380c59abcf44",
+}
+
+
+def _sha256(doc: dict) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _preorder_doc(model) -> dict:
+    """The model document of *model* with its trees' nodes in preorder, as
+    model files were written before fits kept the grower's numbering."""
+    doc = model_to_dict(model)
+    doc["params"].update(tree_oracle.preorder(doc["params"])[0])
+    return doc
 
 
 def test_fitted_tree_models_match_pinned_digests():
     ds = _digest_dataset()
     for kind, digest in PINNED_DIGESTS.items():
-        doc = json.dumps(model_to_dict(train(ClassifierSpec(kind), ds)), sort_keys=True)
-        assert hashlib.sha256(doc.encode()).hexdigest() == digest, kind
+        assert _sha256(model_to_dict(train(ClassifierSpec(kind), ds))) == digest, kind
+
+
+@pytest.mark.parametrize("kind", ["DT", "RF", "GB"])
+def test_fitted_trees_in_preorder_match_the_preorder_digests(kind):
+    # the same trees, node for node, as the fits that wrote preorder files
+    assert _sha256(_preorder_doc(train(ClassifierSpec(kind), _digest_dataset()))) == PREORDER_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("kind", ["DT", "RF", "GB"])
+def test_a_preorder_model_file_scores_as_the_fitted_model(kind):
+    ds = _digest_dataset()
+    model = train(ClassifierSpec(kind), ds)
+    old = model_from_dict(json.loads(json.dumps(_preorder_doc(model))))
+    X = ds.codes.astype(np.float64)
+    X[::7, 3] = 9  # unseen codes follow the heavier child in either order
+    assert score_rows(old, X).tobytes() == score_rows(model, X).tobytes()
 
 
 # -- unseen codes ------------------------------------------------------------
@@ -159,6 +195,7 @@ MALFORMED = {
     "column not a list": _malformed(feature=0),
     "missing column": {k: v for k, v in _stump(4, 4).items() if k != "pos"},
     "huge index": _malformed(n=[8, 4, 2**70]),
+    "more victims than rows": _malformed(pos=[4, 9, 4]),
 }
 
 

@@ -13,8 +13,9 @@ These are the implementations the level-wise grower in
 
 The differential tests compare the grower against them bit for bit:
 ``engine_split`` puts ``best_split``'s question to the grower's level search
-for a single node, and ``flatten`` turns ``TreeNode`` trees into the tree
-record.
+for a single node, ``flatten`` turns ``TreeNode`` trees into the tree
+record, and ``preorder`` renumbers the grower's level-by-level record to
+the depth-first grower's preorder.
 """
 
 from __future__ import annotations
@@ -86,6 +87,26 @@ def flatten(roots: list[TreeNode]) -> tuple[dict, list[TreeNode]]:
     for root in roots:
         trees["roots"].append(add(root))
     return trees, nodes
+
+
+def preorder(trees: dict) -> tuple[dict, np.ndarray]:
+    """The tree record *trees* renumbered to preorder, tree after tree, as
+    the depth-first grower numbered its nodes, and each node's new id (-1
+    for a node that no root of *trees* reaches)."""
+    order = []
+    for root in trees["roots"]:
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if trees["feature"][i] >= 0:
+                stack += [trees["right"][i], trees["left"][i]]
+    new = np.full(len(trees["feature"]), -1)
+    new[order] = np.arange(len(order))
+    out = {column: [trees[column][i] for i in order] for column in TREE_COLUMNS[1:]}
+    for column in ("left", "right"):
+        out[column] = [int(new[i]) if i >= 0 else -1 for i in out[column]]
+    return {"roots": new[trees["roots"]].tolist(), **out}, new
 
 
 def _partitions(present: list[int]):
