@@ -169,15 +169,18 @@ def model_from_dict(doc) -> Model:
         raise ConfigError(f"a model document must be a JSON object, got {doc!r}")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported model format {doc.get('format_version')!r}, expected {FORMAT_VERSION}")
+    warnings = doc.get("warnings", [])
+    if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
+        raise ConfigError(f"model warnings must be a list of strings, got {warnings!r}")
     try:
         spec = ClassifierSpec(doc["kind"], doc["hyperparameters"])
         impl = _LEARNERS[spec.kind](**spec.resolved())
         features = tuple(doc["features"])
         impl.load_params(copy.deepcopy(doc["params"]), len(features))  # the model keeps no list of *doc*
-        warnings = tuple(doc.get("warnings", ()))
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed model document ({exc!r})") from None
-    return Model(kind=spec.kind, hyperparameters=spec.resolved(), features=features, impl=impl, warnings=warnings)
+    return Model(kind=spec.kind, hyperparameters=spec.resolved(), features=features, impl=impl,
+                 warnings=tuple(warnings))
 
 
 def save_model(model: Model, path) -> None:

@@ -385,8 +385,9 @@ class TreeTable:
     A record read from a file is outside input: one that does not describe
     trees over *n_features* features (lists of unequal length, an index
     outside the nodes or the features, a child that does not come after its
-    parent, a split code that is not an integer >= 0, a node with more
-    victims than rows) raises ValueError.
+    parent, a split code that is not an integer >= 0 or that a node lists
+    twice or on both sides, a node with more victims than rows) raises
+    ValueError.
     """
 
     def __init__(self, trees: dict, n_features: int):
@@ -412,11 +413,16 @@ class TreeTable:
             sizes = [len(codes) for codes in sets]
             codes = _ints([c for codes in sets for c in codes], "split codes", 0)
             sides.append((codes, np.repeat(inner, sizes), np.repeat(child, sizes)))
-        self.codes = np.array(sorted(set(np.concatenate([codes for codes, _, _ in sides]).tolist())), dtype=np.int64)
+        codes, nodes, child = map(np.concatenate, zip(*sides))
+        self.codes = np.array(sorted(set(codes.tolist())), dtype=np.int64)
         self.next = np.repeat(np.arange(size)[:, None], len(self.codes) + 1, axis=1)
         self.next[inner] = np.where(self.n[left] < self.n[right], right, left)[:, None]
-        for codes, nodes, child in sides:
-            self.next[nodes, np.searchsorted(self.codes, codes)] = child
+        cells = nodes * self.next.shape[1] + np.searchsorted(self.codes, codes)
+        listed = np.zeros(self.next.size, dtype=bool)
+        listed[cells] = True
+        if np.count_nonzero(listed) < len(cells):
+            raise ValueError("a tree node lists a split code twice, or on both sides")
+        self.next.flat[cells] = child
 
     def leaf_ids(self, codes: np.ndarray) -> np.ndarray:
         """(rows, trees) id of the leaf each row reaches."""

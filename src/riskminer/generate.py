@@ -64,9 +64,11 @@ class GenSpec:
                 raise ConfigError("rule coverage must lie in (0, 1)")
             if not 0.0 <= rule.victim_prob <= 1.0:
                 raise ConfigError("rule victim_prob must lie in [0, 1]")
+            rule_feats = {feat for feat, _ in rule.factors}
+            if not rule.factors or len(rule_feats) < len(rule.factors):
+                raise ConfigError("a planted rule needs one or more factors, each on its own feature")
             for feat, value in rule.factors:
                 _check_value(self.schema, feat, value)
-                rule_feats.add(feat)
             residual = self.class_balance - rule.victim_prob * rule.coverage
             if not 0.0 <= residual / (1.0 - rule.coverage) <= 1.0:
                 raise ConfigError("rule coverage/probability incompatible with class_balance")
@@ -74,6 +76,8 @@ class GenSpec:
             _check_value(self.schema, pf.feature, pf.value)
             if not 0.0 <= pf.victim_prob <= 1.0:
                 raise ConfigError(f"victim_prob for {pf.feature!r} must lie in [0, 1]")
+            if not 0.0 < pf.marginal <= 1.0:
+                raise ConfigError(f"marginal for {pf.feature!r} must lie in (0, 1]")
             if pf.feature in rule_feats:
                 raise ConfigError(f"{pf.feature!r} is planted both as a factor and in the rule")
             # Bayes feasibility of P(value | class) for both classes.
@@ -86,6 +90,11 @@ class GenSpec:
                 _check_value(self.schema, feature, value)
             if dist and not (min(dist.values()) >= 0 and sum(dist.values()) > 0):
                 raise ConfigError(f"noise probabilities for {feature!r} must be >= 0 with a positive sum")
+        if self.planted_rule:  # a record off the rule redraws its features until it misses the combination
+            noise = {f: dict(_marginal_dist(self.schema.feature(f).values, self.noise_marginals.get(f)))
+                     for f in rule_feats}
+            if all(noise[feat].get(value) == 1.0 for feat, value in self.planted_rule.factors):
+                raise ConfigError("the noise marginals make the planted rule's combination certain")
 
 
 def _check_value(schema: Schema, feature: str, value: int) -> None:

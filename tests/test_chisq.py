@@ -1,9 +1,10 @@
 """Chi-squared statistic, p-value, and feature ranking.
 
 The statistic oracle is a literal O/E double loop; the p-value oracle is
-mpmath's arbitrary-precision regularized incomplete gamma. ``chisq_oracle``
-holds the tuple-table implementation that the numpy one replaced, and the
-two must agree bit for bit.
+mpmath's arbitrary-precision regularized incomplete gamma, against which the
+closed form is checked on a grid and by a property over 1-60 degrees of
+freedom. ``chisq_oracle`` holds the tuple-table implementation that the
+numpy one replaced, and the two must agree bit for bit.
 """
 
 from __future__ import annotations
@@ -173,6 +174,21 @@ def test_regularized_gamma_against_mpmath_grid():
         for x in (0.0, 1e-8, 0.3, 1.0, 2.9, 7.0, 40.0, 300.0):
             expected = float(mp.gammainc(a, x, mp.inf, regularized=True))
             assert regularized_gamma_q(a, x) == pytest.approx(expected, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dof=st.integers(1, 60), stat=st.one_of(
+    st.floats(0.0, 3000.0), st.floats(-20.0, 3.47).map(lambda e: 10.0 ** e)))
+def test_closed_form_p_value_against_mpmath(dof, stat):
+    # uniform draws reach the far tail, log-uniform ones the statistics near 0
+    reference = _oracle_p(stat, dof)
+    assert abs(regularized_gamma_q(dof / 2, stat / 2) - reference) <= 1e-15 + 1e-13 * reference
+
+
+@pytest.mark.parametrize("a, x", [(0, 1.0), (0.3, 1.0), (-1, 1.0), (float("nan"), 1.0), (1.5, -1.0)])
+def test_regularized_gamma_refuses_what_no_table_has(a, x):
+    with pytest.raises(ValueError):
+        regularized_gamma_q(a, x)
 
 
 def test_rank_features_planted_signals_lead():

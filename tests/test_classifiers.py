@@ -387,6 +387,10 @@ def test_lr_iteration_cap_flags_model():
     assert model.warnings
     assert "iteration cap" in model.warnings[0]
     assert model.impl.converged is False
+    doc = model_to_dict(model)
+    assert model_from_dict(doc).warnings == model.warnings
+    del doc["warnings"]  # a model file without the key has no warnings
+    assert model_from_dict(doc).warnings == ()
 
 
 def test_dt_leaf_tie_goes_to_victim():

@@ -18,7 +18,7 @@ from riskminer.errors import (
     RatioSumError,
 )
 from riskminer.generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
-from riskminer.schema import default_schema
+from riskminer.schema import FeatureSpec, Schema, default_schema
 
 from conftest import toy_dataset, toy_schema
 
@@ -251,6 +251,9 @@ def test_generate_rejects_incoherent_spec():
         )
     with pytest.raises(ConfigError):
         GenSpec(n_records=0)
+    one_code = Schema(features=(FeatureSpec("f", "ordinal", (3,)), FeatureSpec("g", "binary", (0, 1))))
+    with pytest.raises(ConfigError):  # a record off the rule could never miss its combination
+        GenSpec(n_records=10, schema=one_code, planted_rule=PlantedRule((("f", 3),), victim_prob=0.9, coverage=0.35))
 
 
 def test_toy_schema_rejects_goal_collision():

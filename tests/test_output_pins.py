@@ -18,7 +18,11 @@ removal or best learner changed), and the RF ``model.json`` with the
 ``metrics.json`` and ``roc.csv`` that evaluate it. The ``model.json`` pin
 was re-recorded when fits kept the grower's node numbering, level by level,
 instead of renumbering each tree to preorder: the same file with its nodes
-in preorder still hashes to the old pin, ``PREORDER_MODEL``.
+in preorder still hashes to the old pin, ``PREORDER_MODEL``. The
+``pipeline/report.json`` pin was re-recorded when p-values came from the
+chi-squared closed form instead of the incomplete-gamma series and continued
+fraction: only the last digits of its ``p_value`` lines moved (19 lines, at
+most 3.1e-14 relative), and ranking order and keep flags did not.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ PINS = {
     "pipeline/elimination.csv": "799d731cf9f170779fec4ee32584a45fb162cfe246888795f0d9a667b42955d3",
     "pipeline/metrics.csv": "d96f601de555f89b72c6f2e06de0dd49a91afbdc0c25a3f90a4c7b6efd9915ac",
     "pipeline/ranking.csv": "17f5368506bef3f7c59ab58b7c257c5cd0ef30564976fca5c4da5c74ba7f6bbe",
-    "pipeline/report.json": "96dd8c19a628984b98638f33a258f07afa4f0b60ef14859104a3d242820ad9df",
+    "pipeline/report.json": "d55d7099802831e8f195c332f674edd91eaaa278574772744480c339c84f9ea9",
     "pipeline/roc_DT.csv": "d783de2895ab6b1c370a7acf4206d171f406384ef1ebf5243bc86075d6aad76a",
     "pipeline/roc_GB.csv": "81eca0fe385782250e95f321fecc593e83e6228d48712c552debedde1c236e9e",
     "pipeline/roc_GNB.csv": "19f577214998dc161940cc86c5508dd5ea80af9a4230d36ab06226ee666638cd",

@@ -261,6 +261,31 @@ def test_config_values_of_the_wrong_type_or_range_are_refused_when_parsed(change
     assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+def _rule(*factors, **entries):
+    return _generator(planted_rule={"factors": list(factors), "victim_prob": 0.9, "coverage": 0.35}, **entries)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("rule without factors", _rule()),
+    ("rule certain under the noise", _rule(["accessed-VPN", 1], noise_marginals={
+        "accessed-VPN": {"1": 1.0, "0": 0.0}})),
+    ("rule on no other noise code", _rule(["accessed-VPN", 1], ["age-range", 2], noise_marginals={
+        "accessed-VPN": {"1": 0.4}, "age-range": {"2": 0.3}})),
+    ("rule that cannot occur", _rule(["accessed-VPN", 1], ["accessed-VPN", 0])),
+    ("rule naming a feature twice", _rule(["accessed-VPN", 1], ["accessed-VPN", 1])),
+    ("negative marginal", _generator(planted_factors=[
+        {"feature": "weak-password", "value": 1, "victim_prob": 0.88, "marginal": -0.5}])),
+    ("zero marginal", _generator(planted_factors=[
+        {"feature": "weak-password", "value": 1, "victim_prob": 0.88, "marginal": 0.0}])),
+])
+def test_generator_specs_that_hang_or_plant_nothing_are_refused_when_parsed(name, change):
+    # parsed only, as generating from the first three never ends. A rule that
+    # names a feature twice is contradictory or redundant, and a marginal of 0
+    # or below plants a code that no record carries.
+    with pytest.raises(ConfigError):
+        config_from_dict({**small_config_doc(), **change})
+
+
 @pytest.mark.parametrize("params", [
     {"LR": {"C": -1}},
     {"GB": {"n_estimators": 0}},
@@ -361,12 +386,18 @@ def test_evaluate_refuses_a_gnb_variance_row_that_is_not_positive(value, files, 
     _evaluate_refuses("GNB", lambda p: p["var"].__setitem__(0, [value] * len(p["var"][0])), files, tmp_path, capsys)
 
 
-def _evaluate_refuses(kind, edit, files, tmp_path, capsys):
-    """``evaluate --model`` on a *kind* model file whose params *edit*
-    changed exits 2 with one ``config error:`` line."""
+@pytest.mark.parametrize("warnings", ["abc", [1, None], ["GNB: fine", 2], {"GNB": "fine"}])
+def test_evaluate_refuses_model_warnings_that_are_not_a_list_of_strings(warnings, files, tmp_path, capsys):
+    _evaluate_refuses("GNB", lambda doc: doc.update(warnings=warnings), files, tmp_path, capsys, part=None)
+
+
+def _evaluate_refuses(kind, edit, files, tmp_path, capsys, part="params"):
+    """``evaluate --model`` on a *kind* model file whose *part* (the whole
+    document for None) *edit* changed exits 2 with one ``config error:``
+    line."""
     data, schema = str(files / "data.csv"), str(files / "schema.json")
     doc = model_to_dict(train(ClassifierSpec(kind), load_dataset(data, load_schema(schema))))
-    edit(doc["params"])
+    edit(doc if part is None else doc[part])
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = ["evaluate", "--model", str(path), "--input", data, "--schema", schema, "--out", str(tmp_path / "m")]

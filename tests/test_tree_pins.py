@@ -196,6 +196,8 @@ MALFORMED = {
     "missing column": {k: v for k, v in _stump(4, 4).items() if k != "pos"},
     "huge index": _malformed(n=[8, 4, 2**70]),
     "more victims than rows": _malformed(pos=[4, 9, 4]),
+    "code on both sides": _malformed(right_values=[[0, 1], [], []]),
+    "code listed twice": _malformed(left_values=[[0, 0], [], []]),
 }
 
 
