@@ -172,14 +172,17 @@ def model_from_dict(doc) -> Model:
     warnings = doc.get("warnings", [])
     if not isinstance(warnings, list) or not all(isinstance(w, str) for w in warnings):
         raise ConfigError(f"model warnings must be a list of strings, got {warnings!r}")
+    features = doc.get("features")
+    if not (isinstance(features, list) and features and all(isinstance(f, str) for f in features)
+            and len(set(features)) == len(features)):
+        raise ConfigError(f"model features must be a non-empty list of distinct names, got {features!r}")
     try:
         spec = ClassifierSpec(doc["kind"], doc["hyperparameters"])
         impl = _LEARNERS[spec.kind](**spec.resolved())
-        features = tuple(doc["features"])
         impl.load_params(copy.deepcopy(doc["params"]), len(features))  # the model keeps no list of *doc*
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise ConfigError(f"malformed model document ({exc!r})") from None
-    return Model(kind=spec.kind, hyperparameters=spec.resolved(), features=features, impl=impl,
+    return Model(kind=spec.kind, hyperparameters=spec.resolved(), features=tuple(features), impl=impl,
                  warnings=tuple(warnings))
 
 

@@ -47,21 +47,15 @@ class GradientBoostingLearner:
         losses = [log_loss(y, prob)]
         for _ in range(self.n_estimators):
             residual = y - prob
-            leaf = grower.grow(residual, "friedman-mse", max_depth=self.max_depth)
-            # each leaf's rows, in row order, are a slice of the rows sorted
-            # by leaf; its Newton step sums their residuals and hessians
-            order = np.argsort(leaf, kind="stable")
-            sizes = np.bincount(leaf - leaf.min())
-            sizes = sizes[sizes > 0]
-            ends = np.cumsum(sizes).tolist()
-            starts = [0] + ends[:-1]
-            by_leaf, hessians = residual[order], (prob * (1.0 - prob))[order]
-            steps = [float(by_leaf[a:b].sum()) / max(float(hessians[a:b].sum()), 1e-12) for a, b in zip(starts, ends)]
-            for i, value in zip(leaf[order][starts].tolist(), steps):
-                grower.value[i] = value
-            step = np.empty(X.shape[0])
-            step[order] = np.repeat(steps, sizes)
-            raw = raw + self.learning_rate * step
+            first = len(grower.value)  # the round's first node
+            leaf = grower.grow(residual, "friedman-mse", max_depth=self.max_depth) - first
+            # each leaf's Newton step sums its rows' residuals and hessians in
+            # row order; an inner node sums none and keeps 0.0, and the
+            # round's last node is a leaf
+            sums, hessians = (np.bincount(leaf, weights=w) for w in (residual, prob * (1.0 - prob)))
+            steps = sums / np.maximum(hessians, 1e-12)
+            grower.value[first:] = steps.tolist()
+            raw = raw + self.learning_rate * steps[leaf]
             prob = sigmoid(raw)
             losses.append(log_loss(y, prob))
         self.load_params({"init_score": init_score, **grower.record(), "train_losses": losses}, X.shape[1])

@@ -19,12 +19,12 @@ bipartitions of a presence pattern are listed once and cached, and a grower
 that refits the same rows (boosting) reuses a level's candidates when the
 splits above it repeat.
 
-The arithmetic repeats the one-node-at-a-time search of the depth-first
-grower this one replaced, operation for operation: a node's per-code sums add
-its rows in ascending row order, a feature's sums add one code at a time in
-code order, and squares are taken by Python's float power. numpy adds fewer
-than eight numbers one by one too, so while every code is below 7 the grown
-trees are bit-identical to the depth-first ones.
+Gains are plain IEEE arithmetic (gini squares are products, not the C
+library's ``pow``), so a fit does not depend on the C library. A node's
+per-code sums add its rows in ascending order and a feature's sums add one
+code at a time, as the depth-first grower in ``tests/tree_oracle.py`` does;
+numpy adds fewer than eight numbers one by one too, so while every code is
+below 7 the grown trees are bit-identical to that reference's.
 
 Ties go to the lowest feature index, then to the partition whose left set is
 lexicographically smallest (the left set always holds the smallest present
@@ -85,15 +85,10 @@ def _partitions(present: int, width: int) -> tuple:
     return tuple(parts), member
 
 
-def _squares(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` elementwise, by Python's float power on each distinct value.
-
-    A scalar ``** 2`` calls the C library's ``pow``, which can round a square
-    lying within a hair of a rounding midpoint differently from ``x * x``;
-    the one-node search squared its ratios that way, so these are too.
-    """
-    distinct, inverse = np.unique(x, return_inverse=True)
-    return np.array([v**2 for v in distinct.tolist()])[inverse]
+def _gini(n, victims) -> np.ndarray:
+    """The gini impurity of nodes of *n* rows that hold *victims*."""
+    q0, q1 = (n - victims) / n, victims / n
+    return 1.0 - (q0 * q0 + q1 * q1)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -156,17 +151,9 @@ def _best_splits(layout: tuple, y, pos, criterion: str):
     weight = np.bincount(flat, weights=np.repeat(y, k), minlength=left.shape[0] * left.shape[2])
     weight = weight.reshape(left.shape[0], left.shape[2])
     if criterion == "gini":
+        p = np.repeat(pos, k)[:, None]
         l1 = (weight[:, None, :] * left).sum(axis=2)
-        l0, r1 = n_l - l1, np.repeat(pos, k)[:, None] - l1
-        r0 = n_r - r1
-        counts = n[::k, 0]
-        c = l1.size
-        sq = _squares(np.concatenate([(l0 / n_l).ravel(), (l1 / n_l).ravel(), (r0 / n_r).ravel(), (r1 / n_r).ravel(),
-                                      (counts - pos) / counts, pos / counts]))
-        parent = np.repeat(1.0 - (sq[4 * c : 4 * c + m] + sq[4 * c + m :]), k)[:, None]
-        gini_l = 1.0 - (sq[:c] + sq[c : 2 * c]).reshape(n_l.shape)
-        gini_r = 1.0 - (sq[2 * c : 3 * c] + sq[3 * c : 4 * c]).reshape(n_l.shape)
-        gains = parent - (n_l / n) * gini_l - (n_r / n) * gini_r
+        gains = _gini(n, p) - (n_l / n) * _gini(n_l, l1) - (n_r / n) * _gini(n_r, p - l1)
     else:
         # a feature's sums add one code at a time, in code order; a
         # masked-out code adds +0.0, which changes no sum

@@ -76,8 +76,8 @@ def _names(text: str) -> list[str]:
 
 
 def _known_features(names, schema) -> list[str]:
-    if not isinstance(names, list) or not names or any(n not in schema for n in names):
-        raise ConfigError(f"features must be schema feature names, got {names!r}")
+    if not isinstance(names, list) or not names or any(n not in schema for n in names) or len(set(names)) < len(names):
+        raise ConfigError(f"features must be distinct schema feature names, got {names!r}")
     return names
 
 

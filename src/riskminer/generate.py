@@ -10,6 +10,7 @@ Features not mentioned anywhere are noise, drawn independently of the label.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -93,8 +94,10 @@ class GenSpec:
         if self.planted_rule:  # a record off the rule redraws its features until it misses the combination
             noise = {f: dict(_marginal_dist(self.schema.feature(f).values, self.noise_marginals.get(f)))
                      for f in rule_feats}
-            if all(noise[feat].get(value) == 1.0 for feat, value in self.planted_rule.factors):
-                raise ConfigError("the noise marginals make the planted rule's combination certain")
+            # a record off the rule takes 1 / (1 - hit) draws on average: at most 1,000
+            hit = math.prod(noise[feat].get(value, 0.0) for feat, value in self.planted_rule.factors)
+            if hit > 0.999:
+                raise ConfigError(f"the planted rule's combination has noise probability {hit:.7g} > 0.999")
 
 
 def _check_value(schema: Schema, feature: str, value: int) -> None:

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from riskminer import pipeline
-from riskminer.classifiers import ClassifierSpec, model_to_dict, train
+from riskminer.classifiers import ClassifierSpec, model_from_dict, model_to_dict, train
 from riskminer.cli import main
 from riskminer.errors import ConfigError, StageError
 from riskminer.dataset import load_dataset, write_csv
@@ -162,6 +162,8 @@ def test_malformed_argument_values_exit_with_a_documented_code(files, data):
     ["pipeline", "--config", "{files}/latin-1.json"],
     ["train", "--learner", "DT", "--features-file", "{files}/latin-1.json"],
     ["augment", "--k", "0", "--no-balance"],  # refused even when nothing would grow
+    ["train", "--learner", "DT", "--features", "weak-password,weak-password"],
+    ["mine", "--features", "weak-password,compulsive-buyer,weak-password"],
 ])
 def test_bad_values_are_config_errors(files, argv, capsys):
     common = ["--out", str(files / "out.file")]
@@ -277,11 +279,17 @@ def _rule(*factors, **entries):
         {"feature": "weak-password", "value": 1, "victim_prob": 0.88, "marginal": -0.5}])),
     ("zero marginal", _generator(planted_factors=[
         {"feature": "weak-password", "value": 1, "victim_prob": 0.88, "marginal": 0.0}])),
+    ("rule nearly certain under the noise", _rule(["accessed-VPN", 1], noise_marginals={
+        "accessed-VPN": {"1": 1.0, "0": 1e-7}})),
+    ("rule at probability 0.9995 under the noise", _rule(["accessed-VPN", 1], noise_marginals={
+        "accessed-VPN": {"1": 0.9995, "0": 0.0005}})),
 ])
 def test_generator_specs_that_hang_or_plant_nothing_are_refused_when_parsed(name, change):
-    # parsed only, as generating from the first three never ends. A rule that
-    # names a feature twice is contradictory or redundant, and a marginal of 0
-    # or below plants a code that no record carries.
+    # parsed only, as generating from the first three never ends and from
+    # the last two all but never ends: a row off the rule redraws until it
+    # misses the combination. A rule that names a feature twice is
+    # contradictory or redundant, and a marginal of 0 or below plants a code
+    # that no record carries.
     with pytest.raises(ConfigError):
         config_from_dict({**small_config_doc(), **change})
 
@@ -389,6 +397,17 @@ def test_evaluate_refuses_a_gnb_variance_row_that_is_not_positive(value, files, 
 @pytest.mark.parametrize("warnings", ["abc", [1, None], ["GNB: fine", 2], {"GNB": "fine"}])
 def test_evaluate_refuses_model_warnings_that_are_not_a_list_of_strings(warnings, files, tmp_path, capsys):
     _evaluate_refuses("GNB", lambda doc: doc.update(warnings=warnings), files, tmp_path, capsys, part=None)
+
+
+@pytest.mark.parametrize("features", ["ab", [1, 2], ["x", None], ["weak-password", "weak-password"], [], None])
+def test_a_model_document_refuses_features_that_are_not_distinct_names(features, files):
+    # each passes the length check of a GNB model's params over two features
+    ds = load_dataset(str(files / "data.csv"), load_schema(str(files / "schema.json")))
+    doc = model_to_dict(train(ClassifierSpec("GNB"), ds, list(FEATURES[:2])))
+    assert model_from_dict(json.loads(json.dumps(doc))).features == FEATURES[:2]
+    doc["features"] = features
+    with pytest.raises(ConfigError):
+        model_from_dict(doc)
 
 
 def _evaluate_refuses(kind, edit, files, tmp_path, capsys, part="params"):

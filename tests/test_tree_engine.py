@@ -81,13 +81,23 @@ def test_best_split_matches_oracle_on_large_nodes():
             assert _same_choice(got, want), (trial, criterion, got, want)
 
 
+def _product_gini(c0, c1):
+    t = c0 + c1
+    return 1.0 - ((c0 / t) * (c0 / t) + (c1 / t) * (c1 / t))
+
+
 @pytest.mark.parametrize("left, right", [((17, 46), (7, 53)), ((33, 8), (4, 51)), ((56, 6), (43, 18))])
-def test_gini_gain_rounds_squares_as_scalar_pow(left, right):
+def test_gini_gain_takes_squares_as_ieee_products(left, right):
     # label counts for which C pow(x, 2) and x * x round some square apart,
-    # changing the gain by an ulp
+    # changing the gain by an ulp: the gain takes the products
     records = [[0]] * sum(left) + [[1]] * sum(right)
     labels = [0] * left[0] + [1] * left[1] + [0] * right[0] + [1] * right[1]
     got = engine_split(records, labels, [0])
+    n_l, n_r = sum(left), sum(right)
+    n = n_l + n_r
+    decrease = (_product_gini(left[0] + right[0], left[1] + right[1])
+                - (n_l / n) * _product_gini(*left) - (n_r / n) * _product_gini(*right))
+    assert float(got.decrease).hex() == decrease.hex()
     want = tree_oracle.best_split(records, labels, [0])
     assert _same_choice(got, want), (got, want)
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from riskminer.classifiers import ClassifierSpec, model_to_dict, train
 from riskminer.classifiers import tree as tree_module
 from riskminer.classifiers.boosting import GradientBoostingLearner
 from riskminer.classifiers.forest import DecisionTreeLearner, RandomForestLearner
+from riskminer.classifiers.linear import sigmoid
 from riskminer.classifiers.tree import TREE_COLUMNS, TreeGrower, category_codes
 from test_tree_pins import _digest_dataset
 
@@ -75,6 +77,25 @@ def test_regression_trees_match_the_depth_first_grower(X, data):
     got, ids = tree_oracle.preorder(grower.record())
     assert got == want
     assert [ids[leaf].tolist() for leaf in leaves] == [leaf.tolist() for leaf in want_leaves]
+
+
+def test_boosting_leaf_values_are_newton_steps_over_their_rows():
+    # each round's raw scores rebuilt from the model's own earlier trees
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 4, size=(500, 5)).astype(np.float64)
+    y = (rng.random(500) < 0.15 + 0.2 * X[:, 0] * (X[:, 1] > 1)).astype(np.int64)
+    gb = GradientBoostingLearner(n_estimators=6, max_depth=3)
+    gb.fit(X, y)
+    leaves = gb.table.leaf_ids(category_codes(X))  # (rows, trees), trees in fit order
+    raw = np.full(len(y), gb.init_score)
+    for t in range(gb.n_estimators):
+        prob = sigmoid(raw)
+        residual, hessian = y - prob, prob * (1.0 - prob)
+        for leaf in np.unique(leaves[:, t]).tolist():
+            rows = leaves[:, t] == leaf
+            step = math.fsum(residual[rows]) / max(math.fsum(hessian[rows]), 1e-12)
+            assert gb.table.value[leaf] == pytest.approx(step, rel=1e-12, abs=0), (t, leaf)
+        raw = raw + gb.learning_rate * gb.table.value[leaves[:, t]]
 
 
 def test_levels_scored_in_runs_grow_the_same_trees(monkeypatch):

@@ -64,18 +64,22 @@ def _digest_dataset() -> Dataset:
 # preorder (with ``pos`` on inner nodes too). The RF digest was re-recorded
 # when RF grew level by level, drawing each tree's feature subsets level by
 # level instead of node by node in preorder; ``test_tree_grower`` pins the
-# old forest to its old digest. These are the digests of the models with
-# their nodes in preorder; a fit numbers them as the grower creates them,
-# level by level, and ``PINNED_DIGESTS`` holds the digests of that order.
+# old forest to its old digest. The GB digests were re-recorded when each
+# leaf's Newton step summed its rows in row order instead of pairwise: the
+# trees are node for node the same, and only leaf values (at most 2.9e-11
+# relative) and train losses moved in their last digits. These are the
+# digests of the models with their nodes in preorder; a fit numbers them as
+# the grower creates them, level by level, and ``PINNED_DIGESTS`` holds the
+# digests of that order.
 PREORDER_DIGESTS = {
     "DT": "db59bae1900b574e448656e50c57d5b22ed700dd9f7d76ef909e68da2c169976",
     "RF": "335cb5f4b7fc8f68ec8dec8f9573a78f3b315620532ef8f9e4e9218dbc9a0327",
-    "GB": "16ad1f43194972546cda600eee95c583381c8d8b11f47567ae3de5a8c0995031",
+    "GB": "68a91f51c1147474d4cfd859b98a812c124ad0fa0206a7262c07ad37e35c4179",
 }
 PINNED_DIGESTS = {
     "DT": "525a8832ce38cc9bb5287437c1c910888d155f8767acb071612521a133302441",
     "RF": "0f8868634e7cfbffdaba49cd1f5791ea5ff0546f81e3006fdf6587c4126972e4",
-    "GB": "f7115493fb61f36746ca14271a7d5a28d30d8d8ff983964ac5b7380c59abcf44",
+    "GB": "6da2771286c63094e7b2fc6d6eb229e74598ec7c770f6bc7e108ad88d00a866b",
 }
 
 

@@ -1,7 +1,8 @@
 """Reference oracles for the tree learners' growth, split search and routing.
 
 These are the implementations the level-wise grower in
-``riskminer.classifiers.tree`` replaced, kept verbatim:
+``riskminer.classifiers.tree`` replaced, kept verbatim but for their squares,
+which are IEEE products (``x * x``) as the grower's are, not ``x ** 2``:
 
 - ``grow`` is the depth-first grower: it routes row-index arrays down an
   explicit stack and runs one histogram search, ``_search``, per node (with
@@ -37,7 +38,7 @@ def gini(counts) -> float:
     total = float(sum(counts))
     if total <= 0:
         raise EmptyNodeError("gini of an empty count vector")
-    return 1.0 - sum((c / total) ** 2 for c in counts)
+    return 1.0 - sum((c / total) * (c / total) for c in counts)
 
 
 @dataclass(frozen=True)
@@ -272,13 +273,9 @@ def _plan(k: int, width: int, presence: bytes) -> _Plan | None:
 
 
 def _squares(x: np.ndarray) -> np.ndarray:
-    """``x ** 2`` elementwise, rounded as the scalar ``gini`` rounds it.
-
-    A scalar ``** 2`` calls the C library's ``pow``, which can round a square
-    lying within a hair of a rounding midpoint differently from ``x * x``;
-    so the squares are taken by Python's float power, which calls that pow.
-    """
-    return np.array([v**2 for v in x.tolist()])
+    """``x * x`` elementwise, rounded as the scalar ``gini`` rounds it: an
+    IEEE product, which does not depend on the C library's ``pow``."""
+    return x * x
 
 
 def _left_sums(plan: _Plan, hist: np.ndarray) -> np.ndarray:
