@@ -68,7 +68,7 @@ class Dataset:
             raise IllegalValueError(r + 1, name, value.item() if isinstance(value, np.generic) else value)
         if end < len(records):
             raise RaggedRowError(end + 1, width, len(records[end]))
-        codes, y = np.array(codes, dtype=_code_type(schema)), np.array(y, dtype=np.int64)
+        codes, y = np.array(codes, dtype=code_type(schema)), np.array(y, dtype=np.int64)
         codes.flags.writeable = y.flags.writeable = False
         self.__dict__.update(schema=schema, codes=codes, y=y)  # frozen: no __setattr__
 
@@ -92,7 +92,7 @@ class Dataset:
         return Dataset(self.schema, self.codes[rows], self.y[rows])
 
 
-def _code_type(schema: Schema) -> np.dtype:
+def code_type(schema: Schema) -> np.dtype:
     """The smallest integer type that holds every code of *schema*, and 0 and 1."""
     return np.result_type(np.uint8, *(np.min_scalar_type(v) for spec in schema.features for v in spec.values))
 
@@ -153,7 +153,7 @@ def load_dataset(path, schema: Schema) -> Dataset:
     width = len(expected)
     end = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     try:
-        cells = np.fromiter(map(int, chain.from_iterable(rows[:end])), _code_type(schema), end * width)
+        cells = np.fromiter(map(int, chain.from_iterable(rows[:end])), code_type(schema), end * width)
     except (ValueError, OverflowError):  # a cell int() refuses, or an int that no legal code's type holds
         end = next((i for i, row in enumerate(rows) if _row_fault(i + 1, row, expected)), len(rows))
         cells = np.array([[int(cell) for cell in row] for row in rows[:end]], dtype=object)

@@ -6,6 +6,9 @@ known by construction: individual features can be planted with a chosen
 P(victim | feature=value), and a joint factor combination can be planted so a
 specific association rule exists with a chosen confidence and coverage.
 Features not mentioned anywhere are noise, drawn independently of the label.
+The records draw from one ``random.Random(seed)`` in one fixed order, so a
+seed's data does not change between versions; ``tests/data_oracle.py`` keeps
+the per-record generator that this one replaced as the reference.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .dataset import Dataset
+import numpy as np
+
+from .dataset import Dataset, code_type
 from .errors import ConfigError
 from .schema import Schema, default_schema
 
@@ -75,6 +80,8 @@ class GenSpec:
                 raise ConfigError("rule coverage/probability incompatible with class_balance")
         for pf in self.planted_factors:
             _check_value(self.schema, pf.feature, pf.value)
+            if len(self.schema.feature(pf.feature).values) < 2:  # every record carries the one code
+                raise ConfigError(f"{pf.feature!r} has one code, so a factor planted on it plants nothing")
             if not 0.0 <= pf.victim_prob <= 1.0:
                 raise ConfigError(f"victim_prob for {pf.feature!r} must lie in [0, 1]")
             if not 0.0 < pf.marginal <= 1.0:
@@ -89,8 +96,8 @@ class GenSpec:
         for feature, dist in self.noise_marginals.items():
             for value in dist:
                 _check_value(self.schema, feature, value)
-            if dist and not (min(dist.values()) >= 0 and sum(dist.values()) > 0):
-                raise ConfigError(f"noise probabilities for {feature!r} must be >= 0 with a positive sum")
+            if dist and not (min(dist.values()) >= 0 and 0 < sum(dist.values()) < math.inf):
+                raise ConfigError(f"noise probabilities for {feature!r} must be >= 0, with a positive finite sum")
         if self.planted_rule:  # a record off the rule redraws its features until it misses the combination
             noise = {f: dict(_marginal_dist(self.schema.feature(f).values, self.noise_marginals.get(f)))
                      for f in rule_feats}
@@ -128,67 +135,34 @@ def _marginal_dist(spec_values, marginals: dict | None) -> list[tuple[int, float
 def generate_synthetic(spec: GenSpec) -> Dataset:
     """Generate ``spec.n_records`` schema-conforming records, seeded."""
     rng = random.Random(spec.seed)
-    schema = spec.schema
-    b = spec.class_balance
-
-    factor_by_feat = {pf.feature: pf for pf in spec.planted_factors}
-    rule = spec.planted_rule
-    rule_values = dict(rule.factors) if rule else {}
-    if rule:
-        off_balance = (b - rule.victim_prob * rule.coverage) / (1.0 - rule.coverage)
-    else:
-        off_balance = b
-
-    noise_dists = {
-        f.name: _marginal_dist(f.values, spec.noise_marginals.get(f.name))
-        for f in schema.features
-    }
-
-    records: list[tuple[int, ...]] = []
-    labels: list[int] = []
+    schema, b, rule = spec.schema, spec.class_balance, spec.planted_rule
+    target = dict(rule.factors) if rule else {}
+    noise = {f.name: _marginal_dist(f.values, spec.noise_marginals.get(f.name)) for f in schema.features}
+    # P(victim) off the rule, then on it
+    rates = ((b - rule.victim_prob * rule.coverage) / (1.0 - rule.coverage), rule.victim_prob) if rule else (b,)
+    # per column off the rule, in schema order: (noise distribution, ...) or (None, code, P(code | label), others)
+    plan = {name: (dist, None, None, None) for name, dist in noise.items() if name not in target}
+    for pf in spec.planted_factors:
+        # P(value | label) from Bayes so that P(victim | value) == victim_prob.
+        hits = ((1 - pf.victim_prob) * pf.marginal / (1 - b), pf.victim_prob * pf.marginal / b)
+        plan[pf.feature] = (None, pf.value, hits, [v for v in schema.feature(pf.feature).values if v != pf.value])
+    combo_on, rule_dists = list(target.values()), [noise[f] for f in target]
+    rows, labels = [], []
     for _ in range(spec.n_records):
-        rule_active = rule is not None and rng.random() < rule.coverage
-        if rule_active:
-            label = 1 if rng.random() < rule.victim_prob else 0
-        else:
-            label = 1 if rng.random() < off_balance else 0
-
-        row: list[int] = []
-        for feat in schema.features:
-            if feat.name in rule_values:
-                row.append(-1)  # filled below, jointly
-                continue
-            pf = factor_by_feat.get(feat.name)
-            if pf is None:
-                row.append(_draw(rng, noise_dists[feat.name]))
-                continue
-            # P(value | label) from Bayes so that P(victim | value) == victim_prob.
-            if label == 1:
-                p_hit = pf.victim_prob * pf.marginal / b
+        on_rule = rule is not None and rng.random() < rule.coverage
+        label = int(rng.random() < rates[on_rule])
+        row = []
+        for dist, value, hits, others in plan.values():
+            if dist is not None:
+                row.append(_draw(rng, dist))
             else:
-                p_hit = (1 - pf.victim_prob) * pf.marginal / (1 - b)
-            if rng.random() < p_hit:
-                row.append(pf.value)
-            else:
-                others = [v for v in feat.values if v != pf.value]
-                row.append(others[rng.randrange(len(others))])
-
-        if rule:
-            positions = [schema.index_of(f) for f, _ in rule.factors]
-            if rule_active:
-                for pos, (_, v) in zip(positions, rule.factors):
-                    row[pos] = v
-            else:
-                # Draw the rule features from their marginals, excluding the
-                # exact planted combination so the rule's confidence is clean.
-                while True:
-                    drawn = [_draw(rng, noise_dists[f]) for f, _ in rule.factors]
-                    if any(d != v for d, (_, v) in zip(drawn, rule.factors)):
-                        break
-                for pos, d in zip(positions, drawn):
-                    row[pos] = d
-
-        records.append(tuple(row))
+                row.append(value if rng.random() < hits[label] else others[rng.randrange(len(others))])
+        # Off the rule, redraw its features until they miss the combination, so the rule's confidence is clean.
+        combo = combo_on
+        while rule and not on_rule and combo == combo_on:
+            combo = [_draw(rng, dist) for dist in rule_dists]
+        rows.append(row + combo)
         labels.append(label)
-
-    return Dataset(schema=schema, records=tuple(records), labels=tuple(labels))
+    codes = np.empty((spec.n_records, len(schema.features)), dtype=code_type(schema))
+    codes[:, [schema.index_of(f) for f in [*plan, *target]]] = rows  # each drawn code to its schema column
+    return Dataset(schema=schema, records=codes, labels=labels)

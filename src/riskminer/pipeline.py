@@ -154,9 +154,11 @@ GENERATOR_FIELDS = (
         _parse(PlantedFactor, PLANTED_FACTOR_FIELDS, doc, f"{key}[{i}].") for i, doc in enumerate(docs))),
     ("planted_rule", "planted_rule", lambda key, doc: None if doc is None else _parse(
         PlantedRule, PLANTED_RULE_FIELDS, doc, f"{key}.")),
-    # feature -> {code: probability}; a JSON object keys each code as a string
-    ("noise_marginals", "noise_marginals", lambda key, docs: {
-        name: {int(v): _number(f"{key}.{name}", p) for v, p in dist.items()} for name, dist in docs.items()}),
+    # feature -> {code: probability}; a JSON object keys each code as a string, which must be the code's
+    # decimal form: "01" or " 1" would name the code of "1", and one of the two probabilities would be lost
+    ("noise_marginals", "noise_marginals", lambda key, docs: {name: {
+        _integer(f"{key}.{name}", int(v) if str(int(v)) == v else v): _number(f"{key}.{name}", p)
+        for v, p in dist.items()} for name, dist in docs.items()}),
 )
 
 

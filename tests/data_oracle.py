@@ -1,16 +1,19 @@
 """Reference oracle for the data layer: validation, loading, the neighbour
-search and the Apriori count.
+search, the Apriori count and the synthetic generator.
 
 These are the per-record implementations that the array-native ``Dataset``
 and loader in ``riskminer.dataset``, the block neighbour search in
-``riskminer.smote`` and the tidset Apriori in ``riskminer.mining`` replaced,
+``riskminer.smote``, the tidset Apriori in ``riskminer.mining`` and the
+once-planned generator in ``riskminer.generate`` replaced,
 kept verbatim: ``TupleDataset`` checks every cell of its tuple records in
 Python (it is the old ``Dataset``, renamed), ``load_dataset`` parses and
 checks a CSV file cell by cell, ``knn_categorical`` rebuilds the code matrix
 and a pool list for one seed, ``smote_n`` calls it once per distinct seed,
 ``apriori`` tests every candidate against every transaction, and
 ``dissolve_dataset`` dissolves one record at a time through ``dissolve``,
-which looks up each factor with ``factor_for``.
+which looks up each factor with ``factor_for``. ``generate_synthetic``
+recomputes, for every record, each planted factor's Bayes rates and other
+codes and the rule's column positions.
 The differential tests compare the library against them.
 """
 
@@ -36,6 +39,7 @@ from riskminer.errors import (
     TargetBelowCurrentError,
     UnmappedFeatureError,
 )
+from riskminer.generate import GenSpec, _draw, _marginal_dist
 from riskminer.mining import FactorMap
 from riskminer.schema import Schema
 
@@ -244,3 +248,72 @@ def apriori(transactions, min_support: float) -> dict[frozenset, float]:
                 current.append(c)
         k += 1
     return result
+
+
+def generate_synthetic(spec: GenSpec) -> Dataset:
+    """Generate ``spec.n_records`` schema-conforming records, seeded."""
+    rng = random.Random(spec.seed)
+    schema = spec.schema
+    b = spec.class_balance
+
+    factor_by_feat = {pf.feature: pf for pf in spec.planted_factors}
+    rule = spec.planted_rule
+    rule_values = dict(rule.factors) if rule else {}
+    if rule:
+        off_balance = (b - rule.victim_prob * rule.coverage) / (1.0 - rule.coverage)
+    else:
+        off_balance = b
+
+    noise_dists = {
+        f.name: _marginal_dist(f.values, spec.noise_marginals.get(f.name))
+        for f in schema.features
+    }
+
+    records: list[tuple[int, ...]] = []
+    labels: list[int] = []
+    for _ in range(spec.n_records):
+        rule_active = rule is not None and rng.random() < rule.coverage
+        if rule_active:
+            label = 1 if rng.random() < rule.victim_prob else 0
+        else:
+            label = 1 if rng.random() < off_balance else 0
+
+        row: list[int] = []
+        for feat in schema.features:
+            if feat.name in rule_values:
+                row.append(-1)  # filled below, jointly
+                continue
+            pf = factor_by_feat.get(feat.name)
+            if pf is None:
+                row.append(_draw(rng, noise_dists[feat.name]))
+                continue
+            # P(value | label) from Bayes so that P(victim | value) == victim_prob.
+            if label == 1:
+                p_hit = pf.victim_prob * pf.marginal / b
+            else:
+                p_hit = (1 - pf.victim_prob) * pf.marginal / (1 - b)
+            if rng.random() < p_hit:
+                row.append(pf.value)
+            else:
+                others = [v for v in feat.values if v != pf.value]
+                row.append(others[rng.randrange(len(others))])
+
+        if rule:
+            positions = [schema.index_of(f) for f, _ in rule.factors]
+            if rule_active:
+                for pos, (_, v) in zip(positions, rule.factors):
+                    row[pos] = v
+            else:
+                # Draw the rule features from their marginals, excluding the
+                # exact planted combination so the rule's confidence is clean.
+                while True:
+                    drawn = [_draw(rng, noise_dists[f]) for f, _ in rule.factors]
+                    if any(d != v for d, (_, v) in zip(drawn, rule.factors)):
+                        break
+                for pos, d in zip(positions, drawn):
+                    row[pos] = d
+
+        records.append(tuple(row))
+        labels.append(label)
+
+    return Dataset(schema=schema, records=tuple(records), labels=tuple(labels))

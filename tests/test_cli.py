@@ -8,6 +8,7 @@ import os
 import pytest
 
 from riskminer.cli import main
+from riskminer.schema import FeatureSpec, Schema, save_schema
 from test_pipeline import small_config_doc
 
 
@@ -51,6 +52,17 @@ def test_exit_code_stage_failure(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["pipeline", "--config", cfg.as_posix(), "--out", str(tmp_path / "o")]) == 4
+
+
+def test_generate_refuses_a_factor_planted_on_a_one_code_feature(tmp_path, capsys):
+    schema = Schema(features=(FeatureSpec("x", "discrete", (1,)), FeatureSpec("z", "binary", (0, 1))))
+    save_schema(schema, tmp_path / "schema.json")
+    doc = {"schema": str(tmp_path / "schema.json"), "generator": {
+        "n_records": 20, "planted_factors": [{"feature": "x", "value": 1, "victim_prob": 0.8}]}}
+    (tmp_path / "config.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["generate", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "data.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 def test_seed_order_is_flag_then_config_then_42(config_path, tmp_path, monkeypatch):

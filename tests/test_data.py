@@ -254,6 +254,18 @@ def test_generate_rejects_incoherent_spec():
     one_code = Schema(features=(FeatureSpec("f", "ordinal", (3,)), FeatureSpec("g", "binary", (0, 1))))
     with pytest.raises(ConfigError):  # a record off the rule could never miss its combination
         GenSpec(n_records=10, schema=one_code, planted_rule=PlantedRule((("f", 3),), victim_prob=0.9, coverage=0.35))
+    with pytest.raises(ConfigError):  # every record carries the one code, so nothing is planted
+        GenSpec(n_records=10, schema=one_code, planted_factors=(PlantedFactor("f", 3, victim_prob=0.8),))
+
+
+@pytest.mark.parametrize("dist", [
+    {1: float("inf"), 0: 1.0},  # inf / inf: every record would draw code 1
+    {1: 1e308, 0: 1e308},  # the sum overflows
+    {1: float("nan"), 0: 1.0},
+])
+def test_generator_refuses_noise_probabilities_without_a_finite_sum(dist):
+    with pytest.raises(ConfigError):
+        GenSpec(n_records=10, noise_marginals={"weak-password": dist})
 
 
 def test_toy_schema_rejects_goal_collision():

@@ -1,6 +1,6 @@
 """Differential tests: the block neighbour search, the vectorised SMOTE, the
-table-driven dissolution and the tidset Apriori against the per-record
-implementations kept in ``data_oracle``."""
+table-driven dissolution, the tidset Apriori and the once-planned generator
+against the per-record implementations kept in ``data_oracle``."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import data_oracle as oracle
@@ -16,11 +16,14 @@ from conftest import toy_dataset, toy_schema
 from riskminer import smote
 from riskminer.errors import (
     ClassTooSmallError,
+    ConfigError,
     PoolTooSmallError,
     TargetBelowCurrentError,
     UnmappedFeatureError,
 )
+from riskminer.generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from riskminer.mining import FactorEntry, FactorMap, apriori, dissolve_dataset
+from riskminer.schema import FeatureSpec, Schema, default_schema
 from riskminer.smote import knn_categorical, nearest_in_pool, resolve_targets, smote_n
 
 # -- neighbours --------------------------------------------------------------
@@ -237,3 +240,66 @@ def test_apriori_matches_oracle_on_a_dissolved_survey():
     transactions = dissolve_dataset(ds, fm.restrict(fm.features[:8]))
     got = _assert_same_lattice(transactions, 0.1)
     assert max(map(len, got)) >= 3
+
+
+# -- generator ---------------------------------------------------------------
+
+
+@st.composite
+def schemas(draw):
+    """The shipped schema, or 1-8 features over 1-5 codes out of -1-9 and
+    a few wide ones, past int64 among them."""
+    if draw(st.booleans()):
+        return default_schema()
+    code = st.integers(-1, 9) | st.sampled_from([300, 2**63, -2**63 - 1])
+    codes = st.lists(code, min_size=1, max_size=5, unique=True).map(tuple)
+    return Schema(features=tuple(
+        FeatureSpec(f"f{i}", "discrete", values) for i, values in enumerate(draw(st.lists(codes, min_size=1, max_size=8)))))
+
+
+def _bayes_cap(balance: float, victim_prob: float) -> float:
+    """The largest marginal (or coverage) that *victim_prob* leaves feasible
+    for both classes at *balance*."""
+    return min(1.0, balance / victim_prob if victim_prob else 1.0,
+               (1 - balance) / (1 - victim_prob) if victim_prob < 1 else 1.0)
+
+
+@st.composite
+def gen_specs(draw):
+    """0-4 planted factors, an optional rule of 1-3 factors and noise
+    marginals on up to 3 features, each on random codes; marginals and
+    coverage are drawn below their Bayes caps, so few specs are refused."""
+    schema = draw(schemas())
+    names = draw(st.permutations(schema.feature_names))
+    balance = draw(st.floats(0.05, 0.95))
+    fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    n_factors = draw(st.integers(0, min(4, len(names))))
+    factors = []
+    for name in names[:n_factors]:
+        victim_prob = draw(st.floats(0.0, 1.0))
+        factors.append(PlantedFactor(name, draw(st.sampled_from(schema.feature(name).values)), victim_prob,
+                                     draw(fraction) * _bayes_cap(balance, victim_prob)))
+    rule = None
+    n_rule = draw(st.integers(0, min(3, len(names) - n_factors)))
+    if n_rule:
+        victim_prob = draw(st.floats(0.0, 1.0))
+        rule = PlantedRule(tuple((name, draw(st.sampled_from(schema.feature(name).values)))
+                                 for name in names[n_factors:n_factors + n_rule]),
+                           victim_prob, draw(fraction) * _bayes_cap(balance, victim_prob))
+    noise = {}
+    for name in draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+        codes = draw(st.lists(st.sampled_from(schema.feature(name).values), min_size=1, unique=True))
+        noise[name] = {code: draw(st.floats(0.0, 1.0)) for code in codes}
+    try:
+        return GenSpec(n_records=draw(st.integers(1, 300)), class_balance=balance, planted_factors=tuple(factors),
+                       planted_rule=rule, noise_marginals=noise, seed=draw(st.integers(0, 2**32)), schema=schema)
+    except ConfigError:
+        reject()
+
+
+@settings(max_examples=400, deadline=None)
+@given(gen_specs())
+def test_generator_matches_oracle_draw_for_draw(spec):
+    got, want = generate_synthetic(spec), oracle.generate_synthetic(spec)
+    assert got.codes.dtype == want.codes.dtype
+    assert np.array_equal(got.codes, want.codes) and np.array_equal(got.y, want.y)

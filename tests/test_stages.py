@@ -253,6 +253,7 @@ def _generator(**entries):
     _generator(noise_marginals={"age-range": {"1": -0.1, "2": 0.5}}),
     _generator(noise_marginals={"age-range": {"1": 0, "2": 0}}),
     _generator(noise_marginals={"age-range": {"x": 0.5}}),
+    _generator(noise_marginals={"accessed-VPN": {"1": 0.2, "01": 0.8, " 0": 0.5}}),  # "01" would name code 1 again
     {"smote": {"k": 0}},
 ])
 def test_config_values_of_the_wrong_type_or_range_are_refused_when_parsed(change, tmp_path, capsys):
