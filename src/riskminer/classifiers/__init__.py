@@ -40,6 +40,7 @@ __all__ = [
     "defaults",
     "Model",
     "train",
+    "train_many",
     "predict",
     "score",
     "score_rows",
@@ -109,23 +110,31 @@ def design_matrix(ds: Dataset, features) -> tuple[np.ndarray, np.ndarray]:
 
 def train(spec: ClassifierSpec, ds: Dataset, features=None) -> Model:
     """Fit one classifier on *ds* restricted to *features* (default: all)."""
+    return train_many(spec, ds, [ds.schema.feature_names if features is None else features])[0]
+
+
+def train_many(spec: ClassifierSpec, ds: Dataset, feature_sets) -> list[Model]:
+    """The models that ``train`` fits on *ds* over each of *feature_sets*;
+    GB fits the distinct sets of each size together, in lockstep."""
     if len(ds) == 0:
         raise ConfigError("cannot train on an empty dataset")
-    feats = tuple(features) if features is not None else ds.schema.feature_names
-    hyper = spec.resolved()
-    X, y = design_matrix(ds, feats)
-    learner = _LEARNERS[spec.kind](**hyper)
-    learner.fit(X, y)
-    warnings = []
-    if getattr(learner, "converged", True) is False:
-        warnings.append(f"{spec.kind}: iteration cap reached before convergence")
-    return Model(
-        kind=spec.kind,
-        hyperparameters=hyper,
-        features=feats,
-        impl=learner,
-        warnings=tuple(warnings),
-    )
+    sets, models = [tuple(f) for f in feature_sets], {}
+    groups = ([list(dict.fromkeys(f for f in sets if len(f) == n)) for n in {len(f) for f in sets}]
+              if spec.kind == "GB" else [[f] for f in sets])
+    for group in groups:
+        learners = [_LEARNERS[spec.kind](**spec.resolved()) for _ in group]
+        if len(group) == 1:
+            learners[0].fit(*design_matrix(ds, group[0]))
+        else:
+            union = sorted(set().union(*group), key=ds.schema.index_of)
+            columns = [[union.index(name) for name in f] for f in group]
+            for learner, params in zip(learners, learners[0].fit_sets(*design_matrix(ds, union), columns)):
+                learner.load_params(params, len(columns[0]))
+        for f, learner in zip(group, learners):
+            capped = getattr(learner, "converged", True) is False
+            warnings = (f"{spec.kind}: iteration cap reached before convergence",) * capped
+            models[f] = Model(spec.kind, spec.resolved(), f, learner, warnings)
+    return [models[f] for f in sets]
 
 
 def score(model: Model, record) -> float:

@@ -9,10 +9,10 @@ from .linear import sigmoid
 from .tree import TreeGrower, TreeTable
 
 
-def log_loss(y: np.ndarray, prob: np.ndarray) -> float:
+def log_loss(y: np.ndarray, prob: np.ndarray) -> np.ndarray:
     eps = 1e-15
     p = np.clip(prob, eps, 1 - eps)
-    return float(-(y * np.log(p) + (1 - y) * np.log(1 - p)).mean())
+    return -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean(axis=-1)
 
 
 class GradientBoostingLearner:
@@ -36,13 +36,19 @@ class GradientBoostingLearner:
         self.max_depth = max_depth
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
+        self.load_params(self.fit_sets(X, y)[0], X.shape[1])
+
+    def fit_sets(self, X: np.ndarray, y: np.ndarray, columns=None) -> list[dict]:
+        """The params of a fit on ``X[:, c]`` for each column list c of *columns*
+        (of one length; default: all of X's), boosted in lockstep: a round grows
+        each fit's tree in one grower pass, and each comes out as it would alone."""
         if len(set(y.tolist())) < 2:
             raise SingleClassError("gradient boosting")
-        grower = TreeGrower(X, refits=True)
+        grower = TreeGrower(X, refits=True, subsets=columns)
         y = y.astype(np.float64)
         prior = float(y.mean())
         init_score = float(np.log(prior / (1.0 - prior)))
-        raw = np.full(X.shape[0], init_score)
+        raw = np.full((len(grower.subsets), X.shape[0]), init_score)  # (fits, rows)
         prob = sigmoid(raw)
         losses = [log_loss(y, prob)]
         for _ in range(self.n_estimators):
@@ -52,13 +58,14 @@ class GradientBoostingLearner:
             # each leaf's Newton step sums its rows' residuals and hessians in
             # row order; an inner node sums none and keeps 0.0, and the
             # round's last node is a leaf
-            sums, hessians = (np.bincount(leaf, weights=w) for w in (residual, prob * (1.0 - prob)))
+            sums, hessians = (np.bincount(leaf, weights=w.ravel()) for w in (residual, prob * (1.0 - prob)))
             steps = sums / np.maximum(hessians, 1e-12)
             grower.value[first:] = steps.tolist()
-            raw = raw + self.learning_rate * steps[leaf]
+            raw = raw + self.learning_rate * steps[leaf].reshape(raw.shape)
             prob = sigmoid(raw)
             losses.append(log_loss(y, prob))
-        self.load_params({"init_score": init_score, **grower.record(), "train_losses": losses}, X.shape[1])
+        losses = np.array(losses).T.tolist()
+        return [{"init_score": init_score, **grower.record(t), "train_losses": losses[t]} for t in range(len(losses))]
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.full(X.shape[0], self.init_score)

@@ -186,12 +186,15 @@ class TreeGrower:
     level after level, a split node's children next to each other in the
     order of their parents; it returns each row's leaf, and ``value`` (a
     regression leaf's output) and ``record`` use the same numbers. With
-    *refits*, ``grow`` is called again and again on every row, as boosting
-    does, and the grower keeps the candidate layouts of its recent levels,
+    *subsets*, tree t of a ``grow`` call splits only on ``subsets[t]``'s
+    columns, ranked for ties in that order; the default, one subset of every
+    column, serves every tree. With *refits*, ``grow`` is called again and
+    again on every row, as boosting does, and the grower keeps the
+    candidate layouts of its recent levels (of several trees, their roots'),
     keyed by the splits above them.
     """
 
-    def __init__(self, X, refits: bool = False):
+    def __init__(self, X, refits: bool = False, subsets=None):
         # each code's position: its rank among the codes its feature takes
         codes = category_codes(X)
         if codes.size and int(codes.min()) < 0:
@@ -202,9 +205,11 @@ class TreeGrower:
             present, self.positions[:, j] = np.unique(codes[:, j], return_inverse=True)
             self.codes.append(present)
         self.width = max(map(len, self.codes), default=1)  # the most codes a feature takes
+        self.subsets = np.arange(codes.shape[1])[None] if subsets is None else np.array(subsets, dtype=np.int64)
         self.memo = {} if refits else None  # recent levels' layouts, by the splits above them
-        self.levels = []  # (feature, split, n, pos) of each grown level
+        self.levels = []  # (feature, split, n, pos, tree) of each grown level
         self.roots, self.parts, self.value = [], [], []  # the splits' (left, right) positions
+        self.code_sets = {}  # (left, right) codes of each (split, feature) key that ``record`` met
 
     def grow(
         self,
@@ -216,8 +221,9 @@ class TreeGrower:
         max_features: int | None = None,
         rngs: list | None = None,
     ) -> np.ndarray:
-        """Grow one tree per entry of *samples* (row-index arrays; one tree on
-        every row when None) and return the leaf each sampled row reaches.
+        """Grow one tree per entry of *samples* (row-index arrays) or, without
+        them, one tree on every row per row of *y* (a 2-D *y* holds each
+        tree's targets), and return the leaf each sampled row reaches.
 
         A node splits while it holds ``min_samples_split`` rows, lies above
         *max_depth* and its targets vary. With *max_features*, tree t draws
@@ -227,11 +233,15 @@ class TreeGrower:
         gini = criterion == "gini"
         positions, width = self.positions, self.width
         n_features = positions.shape[1]
-        stack = np.arange(len(y)) if samples is None else np.concatenate(samples)
-        y = np.asarray(y, dtype=np.int64 if gini else np.float64)[stack]
+        memo = self.memo if samples is None else None  # a refit meets the same rows again
+        y = np.asarray(y, dtype=np.int64 if gini else np.float64)
+        samples = [np.arange(y.shape[-1])] * len(np.atleast_2d(y)) if samples is None else samples
+        stack = np.concatenate(samples)
+        y = y.ravel() if y.ndim == 2 else y[stack]
         draw = max_features is not None and max_features < n_features
-        k = max_features if draw else n_features  # candidate slots per node
-        counts = np.array([len(y)] if samples is None else [len(s) for s in samples])
+        k = max_features if draw else self.subsets.shape[1]  # candidate slots per node
+        counts = np.array([len(s) for s in samples])
+        cells = None if draw else self.cells.reshape(len(positions), len(self.subsets), -1)  # node-0 cells per subset
         rows = stack  # the rows of the level's nodes, in ascending stack order
         node = np.repeat(np.arange(counts.size), counts)  # each row's node in the level
         tree = np.arange(counts.size)  # each node's tree
@@ -268,25 +278,26 @@ class TreeGrower:
                     codes = positions[s_rows[:, None], feats[local]]
                     codes += np.arange(k) * width
                     layouts = self._layouts(codes, local, counts[searched])
-                elif self.memo is None or samples is not None:
-                    layouts = self._layouts(self.cells[s_rows], local, counts[searched])
                 else:  # a refit that meets the same rows again reuses their layouts
-                    key = (key, search.tobytes())
-                    layouts = self.memo.pop(key, None) or self._layouts(self.cells[s_rows], local, counts[searched])
-                    self.memo[key] = layouts
-                    if len(self.memo) > _MEMO_LEVELS:
-                        del self.memo[next(iter(self.memo))]
+                    place = tree[searched] if len(self.subsets) > 1 else np.zeros_like(searched)  # each one's subset
+                    feats, key = self.subsets[place], (key, search.tobytes())
+                    layouts = memo is not None and memo.pop(key, None) or self._layouts(
+                        cells[s_rows, place[local]], local, counts[searched])
+                    if memo is not None:
+                        memo[key] = layouts
+                        if len(memo) > _MEMO_LEVELS:
+                            del memo[next(iter(memo))]
                 for lo, hi, chunk, layout in layouts:
                     nodes = searched[lo:hi]
                     s_y = y if s_at.size == y.size and hi - lo == searched.size else y[s_at[chunk]]
                     slot, chosen, left, _, parts = _best_splits(layout, s_y, pos[nodes], criterion)
-                    feature[nodes] = slot if not draw else np.where(slot >= 0, feats[lo:hi][np.arange(hi - lo), slot], -1)
+                    feature[nodes] = np.where(slot >= 0, feats[lo:hi][np.arange(hi - lo), slot], -1)
                     split[nodes] = len(self.parts) + chosen
                     member[nodes] = left
                     self.parts += parts
             splits = feature >= 0
             inner = np.flatnonzero(splits)
-            self.levels.append((feature, split, counts, pos))
+            self.levels.append((feature, split, counts, pos, tree))
             self.value += [0.0] * m
             if inner.size < m:  # the rows of leaves stop here
                 at = splits[node]
@@ -295,19 +306,20 @@ class TreeGrower:
             if not inner.size:
                 return leaf
             go_left = member[node, positions[rows, feature[node]]]
-            if self.memo is not None:
+            if memo is not None:
                 key = (key, feature.tobytes(), (member @ _BITS[:width]).tobytes())
+            memo = memo if len(samples) == 1 else None  # several trees seldom meet their deeper levels again
             # children in level order, each split node's left then its right
             node = (2 * node if inner.size == m else (2 * np.cumsum(splits) - 2)[node]) + ~go_left
             counts = np.bincount(node, minlength=2 * inner.size)
-            if draw:
-                tree = np.repeat(tree[inner], 2)
+            tree = np.repeat(tree[inner], 2)
             first += m
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
-        """Each row's histogram cells as a row of node 0, over every feature."""
-        return self.positions + np.arange(self.positions.shape[1]) * self.width
+        """Each row's histogram cells as a row of node 0, tree by tree over its candidate features."""
+        k = self.subsets.shape[1]
+        return (self.positions[:, self.subsets] + np.arange(k) * self.width).reshape(len(self.positions), -1)
 
     def _layouts(self, codes, local, counts) -> list:
         """The ``_layout`` of the searched nodes of a level, in runs small
@@ -325,27 +337,39 @@ class TreeGrower:
             runs.append((lo, hi, rows, _layout(cells, counts[lo:hi], width)))
         return runs
 
-    def record(self) -> dict:
+    def record(self, tree: int | None = None) -> dict:
         """The grown trees as a tree record (see ``TREE_COLUMNS``), the nodes
-        numbered as ``grow`` created them."""
-        feature, split, n, pos = (np.concatenate(column) for column in zip(*self.levels))
+        numbered as ``grow`` created them. With *tree*, only the trees grown
+        at that place of their ``grow`` calls, numbered in the same order,
+        each feature by its first place in ``subsets[tree]``."""
+        feature, split, n, pos, trees = (np.concatenate(column) for column in zip(*self.levels))
         # the children of a level's split nodes open the next level, in the
         # order of their parents, each left child before its right
         sizes = [level[0].size for level in self.levels]
         ends, splits = np.cumsum(sizes), feature >= 0
         before = np.cumsum(splits) - splits  # the split nodes before each node
         left = np.where(splits, np.repeat(ends - 2 * before[ends - sizes], sizes) + 2 * before, -1)
-        # the code sets of each distinct (feature, split), built once; the
-        # leaves' key -1 comes first (every tree has a leaf), the empty set
-        distinct, sets = np.unique(np.where(splits, feature * len(self.parts) + split, -1), return_inverse=True)
-        left_values, right_values = np.empty(distinct.size, dtype=object), np.empty(distinct.size, dtype=object)
+        roots, value = np.array(self.roots), np.array(self.value)
+        if tree is not None:  # a tree's children are its own, so they keep their order
+            keep, number = trees == tree, np.cumsum(trees == tree) - 1  # each kept node's new id
+            feature, split, n, pos, value, splits = (c[keep] for c in (feature, split, n, pos, value, splits))
+            left, roots = np.where(splits, number[left[keep]], -1), number[roots[keep[roots]]]
+            place, first = np.full(len(self.codes) + 1, -1), np.unique(self.subsets[tree], return_index=True)
+            place[first[0]] = first[1]  # each feature's first place in the subset; a leaf's -1 stays
+        # the code sets of each distinct (feature, split), built once per
+        # grower; the leaves' key -1 comes first (every tree has a leaf)
+        n_features = self.positions.shape[1]
+        distinct, sets = np.unique(np.where(splits, split * n_features + feature, -1), return_inverse=True)
+        left_values, right_values = np.empty((2, distinct.size), dtype=object)
         left_values[0] = right_values[0] = ()
         for i, key in enumerate(distinct.tolist()[1:], 1):
-            f, (lp, rp) = key // len(self.parts), self.parts[key % len(self.parts)]
-            codes = self.codes[f]
-            left_values[i], right_values[i] = tuple(codes[list(lp)].tolist()), tuple(codes[list(rp)].tolist())
+            if key not in self.code_sets:
+                codes, (lp, rp) = self.codes[key % n_features], self.parts[key // n_features]
+                self.code_sets[key] = tuple(codes[list(lp)].tolist()), tuple(codes[list(rp)].tolist())
+            left_values[i], right_values[i] = self.code_sets[key]
         right = np.where(splits, left + 1, -1)
-        columns = (self.roots, feature, left, right, left_values[sets], right_values[sets], n, pos, self.value)
+        feature = feature if tree is None else place[feature]
+        columns = (roots, feature, left, right, left_values[sets], right_values[sets], n, pos, value)
         return {column: np.asarray(values).tolist() for column, values in zip(TREE_COLUMNS, columns)}
 
 

@@ -13,25 +13,28 @@ holds every set known before step 1's decision (the start set, the
 all-features baseline and step 1's candidates), each later one a step's
 candidates. A batch of more than one fit runs in a pool of forked worker
 processes, one per usable CPU, which inherit the splits and send back each
-(learner, set) pair's accuracy, AUC and model. The results are taken in
-(set, roster) order, the order of the fits in one process, so the steps,
-every report byte and the error that a failing fit raises do not depend on
-the number of workers. The fits run in this process on one usable CPU,
-where the ``fork`` start method is missing, and when a function this module
-calls has been rebound since import, as a tracer or a test does to watch
-the calls: a call made in a worker is recorded there, out of its sight.
-The pool lives for one ``backward_eliminate`` call: ``multiprocessing`` is
-imported when a batch first needs it, and the pool is shut down when the
-call ends, also when a fit raises or a worker dies.
+(learner, set) pair's accuracy, AUC and model; GB's sets of one size go
+out as one task per worker, which ``train_many`` boosts in lockstep. The
+results are taken in (set, roster) order, the order of the fits in one
+process, so the steps, every report byte and the error that a failing fit
+raises (GB's one data error, a single class, fails its whole group) do not
+depend on the number of workers. The fits run in this process on one
+usable CPU, where the ``fork`` start method is missing, and when a function
+this module calls has been rebound since import, as a tracer or a test does
+to watch the calls: a call made in a worker is recorded there, out of its
+sight. The pool lives for one ``backward_eliminate`` call:
+``multiprocessing`` is imported when a batch first needs it, and the pool
+is shut down when the call ends, also when a fit raises or a worker dies.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import asdict, dataclass, field
 from types import FunctionType
 
-from .classifiers import KINDS, design_matrix, score_rows, train
+from .classifiers import KINDS, design_matrix, score_rows, train, train_many
 from .dataset import Dataset, SplitBundle
 from .errors import ConfigError
 from .metrics import auc, classification_metrics, confusion, oriented, roc_points
@@ -67,11 +70,14 @@ def metrics_doc(entry: dict) -> dict:
     }
 
 
-def _fit(spec, splits: SplitBundle, features, positive: int) -> tuple:
-    """Train *spec* on splits.train over *features*; its (test accuracy, test AUC, model)."""
-    model = train(spec, splits.train, features)
-    entry = validate(model, splits.test, positive)
-    return entry["metrics"].accuracy, entry["auc"], model
+def _fit(spec, splits: SplitBundle, features, positive: int):
+    """Train *spec* on splits.train over *features*; its (test accuracy, test AUC,
+    model), or for a tuple of feature sets, which ``train_many`` fits together, a list."""
+    one, results = isinstance(features[0], str), []
+    for model in [train(spec, splits.train, features)] if one else train_many(spec, splits.train, features):
+        entry = validate(model, splits.test, positive)
+        results.append((entry["metrics"].accuracy, entry["auc"], model))
+    return results[0] if one else results
 
 
 def _maps(learners, results) -> tuple[dict, dict, dict]:
@@ -117,14 +123,14 @@ def worker_count(tasks: int) -> int:
 _WORK = None  # a worker's (splits, specs by kind, positive), inherited through fork
 
 
-def _adopt(splits, learners, positive) -> None:
+def _adopt(work) -> None:
     global _WORK
-    _WORK = splits, {spec.kind: spec for spec in learners}, positive
+    _WORK = work
 
 
-def _fit_task(task) -> tuple:
+def _fit_task(task, work=None):
     kind, features = task
-    splits, specs, positive = _WORK
+    splits, specs, positive = work or _WORK
     return _fit(specs[kind], splits, features, positive)
 
 
@@ -134,28 +140,39 @@ class _Fits:
     Used as a context manager, which shuts the pool down."""
 
     def __init__(self, splits: SplitBundle, learners, positive: int):
-        self.splits, self.learners, self.positive = splits, tuple(learners), positive
+        self.learners = tuple(learners)
+        self.work = splits, {spec.kind: spec for spec in learners}, positive
         self.pool = None
 
     def batch(self, sets):
         """The ``evaluate_learners`` maps of each of *sets*, in order, as
         each set's fits come in."""
         workers = worker_count(len(sets) * len(self.learners))
+        tasks, owners = [], []  # in the order their results are first needed; each's (set, kind) pairs
+        for i, features in enumerate(sets):
+            for spec in self.learners:
+                group = [j for j, f in enumerate(sets) if len(f) == len(features)] if spec.kind == "GB" else [i]
+                for chunk in range(min(workers, len(group)) if group[0] == i else 0):
+                    part = group[chunk::workers]
+                    owners.append([(j, spec.kind) for j in part])
+                    tasks.append((spec.kind, sets[part[0]] if len(part) == 1 else tuple(sets[j] for j in part)))
         if workers == 1:
-            for features in sets:
-                yield evaluate_learners(self.splits, self.learners, features, self.positive)
-            return
-        if self.pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+            results = map(functools.partial(_fit_task, work=self.work), tasks)
+        else:
+            if self.pool is None:
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
 
-            # forked, so the workers inherit the splits: only tasks and results are pickled
-            self.pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
-                                            (self.splits, self.learners, self.positive))
-        # a fit's exception, or BrokenProcessPool when a worker dies, is raised where its result would be
-        results = self.pool.map(_fit_task, [(spec.kind, features) for features in sets for spec in self.learners])
-        for _ in sets:
-            yield _maps(self.learners, [next(results) for _ in self.learners])
+                # forked, so the workers inherit the splits: only tasks and results are pickled
+                self.pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (self.work,))
+            # a fit's exception, or BrokenProcessPool when a worker dies, is raised where its result would be
+            results = self.pool.map(_fit_task, tasks)
+        results, got = zip(owners, results), {}  # got: results in, not yet taken
+        for i in range(len(sets)):  # taken in (set, roster) order, the order of one process's fits
+            while any((i, spec.kind) not in got for spec in self.learners):
+                pairs, result = next(results)
+                got.update(zip(pairs, result) if len(pairs) > 1 else [(pairs[0], result)])
+            yield _maps(self.learners, [got.pop((i, spec.kind)) for spec in self.learners])
 
     def __enter__(self):
         return self

@@ -78,8 +78,11 @@ class GenSpec:
             residual = self.class_balance - rule.victim_prob * rule.coverage
             if not 0.0 <= residual / (1.0 - rule.coverage) <= 1.0:
                 raise ConfigError("rule coverage/probability incompatible with class_balance")
+        planted = [pf.feature for pf in self.planted_factors]
         for pf in self.planted_factors:
             _check_value(self.schema, pf.feature, pf.value)
+            if planted.count(pf.feature) > 1:  # the generator would keep only the last
+                raise ConfigError(f"{pf.feature!r} is planted as a factor more than once")
             if len(self.schema.feature(pf.feature).values) < 2:  # every record carries the one code
                 raise ConfigError(f"{pf.feature!r} has one code, so a factor planted on it plants nothing")
             if not 0.0 <= pf.victim_prob <= 1.0:

@@ -65,6 +65,30 @@ def test_generate_refuses_a_factor_planted_on_a_one_code_feature(tmp_path, capsy
     assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
+def test_pipeline_refuses_two_factors_planted_on_one_feature(tmp_path, capsys):
+    doc = small_config_doc()
+    doc["generator"]["planted_factors"] = [
+        {"feature": "weak-password", "value": 1, "victim_prob": 0.9},
+        {"feature": "weak-password", "value": 0, "victim_prob": 0.2},
+    ]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "weak-password" in err and not out.exists()
+
+
+def test_train_fits_a_forest_on_one_feature(config_path, tmp_path):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["generate", "--config", config_path, "--out", str(data)]) == 0
+    assert main(["train", "--input", str(data), "--learner", "RF", "--features", "weak-password",
+                 "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    assert doc["features"] == ["weak-password"]
+
+
 def test_seed_order_is_flag_then_config_then_42(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("RISKMINER_SEED", "5")  # not a setting: it must change nothing
     doc = small_config_doc(seed=11)

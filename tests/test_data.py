@@ -258,6 +258,14 @@ def test_generate_rejects_incoherent_spec():
         GenSpec(n_records=10, schema=one_code, planted_factors=(PlantedFactor("f", 3, victim_prob=0.8),))
 
 
+def test_generator_refuses_two_factors_planted_on_one_feature():
+    # the generator plants one factor per feature, so the second would silently replace the first
+    twice = (PlantedFactor("weak-password", 1, 0.9), PlantedFactor("weak-password", 0, 0.2))
+    with pytest.raises(ConfigError, match="weak-password"):
+        GenSpec(n_records=10, planted_factors=twice)
+    GenSpec(n_records=10, planted_factors=twice[:1])
+
+
 @pytest.mark.parametrize("dist", [
     {1: float("inf"), 0: 1.0},  # inf / inf: every record would draw code 1
     {1: 1e308, 0: 1e308},  # the sum overflows
