@@ -8,10 +8,10 @@ exposes a victim-class score in [0, 1]; the predicted label is 1 exactly
 when the score reaches 0.5, so an exact tie resolves to the victim class.
 
 Each learner's constructor is the one definition of its hyperparameters and
-their defaults. A fitted learner's state is its ``params`` dict, which model
-files store: ``fit`` computes it and ends in ``load_params(params,
-n_features)``, the only code that sets fitted attributes and checks each
-param's shape, so a model file meets the checks of a fresh fit. Fitted
+their defaults. Model files store a fitted learner's ``params`` dict, which
+``load_params(params, n_features)`` reads and checks. LR, SVC and GNB fits end
+in ``load_params``; DT, RF and GB keep a ``TreeTable``, which checks a fit's
+arrays as it checks a file's, so a model file meets the checks of a fresh fit. Fitted
 models are immutable and safe for concurrent prediction; training is
 deterministic given (kind, hyperparameters, data, features).
 """
@@ -122,14 +122,13 @@ def train_many(spec: ClassifierSpec, ds: Dataset, feature_sets) -> list[Model]:
     groups = ([list(dict.fromkeys(f for f in sets if len(f) == n)) for n in {len(f) for f in sets}]
               if spec.kind == "GB" else [[f] for f in sets])
     for group in groups:
-        learners = [_LEARNERS[spec.kind](**spec.resolved()) for _ in group]
+        learners = [_LEARNERS[spec.kind](**spec.resolved())]
         if len(group) == 1:
             learners[0].fit(*design_matrix(ds, group[0]))
         else:
             union = sorted(set().union(*group), key=ds.schema.index_of)
             columns = [[union.index(name) for name in f] for f in group]
-            for learner, params in zip(learners, learners[0].fit_sets(*design_matrix(ds, union), columns)):
-                learner.load_params(params, len(columns[0]))
+            learners = learners[0].fit_sets(*design_matrix(ds, union), columns)
         for f, learner in zip(group, learners):
             capped = getattr(learner, "converged", True) is False
             warnings = (f"{spec.kind}: iteration cap reached before convergence",) * capped

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..errors import SingleClassError, check_ints, check_numbers, check_shape
@@ -36,10 +38,10 @@ class GradientBoostingLearner:
         self.max_depth = max_depth
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
-        self.load_params(self.fit_sets(X, y)[0], X.shape[1])
+        vars(self).update(vars(self.fit_sets(X, y)[0]))
 
-    def fit_sets(self, X: np.ndarray, y: np.ndarray, columns=None) -> list[dict]:
-        """The params of a fit on ``X[:, c]`` for each column list c of *columns*
+    def fit_sets(self, X: np.ndarray, y: np.ndarray, columns=None) -> list[GradientBoostingLearner]:
+        """A copy of this learner fitted on ``X[:, c]`` for each column list c of *columns*
         (of one length; default: all of X's), boosted in lockstep: a round grows
         each fit's tree in one grower pass, and each comes out as it would alone."""
         if len(set(y.tolist())) < 2:
@@ -64,8 +66,10 @@ class GradientBoostingLearner:
             raw = raw + self.learning_rate * steps[leaf].reshape(raw.shape)
             prob = sigmoid(raw)
             losses.append(log_loss(y, prob))
-        losses = np.array(losses).T.tolist()
-        return [{"init_score": init_score, **grower.record(t), "train_losses": losses[t]} for t in range(len(losses))]
+        fits = [copy.copy(self) for _ in grower.subsets]
+        for t, (fit, train_losses) in enumerate(zip(fits, np.array(losses).T.tolist())):
+            fit.init_score, fit.table, fit.train_losses = init_score, grower.table(t), train_losses
+        return fits
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         raw = np.full(X.shape[0], self.init_score)
@@ -76,8 +80,11 @@ class GradientBoostingLearner:
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
 
+    @property
+    def params(self) -> dict:
+        return {"init_score": self.init_score, **self.table.record(), "train_losses": self.train_losses}
+
     def load_params(self, params: dict, n_features: int) -> None:
-        self.params = params
         self.init_score = float(check_shape("init_score", params["init_score"], ()))
         self.train_losses = check_shape("train_losses", params["train_losses"], (None,)).tolist()
-        self.table = TreeTable(params, n_features)
+        self.table = TreeTable.from_record(params, n_features)

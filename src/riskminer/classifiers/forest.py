@@ -18,15 +18,17 @@ class DecisionTreeLearner:
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         grower = TreeGrower(X)
         grower.grow(y, "gini", min_samples_split=self.min_samples_split)
-        self.load_params(grower.record(), X.shape[1])
+        self.table = grower.table()
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
-        return self.table.leaf_values(X, self.output)[:, 0]
+        return self.table.leaf_values(X)[:, 0]
+
+    @property
+    def params(self) -> dict:
+        return self.table.record()
 
     def load_params(self, params: dict, n_features: int) -> None:
-        self.params = self.trees = params
-        self.table = TreeTable(params, n_features)
-        self.output = self.table.pos / self.table.n  # each leaf's victim fraction
+        self.table = TreeTable.from_record(params, n_features)
 
 
 class RandomForestLearner(DecisionTreeLearner):
@@ -52,9 +54,9 @@ class RandomForestLearner(DecisionTreeLearner):
         grower = TreeGrower(X)
         max_features = max(1, int(np.sqrt(X.shape[1])))
         grower.grow(y, "gini", samples, self.min_samples_split, max_features=max_features, rngs=rngs)
-        self.load_params(grower.record(), X.shape[1])
+        self.table = grower.table()
 
     def score_rows(self, X: np.ndarray) -> np.ndarray:
         # Fraction of trees voting victim; each tree votes its leaf majority
         # with the 0.5 tie going to the victim class.
-        return (self.table.leaf_values(X, self.output) >= 0.5).mean(axis=1)
+        return (self.table.leaf_values(X) >= 0.5).mean(axis=1)

@@ -31,12 +31,12 @@ lexicographically smallest (the left set always holds the smallest present
 code). A forest draws each tree's feature subsets from that tree's stream,
 level by level, for its splitting nodes in level order.
 
-A learner's fitted trees are one record of per-node lists (``TREE_COLUMNS``)
-in the order the nodes grew, so a forest's trees interleave; ``TreeTable``
-builds the scoring table from it and needs only each child after its parent,
-so the preorder records of older files load too. Model files store the
-record. Scoring steps all rows down all trees at once, one level per step.
-It truncates float codes toward zero, as ``int()`` does. A code the node
+A learner's fitted trees are one ``TreeTable`` of per-node arrays in the
+order the nodes grew, so a forest's trees interleave; only model files hold
+per-node lists (``TREE_COLUMNS``). A fit's arrays and a file's pass one check,
+which needs only each child after its parent, so the preorder records of older
+files load too. Scoring steps all rows down all trees at once, one level per
+step. It truncates float codes toward zero, as ``int()`` does. A code the node
 never saw at fit time follows the heavier child; when the children are
 equally heavy it goes left.
 """
@@ -67,22 +67,13 @@ def category_codes(X) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _partitions(present: int, width: int) -> tuple:
+def _partitions(present: int, width: int) -> np.ndarray:
     """The non-trivial bipartitions of the positions whose bits are set in
     *present*, in lexicographic left order (the left side holds the smallest
-    position): their (left, right) position tuples and a (partitions, width)
-    matrix marking the left positions."""
+    position), as a (partitions, width) matrix marking their left positions."""
     first, *rest = [j for j in range(width) if present >> j & 1]
-    parts = []
-    for mask in range(2 ** len(rest) - 1):
-        left = (first,) + tuple(v for b, v in enumerate(rest) if mask >> b & 1)
-        right = tuple(v for b, v in enumerate(rest) if not mask >> b & 1)
-        parts.append((left, right))
-    parts.sort()
-    member = np.zeros((len(parts), width), dtype=bool)
-    for i, (left, _) in enumerate(parts):
-        member[i, list(left)] = True
-    return tuple(parts), member
+    lefts = sorted([first] + [v for b, v in enumerate(rest) if mask >> b & 1] for mask in range(2 ** len(rest) - 1))
+    return np.array([[j in left for j in range(width)] for left in lefts], dtype=bool).reshape(-1, width)
 
 
 def _gini(n, victims) -> np.ndarray:
@@ -92,17 +83,15 @@ def _gini(n, victims) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1024)
-def _grid(patterns: tuple, width: int) -> tuple:
+def _grid(patterns: tuple, width: int) -> np.ndarray:
     """The bipartitions of each of a level's presence *patterns* (ascending
     bit masks over positions): a (patterns, most, width) grid of their
-    left-position masks, padded with empty masks, their (left, right)
-    positions in one list and each pattern's first index into it."""
+    left-position masks, padded with empty masks."""
     tables = [_partitions(key, width) for key in patterns]
-    sizes = np.array([len(parts) for parts, _ in tables])
-    grid = np.zeros((sizes.size, max(1, sizes.max()), width), dtype=bool)
-    for u, (_, member) in enumerate(tables):
+    grid = np.zeros((len(tables), max([1, *map(len, tables)]), width), dtype=bool)
+    for u, member in enumerate(tables):
         grid[u, : len(member)] = member
-    return grid, [p for parts, _ in tables for p in parts], np.cumsum(sizes) - sizes
+    return grid
 
 
 def _layout(cells, counts, width: int) -> tuple:
@@ -114,7 +103,7 @@ def _layout(cells, counts, width: int) -> tuple:
     row's code, with the rows in ascending order; *counts* holds each node's
     rows. Candidates lie on a (pairs, most, width) grid of left-position
     masks, (node, slot) pair by pair in tie-break order, padded with empty
-    masks.
+    masks; ``present`` marks each pair's present positions.
     """
     k = cells.shape[1]
     pairs = counts.size * k
@@ -122,18 +111,17 @@ def _layout(cells, counts, width: int) -> tuple:
     cnt = np.bincount(flat, minlength=pairs * width).reshape(pairs, width)
     # each pair's presence pattern; a table over all 2 ** width patterns is
     # smaller than the root's list of the widest feature's bipartitions
-    keys = (cnt > 0) @ _BITS[:width]
+    present = cnt > 0
+    keys = present @ _BITS[:width]
     patterns = np.flatnonzero(np.bincount(keys, minlength=1 << width))
-    grid, parts, offsets = _grid(tuple(patterns.tolist()), width)
-    pattern = np.searchsorted(patterns, keys)
-    left = grid[pattern]
+    left = _grid(tuple(patterns.tolist()), width)[np.searchsorted(patterns, keys)]
     n = np.repeat(counts, k)[:, None]
     n_l = (cnt[:, None, :] * left).sum(axis=2)
     n_r = n - n_l
     valid = n_l > 0
     # a padded candidate counts one row on the left, so that nothing divides
     # by zero; it is masked out of the choice
-    return flat, k, n, np.where(valid, n_l, 1), n_r, n_l * n_r / n, valid, left, pattern, grid, parts, offsets
+    return flat, k, n, np.where(valid, n_l, 1), n_r, n_l * n_r / n, valid, left, present
 
 
 def _best_splits(layout: tuple, y, pos, criterion: str):
@@ -141,10 +129,10 @@ def _best_splits(layout: tuple, y, pos, criterion: str):
     of its rows and the victims *pos* of each node.
 
     Returns per node the best candidate's slot (-1 when no feature varies),
-    the index of its (left, right) positions in the returned list, its
-    left-position mask and its gain.
+    the side of each position (1 left, 2 right, 0 where the node has no row
+    of that code or does not split) and the gain.
     """
-    flat, k, n, n_l, n_r, factor, valid, left, pattern, grid, parts, offsets = layout
+    flat, k, n, n_l, n_r, factor, valid, left, present = layout
     m = n.size // k
     # per cell, the victims (gini) or the target sum (Friedman MSE); a
     # cell's sum adds its rows in ascending order
@@ -165,15 +153,16 @@ def _best_splits(layout: tuple, y, pos, criterion: str):
     score = np.where(valid, gains, -np.inf).reshape(m, -1)
     best = score.argmax(axis=1)
     gain = score.max(axis=1)
-    slot, part = np.divmod(best, grid.shape[1])
-    u = pattern[np.arange(m) * k + slot]
-    return np.where(gain > -np.inf, slot, -1), offsets[u] + part, grid[u, part], gain, parts
+    slot, part = np.divmod(best, left.shape[1])
+    pair, splits = np.arange(m) * k + slot, gain > -np.inf
+    side = (2 * present[pair] - left[pair, part]) * splits[:, None]
+    return np.where(splits, slot, -1), side.astype(np.int8), gain
 
 
-# A fitted tree set is one record of per-node lists, each child after its
-# parent; ``roots`` holds each tree's first node. An inner node tests
-# ``feature`` and sends the codes of ``left_values`` to node ``left`` and those
-# of ``right_values`` to node ``right``; a leaf has feature -1, children -1 and
+# A model file's tree record: per-node lists, each child after its parent;
+# ``roots`` holds each tree's first node. An inner node tests ``feature`` and
+# sends the codes of ``left_values`` to node ``left`` and those of
+# ``right_values`` to node ``right``; a leaf has feature -1, children -1 and
 # empty code sets. ``n`` counts the node's training rows, ``pos`` its victims
 # (0 in a regression tree) and ``value`` is a regression leaf's output.
 TREE_COLUMNS = ("roots", "feature", "left", "right", "left_values", "right_values", "n", "pos", "value")
@@ -185,7 +174,7 @@ class TreeGrower:
     ``grow`` numbers the nodes it creates on from those of earlier calls,
     level after level, a split node's children next to each other in the
     order of their parents; it returns each row's leaf, and ``value`` (a
-    regression leaf's output) and ``record`` use the same numbers. With
+    regression leaf's output) and ``table`` use the same numbers. With
     *subsets*, tree t of a ``grow`` call splits only on ``subsets[t]``'s
     columns, ranked for ties in that order; the default, one subset of every
     column, serves every tree. With *refits*, ``grow`` is called again and
@@ -200,16 +189,15 @@ class TreeGrower:
         if codes.size and int(codes.min()) < 0:
             raise ValueError("category codes must be non-negative")
         self.positions = np.empty(codes.shape, dtype=np.int64)
-        self.codes = []  # per feature, the code at each position
         for j in range(codes.shape[1]):
-            present, self.positions[:, j] = np.unique(codes[:, j], return_inverse=True)
-            self.codes.append(present)
-        self.width = max(map(len, self.codes), default=1)  # the most codes a feature takes
+            self.positions[:, j] = np.unique(codes[:, j], return_inverse=True)[1]
+        self.width = int(self.positions.max(initial=0)) + 1  # the most codes a feature takes
+        self.codes = np.zeros((codes.shape[1], self.width), dtype=np.int64)  # each feature's code at each position
+        self.codes[np.arange(codes.shape[1]), self.positions] = codes
         self.subsets = np.arange(codes.shape[1])[None] if subsets is None else np.array(subsets, dtype=np.int64)
         self.memo = {} if refits else None  # recent levels' layouts, by the splits above them
-        self.levels = []  # (feature, split, n, pos, tree) of each grown level
-        self.roots, self.parts, self.value = [], [], []  # the splits' (left, right) positions
-        self.code_sets = {}  # (left, right) codes of each (split, feature) key that ``record`` met
+        self.levels = []  # (feature, side, n, pos, tree) of each grown level
+        self.roots, self.value = [], []
 
     def grow(
         self,
@@ -263,8 +251,8 @@ class TreeGrower:
                 ref = np.empty(m)
                 ref[node] = sub_y  # some row of each node
                 search &= np.bincount(node, weights=sub_y != ref[node], minlength=m) > 0
-            feature, split = np.full((2, m), -1)
-            member = np.zeros((m, width), dtype=bool)  # each split node's left positions
+            feature = np.full(m, -1)
+            side = np.zeros((m, width), dtype=np.int8)  # each split node's side of each position, as ``_best_splits``
             if search.any():
                 searched, s_rows, s_at, local = np.arange(m), rows, at_row, node
                 if not search.all():
@@ -290,14 +278,11 @@ class TreeGrower:
                 for lo, hi, chunk, layout in layouts:
                     nodes = searched[lo:hi]
                     s_y = y if s_at.size == y.size and hi - lo == searched.size else y[s_at[chunk]]
-                    slot, chosen, left, _, parts = _best_splits(layout, s_y, pos[nodes], criterion)
+                    slot, side[nodes], _ = _best_splits(layout, s_y, pos[nodes], criterion)
                     feature[nodes] = np.where(slot >= 0, feats[lo:hi][np.arange(hi - lo), slot], -1)
-                    split[nodes] = len(self.parts) + chosen
-                    member[nodes] = left
-                    self.parts += parts
             splits = feature >= 0
             inner = np.flatnonzero(splits)
-            self.levels.append((feature, split, counts, pos, tree))
+            self.levels.append((feature, side, counts, pos, tree))
             self.value += [0.0] * m
             if inner.size < m:  # the rows of leaves stop here
                 at = splits[node]
@@ -305,9 +290,9 @@ class TreeGrower:
                 rows, node, at_row = rows[at], node[at], at_row[at]
             if not inner.size:
                 return leaf
-            go_left = member[node, positions[rows, feature[node]]]
+            go_left = side[node, positions[rows, feature[node]]] == 1
             if memo is not None:
-                key = (key, feature.tobytes(), (member @ _BITS[:width]).tobytes())
+                key = (key, feature.tobytes(), side.tobytes())
             memo = memo if len(samples) == 1 else None  # several trees seldom meet their deeper levels again
             # children in level order, each split node's left then its right
             node = (2 * node if inner.size == m else (2 * np.cumsum(splits) - 2)[node]) + ~go_left
@@ -337,12 +322,12 @@ class TreeGrower:
             runs.append((lo, hi, rows, _layout(cells, counts[lo:hi], width)))
         return runs
 
-    def record(self, tree: int | None = None) -> dict:
-        """The grown trees as a tree record (see ``TREE_COLUMNS``), the nodes
-        numbered as ``grow`` created them. With *tree*, only the trees grown
-        at that place of their ``grow`` calls, numbered in the same order,
-        each feature by its first place in ``subsets[tree]``."""
-        feature, split, n, pos, trees = (np.concatenate(column) for column in zip(*self.levels))
+    def table(self, tree: int | None = None) -> TreeTable:
+        """The grown trees as a ``TreeTable``, the nodes numbered as ``grow``
+        created them. With *tree*, only the trees grown at that place of their
+        ``grow`` calls, numbered in the same order, each feature by its place
+        in ``subsets[tree]``."""
+        feature, side, n, pos, trees = (np.concatenate(column) for column in zip(*self.levels))
         # the children of a level's split nodes open the next level, in the
         # order of their parents, each left child before its right
         sizes = [level[0].size for level in self.levels]
@@ -350,90 +335,97 @@ class TreeGrower:
         before = np.cumsum(splits) - splits  # the split nodes before each node
         left = np.where(splits, np.repeat(ends - 2 * before[ends - sizes], sizes) + 2 * before, -1)
         roots, value = np.array(self.roots), np.array(self.value)
+        place = np.append(np.arange(len(self.codes)), -1)  # each feature's number in the table; a leaf's -1 stays
         if tree is not None:  # a tree's children are its own, so they keep their order
             keep, number = trees == tree, np.cumsum(trees == tree) - 1  # each kept node's new id
-            feature, split, n, pos, value, splits = (c[keep] for c in (feature, split, n, pos, value, splits))
+            feature, side, n, pos, value, splits = (c[keep] for c in (feature, side, n, pos, value, splits))
             left, roots = np.where(splits, number[left[keep]], -1), number[roots[keep[roots]]]
-            place, first = np.full(len(self.codes) + 1, -1), np.unique(self.subsets[tree], return_index=True)
-            place[first[0]] = first[1]  # each feature's first place in the subset; a leaf's -1 stays
-        # the code sets of each distinct (feature, split), built once per
-        # grower; the leaves' key -1 comes first (every tree has a leaf)
-        n_features = self.positions.shape[1]
-        distinct, sets = np.unique(np.where(splits, split * n_features + feature, -1), return_inverse=True)
-        left_values, right_values = np.empty((2, distinct.size), dtype=object)
-        left_values[0] = right_values[0] = ()
-        for i, key in enumerate(distinct.tolist()[1:], 1):
-            if key not in self.code_sets:
-                codes, (lp, rp) = self.codes[key % n_features], self.parts[key // n_features]
-                self.code_sets[key] = tuple(codes[list(lp)].tolist()), tuple(codes[list(rp)].tolist())
-            left_values[i], right_values[i] = self.code_sets[key]
-        right = np.where(splits, left + 1, -1)
-        feature = feature if tree is None else place[feature]
-        columns = (roots, feature, left, right, left_values[sets], right_values[sets], n, pos, value)
-        return {column: np.asarray(values).tolist() for column, values in zip(TREE_COLUMNS, columns)}
+            place[self.subsets[tree]] = np.arange(self.subsets.shape[1])
+        nodes, at = np.nonzero(side)  # each code a split node lists, as (node, code, side)
+        listed = np.stack([nodes, self.codes[feature[nodes], at], side[nodes, at]])
+        return TreeTable(self.subsets.shape[1], roots, place[feature], left, np.where(splits, left + 1, -1), n, pos,
+                         value, listed)
 
 
-def _ints(values, name: str, least: int, below: int | None = None) -> np.ndarray:
-    array = np.array(values, dtype=np.int64) if set(map(type, values)) <= {int} else None  # a bool is no int
-    if array is None or (array < least).any() or below is not None and (array >= below).any():
-        raise ValueError(f"tree {name} must be integers in [{least}, {below or 'inf'})")
-    return array
+def _ints(values, name: str) -> np.ndarray:
+    if not set(map(type, values)) <= {int}:  # a bool is no int
+        raise ValueError(f"tree {name} must be integers")
+    return np.array(values, dtype=np.int64)
 
 
 class TreeTable:
-    """The scoring table of a tree record (see ``TREE_COLUMNS``).
+    """A fitted tree set as arrays, and its scoring.
 
-    ``codes`` holds every code that some node splits on, in ascending order.
-    Node ``i`` tests the code of feature ``feature[i]`` and moves to node
-    ``next[i, j]``, with ``j`` that code's position in ``codes``; a leaf
-    moves to itself. Scoring steps every row down every tree at once, one
-    level per step, so a batch costs a few array operations per level
-    instead of a walk per row and tree. The last column of ``next`` serves
-    every code that no node splits on; there, as for a code the node never
-    saw at fit time, a row follows the heavier child, and the left child
-    when the two are equally heavy.
+    ``roots``, ``feature``, ``left``, ``right``, ``n``, ``pos`` and ``value``
+    are the columns of ``TREE_COLUMNS``. ``codes`` holds every code that some
+    node splits on, in ascending order; node ``i`` sends ``codes[j]`` to its
+    left child where ``side[i, j]`` is 1, to its right child where it is 2
+    and, where the node does not list it (0), to its heavier child, the left
+    one when both are equally heavy. *listed* holds a (node, code, side)
+    column per code that a split node lists.
 
-    A record read from a file is outside input: one that does not describe
-    trees over *n_features* features (lists of unequal length, an index
-    outside the nodes or the features, a child that does not come after its
-    parent, a split code that is not an integer >= 0 or that a node lists
-    twice or on both sides, a node with more victims than rows) raises
-    ValueError.
+    A fit's arrays and a model file's pass one check: an index outside the
+    nodes or the *n_features* features, a child that does not come after its
+    parent, a split code below 0 or that a node lists twice or on both sides,
+    or a node with more victims than rows raises ValueError.
     """
 
-    def __init__(self, trees: dict, n_features: int):
+    def __init__(self, n_features: int, roots, feature, left, right, n, pos, value, listed):
+        size, (nodes, codes, sides) = feature.size, listed
+        for array, name, least, below in ((roots, "roots", 0, size), (feature, "features", -1, n_features),
+                                          (np.append(left, right), "children", -1, size), (n, "row counts", 1, np.inf),
+                                          (pos, "victim counts", 0, np.inf), (codes, "split codes", 0, np.inf)):
+            if ((array < least) | (array >= below)).any():
+                raise ValueError(f"tree {name} must be integers in [{least}, {below})")
+        if not roots.size:
+            raise ValueError("a tree record holds at least one tree")
+        if (pos > n).any():
+            raise ValueError("a tree node holds more victims than rows")
+        inner = np.flatnonzero(feature >= 0)
+        if (left[inner] <= inner).any() or (right[inner] <= inner).any():
+            raise ValueError("every tree node must come after its parent")
+        vars(self).update(roots=roots, feature=feature, left=left, right=right, n=n, pos=pos, value=value)
+        self.codes, columns = np.unique(codes, return_inverse=True)  # without return_inverse it imports numpy.ma
+        self.side = np.zeros((size, self.codes.size), dtype=np.int8)
+        self.side[nodes, columns] = sides
+        if np.count_nonzero(self.side) < codes.size:
+            raise ValueError("a tree node lists a split code twice, or on both sides")
+
+    @classmethod
+    def from_record(cls, trees: dict, n_features: int) -> TreeTable:
+        """The table of a tree record from a model file, which is outside
+        input: lists of unequal length and values of the wrong type raise
+        ValueError too. Only split nodes' code sets are read."""
         size = len(trees["feature"])
         if any(len(trees[column]) != size for column in TREE_COLUMNS[1:]):
             raise ValueError("tree node lists differ in length")
-        if not trees["roots"]:
-            raise ValueError("a tree record holds at least one tree")
-        self.roots = _ints(trees["roots"], "roots", 0, size)
-        self.feature = _ints(trees["feature"], "features", -1, n_features)
-        left, right = _ints(trees["left"], "children", -1, size), _ints(trees["right"], "children", -1, size)
-        self.n, self.pos = _ints(trees["n"], "row counts", 1), _ints(trees["pos"], "victim counts", 0)
-        if (self.pos > self.n).any():
-            raise ValueError("a tree node holds more victims than rows")
-        self.value = check_shape("tree values", trees["value"], (size,))
-        inner = np.flatnonzero(self.feature >= 0)
-        left, right = left[inner], right[inner]
-        if (left <= inner).any() or (right <= inner).any():
-            raise ValueError("every tree node must come after its parent")
-        sides = []  # (codes, their nodes, the child they go to) for each side
-        for column, child in (("left_values", left), ("right_values", right)):
-            sets = [trees[column][i] for i in inner.tolist()]
-            sizes = [len(codes) for codes in sets]
-            codes = _ints([c for codes in sets for c in codes], "split codes", 0)
-            sides.append((codes, np.repeat(inner, sizes), np.repeat(child, sizes)))
-        codes, nodes, child = map(np.concatenate, zip(*sides))
-        self.codes = np.array(sorted(set(codes.tolist())), dtype=np.int64)
-        self.next = np.repeat(np.arange(size)[:, None], len(self.codes) + 1, axis=1)
-        self.next[inner] = np.where(self.n[left] < self.n[right], right, left)[:, None]
-        cells = nodes * self.next.shape[1] + np.searchsorted(self.codes, codes)
-        listed = np.zeros(self.next.size, dtype=bool)
-        listed[cells] = True
-        if np.count_nonzero(listed) < len(cells):
-            raise ValueError("a tree node lists a split code twice, or on both sides")
-        self.next.flat[cells] = child
+        roots, feature, left, right, n, pos = (_ints(trees[c], c) for c in TREE_COLUMNS[:4] + TREE_COLUMNS[6:8])
+        inner = np.flatnonzero(feature >= 0)
+        sets = [trees[column][i] for column in ("left_values", "right_values") for i in inner.tolist()]
+        sizes = [len(codes) for codes in sets]
+        codes = _ints([c for codes in sets for c in codes], "split codes")
+        listed = np.stack([np.repeat(np.tile(inner, 2), sizes), codes, np.repeat(np.repeat([1, 2], inner.size), sizes)])
+        return cls(n_features, roots, feature, left, right, n, pos, check_shape("tree values", trees["value"], (size,)),
+                   listed)
+
+    def record(self) -> dict:
+        """The tree record of a model file: per-node lists, each node's codes
+        in ascending order, a leaf's code sets empty."""
+        sets = [[self.codes[row == side].tolist() for row in self.side] for side in (1, 2)]
+        columns = (self.roots, self.feature, self.left, self.right, *sets, self.n, self.pos, self.value)
+        return {name: c if isinstance(c, list) else c.tolist() for name, c in zip(TREE_COLUMNS, columns)}
+
+    @functools.cached_property
+    def next(self) -> np.ndarray:
+        """(nodes, codes + 1) where each node sends each of ``codes`` and, in the
+        last column, every code it does not list; a leaf sends all to itself.
+        Kept once built: freeing it at every call raised peak RSS (malloc)."""
+        heavier = np.where(self.n[self.left] < self.n[self.right], self.right, self.left)
+        heavier = np.where(self.feature >= 0, heavier, np.arange(self.feature.size))
+        return np.column_stack([np.choose(self.side, [c[:, None] for c in (heavier, self.left, self.right)]), heavier])
+
+    def __getstate__(self) -> dict:
+        return {name: array for name, array in vars(self).items() if name != "next"}  # a pickle holds no step table
 
     def leaf_ids(self, codes: np.ndarray) -> np.ndarray:
         """(rows, trees) id of the leaf each row reaches."""
@@ -450,6 +442,6 @@ class TreeTable:
                 return node
             node = self.next[node, columns[rows, feature]]
 
-    def leaf_values(self, X: np.ndarray, output: np.ndarray) -> np.ndarray:
-        """(rows, trees) *output* of the leaf each row of *X* reaches."""
-        return output[self.leaf_ids(category_codes(X))]
+    def leaf_values(self, X: np.ndarray, output: np.ndarray | None = None) -> np.ndarray:
+        """(rows, trees) *output* of the leaf each row of *X* reaches; by default its victim fraction."""
+        return (self.pos / self.n if output is None else output)[self.leaf_ids(category_codes(X))]

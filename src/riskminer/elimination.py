@@ -70,14 +70,12 @@ def metrics_doc(entry: dict) -> dict:
     }
 
 
-def _fit(spec, splits: SplitBundle, features, positive: int):
-    """Train *spec* on splits.train over *features*; its (test accuracy, test AUC,
-    model), or for a tuple of feature sets, which ``train_many`` fits together, a list."""
-    one, results = isinstance(features[0], str), []
-    for model in [train(spec, splits.train, features)] if one else train_many(spec, splits.train, features):
-        entry = validate(model, splits.test, positive)
-        results.append((entry["metrics"].accuracy, entry["auc"], model))
-    return results[0] if one else results
+def _fit(spec, splits: SplitBundle, sets, positive: int) -> list:
+    """Train *spec* on splits.train over each of *sets* (``train_many`` fits
+    more than one together); each one's (test accuracy, test AUC, model)."""
+    models = [train(spec, splits.train, sets[0])] if len(sets) == 1 else train_many(spec, splits.train, sets)
+    entries = [validate(model, splits.test, positive) for model in models]
+    return [(entry["metrics"].accuracy, entry["auc"], model) for entry, model in zip(entries, models)]
 
 
 def _maps(learners, results) -> tuple[dict, dict, dict]:
@@ -94,7 +92,7 @@ def evaluate_learners(
 ) -> tuple[dict, dict, dict]:
     """Train each learner on splits.train over *features*; return
     (accuracy, auc, model) maps keyed by learner kind, scored on splits.test."""
-    return _maps(learners, [_fit(spec, splits, features, positive) for spec in learners])
+    return _maps(learners, [_fit(spec, splits, (features,), positive)[0] for spec in learners])
 
 
 def check_min_size(min_size: int) -> None:
@@ -129,9 +127,9 @@ def _adopt(work) -> None:
 
 
 def _fit_task(task, work=None):
-    kind, features = task
+    kind, sets = task
     splits, specs, positive = work or _WORK
-    return _fit(specs[kind], splits, features, positive)
+    return _fit(specs[kind], splits, sets, positive)
 
 
 class _Fits:
@@ -155,7 +153,7 @@ class _Fits:
                 for chunk in range(min(workers, len(group)) if group[0] == i else 0):
                     part = group[chunk::workers]
                     owners.append([(j, spec.kind) for j in part])
-                    tasks.append((spec.kind, sets[part[0]] if len(part) == 1 else tuple(sets[j] for j in part)))
+                    tasks.append((spec.kind, tuple(sets[j] for j in part)))
         if workers == 1:
             results = map(functools.partial(_fit_task, work=self.work), tasks)
         else:
@@ -171,7 +169,7 @@ class _Fits:
         for i in range(len(sets)):  # taken in (set, roster) order, the order of one process's fits
             while any((i, spec.kind) not in got for spec in self.learners):
                 pairs, result = next(results)
-                got.update(zip(pairs, result) if len(pairs) > 1 else [(pairs[0], result)])
+                got.update(zip(pairs, result))
             yield _maps(self.learners, [got.pop((i, spec.kind)) for spec in self.learners])
 
     def __enter__(self):

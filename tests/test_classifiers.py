@@ -99,7 +99,7 @@ def test_tree_paths_bounded_by_value_counts():
     labels = [rng.randint(0, 1) for _ in range(120)]
     model = train(ClassifierSpec("DT"), toy_dataset(records, labels, schema=schema))
 
-    trees = model.impl.trees
+    trees = model.impl.params
 
     def walk(i, seen):
         feature = trees["feature"][i]

@@ -147,14 +147,14 @@ def test_the_pool_gets_each_candidate_group_as_one_task_per_worker(tmp_path, mon
     _pipeline(tmp_path, "pool")
     assert len(batches) == 2
     for tasks, size in zip(batches, CANDIDATE_SIZES):
-        lockstep = [sets for kind, sets in tasks if kind == "GB" and not isinstance(sets[0], str)]
+        lockstep = [sets for kind, sets in tasks if kind == "GB" and len(sets) > 1]
         assert len(lockstep) == 2  # one per worker
         assert sorted(len(sets) for sets in lockstep) == ([3, 3] if size == 5 else [2, 3])
         assert {len(f) for sets in lockstep for f in sets} == {size}
-        one_fit_gb = [sets for kind, sets in tasks if kind == "GB" and isinstance(sets[0], str)]
-        assert [len(f) for f in one_fit_gb] == ([6, 26] if size == 5 else [])
+        one_fit_gb = [sets for kind, sets in tasks if kind == "GB" and len(sets) == 1]
+        assert [len(f) for (f,) in one_fit_gb] == ([6, 26] if size == 5 else [])
         # every other learner keeps one task per (learner, set) pair
-        assert all(isinstance(sets[0], str) for kind, sets in tasks if kind != "GB")
+        assert all(len(sets) == 1 for kind, sets in tasks if kind != "GB")
 
 
 # -- a failing lockstep task ------------------------------------------------------------

@@ -163,9 +163,9 @@ def test_no_model_is_trained_twice_when_every_feature_survives(monkeypatch, tmp_
 
 def test_the_pool_fits_each_pair_once_and_validation_scores_the_models_it_sent_back(monkeypatch):
     _usable_cpus(monkeypatch, 2)  # two workers on any machine
-    sent = []  # (kind, features) of every task the pool is given
+    sent = []  # (kind, (features,)) of every task the pool is given
     batches = []  # the number of tasks of each batch
-    returned = {}  # (kind, features) -> the model the pool sent back
+    returned = {}  # (kind, (features,)) -> the model the pool sent back
     real_map = ProcessPoolExecutor.map
 
     def recording_map(pool, fn, tasks, **kwargs):
@@ -173,7 +173,7 @@ def test_the_pool_fits_each_pair_once_and_validation_scores_the_models_it_sent_b
         sent.extend(tasks)
         batches.append(len(tasks))
         for task, result in zip(tasks, real_map(pool, fn, tasks, **kwargs)):
-            returned[task] = result[2]
+            (returned[task],) = [model for _, _, model in result]
             yield result
 
     validated = []
@@ -194,4 +194,4 @@ def test_the_pool_fits_each_pair_once_and_validation_scores_the_models_it_sent_b
     selected = tuple(report.best["features"])
     assert sorted(model.kind for model in validated) == ["DT", "GNB", "LR"]
     for model in validated:
-        assert model is returned[(model.kind, selected)]
+        assert model is returned[(model.kind, (selected,))]

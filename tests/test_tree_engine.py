@@ -141,7 +141,7 @@ def random_trees(draw, n_features=3, max_depth=4):
 def test_batch_scoring_matches_per_row_descent(roots, rows):
     X = np.array(rows, dtype=np.float64).reshape(len(rows), 3)
     trees, nodes = flatten(roots)
-    reached = TreeTable(trees, 3).leaf_ids(category_codes(X))
+    reached = TreeTable.from_record(trees, 3).leaf_ids(category_codes(X))
     assert reached.shape == (len(rows), len(roots))
     for i, row in enumerate(X):
         for t, root in enumerate(roots):
@@ -152,4 +152,4 @@ def test_negative_split_codes_are_refused():
     # fits never produce them; a model file that holds one is refused on load
     root = TreeNode(n=4, feature=0, left_values=(-1,), right_values=(1,), left=TreeNode(n=2), right=TreeNode(n=2, pos=2))
     with pytest.raises(ValueError):
-        TreeTable(flatten([root])[0], 1)
+        TreeTable.from_record(flatten([root])[0], 1)

@@ -51,7 +51,7 @@ def test_decision_trees_match_the_depth_first_grower(X, data):
     leaf = grower.grow(y, "gini", min_samples_split=min_samples_split)
     want, (want_leaf,) = _oracle_record([((category_codes(X), y, "gini", min_samples_split), {})])
     # the grower numbers nodes in creation order, the oracle in preorder
-    got, ids = tree_oracle.preorder(grower.record())
+    got, ids = tree_oracle.preorder(grower.table().record())
     assert got == want
     assert ids[leaf].tolist() == want_leaf.tolist()
 
@@ -74,7 +74,7 @@ def test_regression_trees_match_the_depth_first_grower(X, data):
     want, want_leaves = _oracle_record(
         [((category_codes(X), r, "friedman-mse", min_samples_split, max_depth), {}) for r in calls]
     )
-    got, ids = tree_oracle.preorder(grower.record())
+    got, ids = tree_oracle.preorder(grower.table().record())
     assert got == want
     assert [ids[leaf].tolist() for leaf in leaves] == [leaf.tolist() for leaf in want_leaves]
 
@@ -112,7 +112,7 @@ def test_levels_scored_in_runs_grow_the_same_trees(monkeypatch):
     runs = [TreeGrower(X), TreeGrower(X)]
     runs[0].grow(y, "gini")
     runs[1].grow(residual, "friedman-mse", max_depth=6)
-    assert [g.record() for g in runs] == [g.record() for g in whole]
+    assert [g.table().record() for g in runs] == [g.table().record() for g in whole]
 
 
 # -- random forests ---------------------------------------------------------
@@ -204,7 +204,7 @@ def test_a_code_of_a_million_fits_in_little_memory_and_grows_the_same_trees(lear
     want = dict(compact.params)
     for column in ("left_values", "right_values"):
         want[column] = [
-            tuple(1_000_000 if (f == 2 and c == 3) else c for c in codes)
+            [1_000_000 if (f == 2 and c == 3) else c for c in codes]
             for f, codes in zip(compact.params["feature"], compact.params[column])
         ]
     assert big.params == want

@@ -2,7 +2,8 @@
 
 These are the implementations the level-wise grower in
 ``riskminer.classifiers.tree`` replaced, kept verbatim but for their squares,
-which are IEEE products (``x * x``) as the grower's are, not ``x ** 2``:
+which are IEEE products (``x * x``) as the grower's are, not ``x ** 2``, and
+for the code sets that ``grow`` records, which are lists, as in model files:
 
 - ``grow`` is the depth-first grower: it routes row-index arrays down an
   explicit stack and runs one histogram search, ``_search``, per node (with
@@ -168,12 +169,11 @@ def engine_split(records, labels, candidate_features, criterion: str = "gini") -
     grower = TreeGrower(np.asarray(records)[:, feats])
     pos = np.array([int(y.sum()) if criterion == "gini" else 0])
     layout = _layout(grower.cells, np.array([y.size]), grower.width)
-    slot, chosen, _, gain, parts = _best_splits(layout, y, pos, criterion)
+    slot, side, gain = _best_splits(layout, y, pos, criterion)
     if slot[0] < 0:
         return None
     codes = grower.codes[slot[0]]
-    left, right = parts[chosen[0]]
-    return SplitChoice(int(feats[slot[0]]), tuple(codes[list(left)].tolist()), tuple(codes[list(right)].tolist()),
+    return SplitChoice(int(feats[slot[0]]), tuple(codes[side[0] == 1].tolist()), tuple(codes[side[0] == 2].tolist()),
                        float(gain[0]))
 
 
@@ -380,7 +380,7 @@ def grow(
             trees[link[1]][link[0]] = i
         sub_y = y[idx]
         pos = int(sub_y.sum()) if criterion == "gini" else 0
-        for column, v in zip(TREE_COLUMNS[1:], (-1, -1, -1, (), (), int(idx.size), pos, 0.0)):
+        for column, v in zip(TREE_COLUMNS[1:], (-1, -1, -1, [], [], int(idx.size), pos, 0.0)):
             trees[column].append(v)
         choice = None
         if idx.size >= min_samples_split and (max_depth is None or depth < max_depth) and (sub_y != sub_y[0]).any():
@@ -393,7 +393,7 @@ def grow(
             leaf[idx] = i
             continue
         trees["feature"][i] = choice.feature
-        trees["left_values"][i], trees["right_values"][i] = choice.left_values, choice.right_values
+        trees["left_values"][i], trees["right_values"][i] = list(choice.left_values), list(choice.right_values)
         mask = (codes[idx, choice.feature][:, None] == np.asarray(choice.left_values)).any(axis=1)
         stack += [(idx[~mask], depth + 1, (i, "right")), (idx[mask], depth + 1, (i, "left"))]
     return leaf
