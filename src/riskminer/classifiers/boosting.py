@@ -52,23 +52,24 @@ class GradientBoostingLearner:
         init_score = float(np.log(prior / (1.0 - prior)))
         raw = np.full((len(grower.subsets), X.shape[0]), init_score)  # (fits, rows)
         prob = sigmoid(raw)
-        losses = [log_loss(y, prob)]
+        losses, values = [log_loss(y, prob)], []
         for _ in range(self.n_estimators):
             residual = y - prob
-            first = len(grower.value)  # the round's first node
+            first = grower.size  # the round's first node
             leaf = grower.grow(residual, "friedman-mse", max_depth=self.max_depth) - first
             # each leaf's Newton step sums its rows' residuals and hessians in
             # row order; an inner node sums none and keeps 0.0, and the
             # round's last node is a leaf
             sums, hessians = (np.bincount(leaf, weights=w.ravel()) for w in (residual, prob * (1.0 - prob)))
             steps = sums / np.maximum(hessians, 1e-12)
-            grower.value[first:] = steps.tolist()
+            values.append(steps)
             raw = raw + self.learning_rate * steps[leaf].reshape(raw.shape)
             prob = sigmoid(raw)
             losses.append(log_loss(y, prob))
+        value, losses = np.concatenate(values), np.column_stack(losses)  # losses: (fits, rounds + 1)
         fits = [copy.copy(self) for _ in grower.subsets]
-        for t, (fit, train_losses) in enumerate(zip(fits, np.array(losses).T.tolist())):
-            fit.init_score, fit.table, fit.train_losses = init_score, grower.table(t), train_losses
+        for t, fit in enumerate(fits):
+            fit.init_score, fit.table, fit.train_losses = init_score, grower.table(t, value), losses[t]
         return fits
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
@@ -82,9 +83,9 @@ class GradientBoostingLearner:
 
     @property
     def params(self) -> dict:
-        return {"init_score": self.init_score, **self.table.record(), "train_losses": self.train_losses}
+        return {"init_score": self.init_score, **self.table.record(), "train_losses": self.train_losses.tolist()}
 
     def load_params(self, params: dict, n_features: int) -> None:
         self.init_score = float(check_shape("init_score", params["init_score"], ()))
-        self.train_losses = check_shape("train_losses", params["train_losses"], (None,)).tolist()
+        self.train_losses = check_shape("train_losses", params["train_losses"], (None,))
         self.table = TreeTable.from_record(params, n_features)

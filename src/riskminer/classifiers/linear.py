@@ -89,10 +89,10 @@ class LogisticLearner:
         converged = False
         settled = False  # the last step lowered the objective by at most 1e-10 of it
         for _ in range(self.max_iter):
-            gw, gb = self.gradient(X, y, w, b)
-            grad = np.append(gw, gb)
             z = X @ w + b
             p = sigmoid(z)
+            residual = p - y  # the gradient as ``gradient`` computes it, from this step's scores
+            grad = np.append(X.T @ residual + w / self.C, float(residual.sum()))
             hessian = (A.T * (p * (1.0 - p))) @ A
             hessian[np.diag_indices_from(hessian)] += penalty
             direction = np.linalg.solve(hessian, grad)

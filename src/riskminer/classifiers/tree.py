@@ -22,9 +22,9 @@ splits above it repeat.
 Gains are plain IEEE arithmetic (gini squares are products, not the C
 library's ``pow``), so a fit does not depend on the C library. A node's
 per-code sums add its rows in ascending order and a feature's sums add one
-code at a time, as the depth-first grower in ``tests/tree_oracle.py`` does;
-numpy adds fewer than eight numbers one by one too, so while every code is
-below 7 the grown trees are bit-identical to that reference's.
+code at a time, in code order, as the depth-first grower in
+``tests/tree_oracle.py`` does, so the grown trees are bit-identical to that
+reference's.
 
 Ties go to the lowest feature index, then to the partition whose left set is
 lexicographically smallest (the left set always holds the smallest present
@@ -173,8 +173,8 @@ class TreeGrower:
 
     ``grow`` numbers the nodes it creates on from those of earlier calls,
     level after level, a split node's children next to each other in the
-    order of their parents; it returns each row's leaf, and ``value`` (a
-    regression leaf's output) and ``table`` use the same numbers. With
+    order of their parents; it returns each row's leaf, and ``table`` uses
+    the same numbers; ``size`` counts the nodes grown so far. With
     *subsets*, tree t of a ``grow`` call splits only on ``subsets[t]``'s
     columns, ranked for ties in that order; the default, one subset of every
     column, serves every tree. With *refits*, ``grow`` is called again and
@@ -197,7 +197,7 @@ class TreeGrower:
         self.subsets = np.arange(codes.shape[1])[None] if subsets is None else np.array(subsets, dtype=np.int64)
         self.memo = {} if refits else None  # recent levels' layouts, by the splits above them
         self.levels = []  # (feature, side, n, pos, tree) of each grown level
-        self.roots, self.value = [], []
+        self.roots, self.size = [], 0
 
     def grow(
         self,
@@ -233,8 +233,7 @@ class TreeGrower:
         rows = stack  # the rows of the level's nodes, in ascending stack order
         node = np.repeat(np.arange(counts.size), counts)  # each row's node in the level
         tree = np.arange(counts.size)  # each node's tree
-        first = len(self.value)  # the level's first node id
-        self.roots += range(first, first + counts.size)
+        self.roots += range(self.size, self.size + counts.size)
         leaf = np.empty(len(stack), dtype=np.int64)  # each row's leaf
         at_row = np.arange(len(stack))  # each row's place in *leaf*
         key = ()  # the splits so far, which fix the level's rows
@@ -283,11 +282,11 @@ class TreeGrower:
             splits = feature >= 0
             inner = np.flatnonzero(splits)
             self.levels.append((feature, side, counts, pos, tree))
-            self.value += [0.0] * m
             if inner.size < m:  # the rows of leaves stop here
                 at = splits[node]
-                leaf[at_row[~at]] = node[~at] + first
+                leaf[at_row[~at]] = node[~at] + self.size  # the level's first node id
                 rows, node, at_row = rows[at], node[at], at_row[at]
+            self.size += m
             if not inner.size:
                 return leaf
             go_left = side[node, positions[rows, feature[node]]] == 1
@@ -298,7 +297,6 @@ class TreeGrower:
             node = (2 * node if inner.size == m else (2 * np.cumsum(splits) - 2)[node]) + ~go_left
             counts = np.bincount(node, minlength=2 * inner.size)
             tree = np.repeat(tree[inner], 2)
-            first += m
 
     @functools.cached_property
     def cells(self) -> np.ndarray:
@@ -322,11 +320,12 @@ class TreeGrower:
             runs.append((lo, hi, rows, _layout(cells, counts[lo:hi], width)))
         return runs
 
-    def table(self, tree: int | None = None) -> TreeTable:
+    def table(self, tree: int | None = None, value: np.ndarray | None = None) -> TreeTable:
         """The grown trees as a ``TreeTable``, the nodes numbered as ``grow``
-        created them. With *tree*, only the trees grown at that place of their
-        ``grow`` calls, numbered in the same order, each feature by its place
-        in ``subsets[tree]``."""
+        created them, with *value* (one float per grown node; default 0.0) as
+        each node's regression output. With *tree*, only the trees grown at
+        that place of their ``grow`` calls, numbered in the same order, each
+        feature by its place in ``subsets[tree]``."""
         feature, side, n, pos, trees = (np.concatenate(column) for column in zip(*self.levels))
         # the children of a level's split nodes open the next level, in the
         # order of their parents, each left child before its right
@@ -334,7 +333,7 @@ class TreeGrower:
         ends, splits = np.cumsum(sizes), feature >= 0
         before = np.cumsum(splits) - splits  # the split nodes before each node
         left = np.where(splits, np.repeat(ends - 2 * before[ends - sizes], sizes) + 2 * before, -1)
-        roots, value = np.array(self.roots), np.array(self.value)
+        roots, value = np.array(self.roots), np.zeros(self.size) if value is None else value
         place = np.append(np.arange(len(self.codes)), -1)  # each feature's number in the table; a leaf's -1 stays
         if tree is not None:  # a tree's children are its own, so they keep their order
             keep, number = trees == tree, np.cumsum(trees == tree) - 1  # each kept node's new id

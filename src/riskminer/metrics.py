@@ -99,8 +99,11 @@ def classification_metrics(cm: ConfusionMatrix) -> MetricsReport:
 
 @dataclass(frozen=True)
 class RocCurve:
-    points: tuple[tuple[float, float], ...]  # (fpr, tpr), from (0, 0) to (1, 1)
-    thresholds: tuple[float, ...]  # descending; starts at the +inf sentinel
+    """Equal-length float arrays with one entry per point, from (0, 0) to (1, 1)."""
+
+    fpr: np.ndarray
+    tpr: np.ndarray
+    thresholds: np.ndarray  # descending; starts at the +inf sentinel of (0, 0)
 
 
 def oriented(scores: np.ndarray, positive: int) -> np.ndarray:
@@ -110,30 +113,26 @@ def oriented(scores: np.ndarray, positive: int) -> np.ndarray:
 
 def roc_points(y_true, scores, positive: int) -> RocCurve:
     """Sweep descending unique scores; each point classifies score >= t as positive."""
-    y = np.asarray(y_true)
     s = np.asarray(scores, dtype=np.float64)
-    pos = y == positive
+    pos = np.asarray(y_true) == positive
     n_pos = int(pos.sum())
-    n_neg = int(len(y) - n_pos)
+    n_neg = pos.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DataError("ROC needs both classes present")
     order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    pos_sorted = pos[order]
-    tps = np.cumsum(pos_sorted)
-    fps = np.arange(1, len(y) + 1) - tps
+    s_sorted, tps, fps = s[order], np.cumsum(pos[order]), np.cumsum(~pos[order])
     # Keep only the last index of each tied score block.
     last = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    points = ((0.0, 0.0), *zip((fps[last] / n_neg).tolist(), (tps[last] / n_pos).tolist()))
-    return RocCurve(points=points, thresholds=(float("inf"), *s_sorted[last].tolist()))
+    return RocCurve(fpr=np.append(0.0, fps[last] / n_neg), tpr=np.append(0.0, tps[last] / n_pos),
+                    thresholds=np.append(np.inf, s_sorted[last]))
 
 
 def auc(curve: RocCurve) -> float:
-    """Trapezoidal area under the curve, integrated over the FPR axis."""
-    total = 0.0
-    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
-        total += (x1 - x0) * (y0 + y1) / 2.0
-    return total
+    """Trapezoidal area under the curve, integrated over the FPR axis. The
+    trapezoids are added one at a time in curve order, not by numpy's pairwise
+    sum, so the area rounds as a loop over the points rounds it."""
+    tpr = curve.tpr
+    return float(np.cumsum(np.diff(curve.fpr) * (tpr[:-1] + tpr[1:]) / 2.0)[-1])
 
 
 def roc_auc(y_true, scores, positive: int) -> float:

@@ -18,7 +18,6 @@ read, and each range by the check of the stage that uses the value.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -435,11 +434,8 @@ def metrics_csv(validation) -> str:
 
 
 def roc_csv(curve: RocCurve) -> str:
-    lines = ["threshold,fpr,tpr"]
-    for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points):
-        t = "inf" if math.isinf(threshold) else repr(threshold)
-        lines.append(f"{t},{fpr!r},{tpr!r}")
-    return "\n".join(lines) + "\n"
+    points = zip(*(c.tolist() for c in (curve.thresholds, curve.fpr, curve.tpr)))
+    return "".join(["threshold,fpr,tpr\n", *(",".join(map(repr, point)) + "\n" for point in points)])
 
 
 def rules_csv(rules, descriptions) -> str:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from riskminer import elimination
 from riskminer.classifiers import ClassifierSpec, model_to_dict, train, train_many
+from riskminer.classifiers import boosting
 from riskminer.classifiers import tree as tree_module
 from riskminer.classifiers.boosting import GradientBoostingLearner
 from riskminer.classifiers.forest import DecisionTreeLearner
@@ -86,6 +87,34 @@ def test_a_set_narrower_than_the_union_and_sets_of_unequal_size():
     sets = [("a", "b"), ("c", "d"), ("b", "d"), ("a", "b", "c"), ("a", "b"), ("d",)]
     _same_models(ClassifierSpec("GB", {"n_estimators": 12}), ds, sets)
     _same_models(ClassifierSpec("DT"), ds, sets)  # other kinds fit one set at a time
+
+
+def _floats(value):
+    """The Python floats in *value* and the lists, tuples and dicts it holds."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, (list, tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _floats(item)
+
+
+def test_a_lockstep_grower_holds_its_node_outputs_in_no_float_list(monkeypatch):
+    growers = []
+
+    class Kept(tree_module.TreeGrower):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            growers.append(self)
+
+    monkeypatch.setattr(boosting, "TreeGrower", Kept)
+    rng = np.random.default_rng(11)
+    X = rng.integers(0, 3, size=(80, 4)).astype(np.float64)
+    y = (rng.random(80) < 0.3 + 0.2 * X[:, 0]).astype(np.int64)
+    fits = GradientBoostingLearner(n_estimators=8).fit_sets(X, y, [[0, 1], [2, 3], [1, 3]])
+    (grower,) = growers
+    assert list(_floats(vars(grower))) == []
+    assert grower.size == sum(fit.table.feature.size for fit in fits)  # every grown node is some fit's
+    assert all(isinstance(fit.train_losses, np.ndarray) and fit.train_losses.shape == (9,) for fit in fits)
 
 
 def test_a_forest_on_one_column_grows_the_trees_it_did():

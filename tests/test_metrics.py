@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskminer.errors import DataError
 from riskminer.metrics import (
@@ -98,15 +101,17 @@ def test_roc_perfect_ranking_hits_corner():
     y = [0, 0, 1, 1]
     s = [0.9, 0.8, 0.2, 0.1]
     curve = roc_points(y, s, positive=0)
-    assert (0.0, 1.0) in curve.points
-    assert curve.points[0] == (0.0, 0.0)
-    assert curve.points[-1] == (1.0, 1.0)
+    points = list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+    assert (0.0, 1.0) in points
+    assert points[0] == (0.0, 0.0)
+    assert points[-1] == (1.0, 1.0)
     assert auc(curve) == 1.0
 
 
 def test_roc_constant_scores():
     curve = roc_points([0, 1, 0, 1], [0.4, 0.4, 0.4, 0.4], positive=1)
-    assert curve.points == ((0.0, 0.0), (1.0, 1.0))
+    assert (curve.fpr.tolist(), curve.tpr.tolist()) == ([0.0, 1.0], [0.0, 1.0])
+    assert curve.thresholds.tolist() == [np.inf, 0.4]
     assert auc(curve) == 0.5
 
 
@@ -129,8 +134,8 @@ def test_roc_monotone_points():
     y[0], y[1] = 0, 1
     s = [rng.choice([0.1, 0.25, 0.5, 0.75]) for _ in range(40)]
     curve = roc_points(y, s, positive=1)
-    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
-        assert x1 >= x0 and y1 >= y0
+    assert curve.fpr.shape == curve.tpr.shape == curve.thresholds.shape
+    assert (np.diff(curve.fpr) >= 0).all() and (np.diff(curve.tpr) >= 0).all()
     assert list(curve.thresholds) == sorted(curve.thresholds, reverse=True)
 
 
@@ -153,3 +158,27 @@ def test_auc_complement_and_transform_invariance():
     assert roc_auc(y, s, 1) + roc_auc(y, [-v for v in s], 1) == pytest.approx(1.0, abs=1e-12)
     squashed = [v ** 3 + 2.0 for v in s]  # strictly increasing transform
     assert roc_auc(y, squashed, 1) == pytest.approx(roc_auc(y, s, 1), abs=1e-12)
+
+
+def _loop_auc(curve) -> float:
+    """The trapezoid sum as a Python loop over the curve's points."""
+    points = list(zip(curve.fpr.tolist(), curve.tpr.tolist()))
+    total = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        total += (x1 - x0) * (y0 + y1) / 2.0
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_auc_adds_the_trapezoids_as_a_loop_does(data):
+    # fewer distinct scores than rows, so thresholds hold tied blocks of both
+    # classes; with eight or more trapezoids, numpy's pairwise sum would add
+    # them in another order
+    n = data.draw(st.integers(2, 80))
+    y = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda v: 0 < sum(v) < n))
+    levels = data.draw(st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=16, unique=True))
+    s = data.draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    positive = data.draw(st.integers(0, 1))
+    curve = roc_points(y, s, positive)
+    assert auc(curve).hex() == _loop_auc(curve).hex()

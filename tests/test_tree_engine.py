@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tree_oracle
@@ -56,8 +56,15 @@ def _same_choice(got, want):
     )
 
 
+# feature 2 takes codes 4, 6, 7 and 8: numpy's pairwise sum of its nine
+# per-code target sums rounds its total apart from the grower's, code by
+# code (a gain of 0.8670000000000001 against 0.867)
+_WIDE_CODES = [[2, 4, 6, 8, 10], [0, 2, 4, 6, 8], [3, 5, 7, 9, 11], [4, 6, 8, 10, 12], [0, 2, 4, 6, 8]]
+
+
 @settings(max_examples=400, deadline=None)
 @given(split_problems())
+@example((_WIDE_CODES, [1.0, 0.1, 0.1, 0.5, -0.5], [2], "friedman-mse"))
 def test_best_split_matches_scalar_oracle(problem):
     records, labels, features, criterion = problem
     got = engine_split(records, labels, features, criterion)

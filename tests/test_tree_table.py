@@ -167,5 +167,5 @@ def test_an_eliminate_shaped_boosting_model_pickles_small_and_no_tree_learner_ho
     assert len(pickle.dumps(models["GB"])) <= 90_000
     for kind, model in models.items():
         held = {name for name, value in vars(model.impl).items() if isinstance(value, (list, tuple, dict))}
-        assert held == ({"train_losses"} if kind == "GB" else set()), kind  # GB's is one loss per round
+        assert held == set(), kind
         assert all(isinstance(array, np.ndarray) for array in vars(model.impl.table).values()), kind

@@ -2,8 +2,11 @@
 
 These are the implementations the level-wise grower in
 ``riskminer.classifiers.tree`` replaced, kept verbatim but for their squares,
-which are IEEE products (``x * x``) as the grower's are, not ``x ** 2``, and
-for the code sets that ``grow`` records, which are lists, as in model files:
+which are IEEE products (``x * x``) as the grower's are, not ``x ** 2``; for
+their sums over a feature's codes, which add one code at a time in code
+order (``_in_order``) as the grower's do, not by numpy's pairwise sum, which
+adds eight or more numbers in another order; and for the code sets that
+``grow`` records, which are lists, as in model files:
 
 - ``grow`` is the depth-first grower: it routes row-index arrays down an
   explicit stack and runs one histogram search, ``_search``, per node (with
@@ -177,6 +180,11 @@ def engine_split(records, labels, candidate_features, criterion: str = "gini") -
                        float(gain[0]))
 
 
+def _in_order(values: np.ndarray, axis: int = 0) -> np.ndarray:
+    """*values* summed along *axis* one at a time, in order."""
+    return np.cumsum(values, axis=axis).take(-1, axis=axis)
+
+
 def _gini_gain(codes, y, left_values):
     width = int(codes.max()) + 1
     hist = np.bincount(codes * 2 + y, minlength=2 * width).reshape(width, 2)
@@ -199,8 +207,8 @@ def _friedman_gain(codes, y, left_values):
     n_r = int(cnt.sum()) - n_l
     if n_l == 0 or n_r == 0:
         return None
-    s_l = float(sums[idx].sum())
-    s_r = float(sums.sum()) - s_l
+    s_l = float(_in_order(sums[idx]))
+    s_r = float(_in_order(sums)) - s_l
     diff = s_l / n_l - s_r / n_r
     return (n_l * n_r / (n_l + n_r)) * diff * diff
 
@@ -280,11 +288,11 @@ def _squares(x: np.ndarray) -> np.ndarray:
 
 def _left_sums(plan: _Plan, hist: np.ndarray) -> np.ndarray:
     """Per candidate, *hist* summed over its left codes. Each sum runs over the
-    same values, in the same order, as ``hist[list(left_values)].sum(axis=0)``
+    same values, in the same order, as ``_in_order(hist[list(left_values)])``
     in a one-partition scorer, so float sums round the same way."""
     out = np.empty((len(plan.splits),) + hist.shape[1:], dtype=hist.dtype)
     for rows, bins in plan.left_bins:
-        out[rows] = hist[bins].sum(axis=1)
+        out[rows] = _in_order(hist[bins], axis=1)
     return out
 
 
@@ -313,7 +321,7 @@ def _friedman_gains(plan: _Plan, cnt: np.ndarray, sums: np.ndarray, n: int, widt
     per_feature = sums.reshape(-1, width)
     s = np.zeros(per_feature.shape[0])
     for js, w in plan.widths:
-        s[js] = per_feature[js, :w].sum(axis=1)
+        s[js] = _in_order(per_feature[js, :w], axis=1)
     s_r = s[plan.feature] - s_l
     diff = s_l / n_l - s_r / n_r
     return (n_l * n_r / (n_l + n_r)) * diff * diff
