@@ -12,10 +12,11 @@ Every setting flag is a config key: a subcommand's settings are one
 ``PipelineConfig``, parsed by ``config_from_dict`` from its ``--config``
 document (or an empty one) with the flags it was given laid over it.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure.
-A value that cannot be used is reported where it is read, as a
-configuration error; so is a config, features, schema or model file that
-cannot be read.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure;
+a failed stage exits by its cause. A value that cannot be used is reported
+where it is read, as a configuration error; so is a config, features,
+schema or model file that cannot be read. A dataset that cannot be read or
+an output that cannot be written is a data error.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import classifiers
 from .chisq import rank_features
 from .dataset import load_dataset, split_dataset, write_csv
 from .elimination import metrics_doc, validate
-from .errors import ConfigError, DataError, StageError
+from .errors import ConfigError, DataError, RiskminerError, StageError
 from .files import read_json, write_text
 from .generate import generate_synthetic
 from .pipeline import (
@@ -255,20 +256,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args, _settings(args))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.cause, ConfigError):
-            return 2
-        return 3 if isinstance(exc.cause, (DataError, OSError)) else 4
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+    except (RiskminerError, OSError) as exc:
+        kind = ("config error" if isinstance(exc, ConfigError)
+                else "data error" if isinstance(exc, DataError) else "error")
+        print(f"{kind}: {exc}", file=sys.stderr)
+        cause = exc.cause if isinstance(exc, StageError) else exc  # a failed stage exits by its cause
+        return 2 if isinstance(cause, ConfigError) else 3 if isinstance(cause, (DataError, OSError)) else 4
 
 
 if __name__ == "__main__":

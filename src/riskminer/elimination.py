@@ -11,14 +11,14 @@ Training is a pure function of (spec, data, features), so the fits can run
 in any order and in any process. The fits go out in batches: the first
 holds every set known before step 1's decision (the start set, the
 all-features baseline and step 1's candidates), each later one a step's
-candidates. A batch of more than one fit runs in a pool of forked worker
-processes, one per usable CPU, which inherit the splits and send back each
-(learner, set) pair's accuracy, AUC and model; GB's sets of one size go
-out as one task per worker, which ``train_many`` boosts in lockstep. The
-results are taken in (set, roster) order, the order of the fits in one
-process, so the steps, every report byte and the error that a failing fit
-raises (GB's one data error, a single class, fails its whole group) do not
-depend on the number of workers. The fits run in this process on one
+candidates. A batch is one list of tasks in (set, roster) order, fitted in
+one pass; GB's sets of one size go out at the group's first set as one task
+per worker, which ``train_many`` boosts in lockstep. A batch of more than
+one fit runs in a pool of forked workers, one per usable CPU, which inherit
+the splits and send back each (learner, set) pair's accuracy, AUC and
+model. The first failing task raises (GB's one data error, a single class,
+fails its whole group), so the steps, every report byte and the error do
+not depend on the number of workers. The fits run in this process on one
 usable CPU, where the ``fork`` start method is missing, and when a function
 this module calls has been rebound since import, as a tracer or a test does
 to watch the calls: a call made in a worker is recorded there, out of its
@@ -29,7 +29,6 @@ is shut down when the call ends, also when a fit raises or a worker dies.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import asdict, dataclass, field
 from types import FunctionType
@@ -126,36 +125,35 @@ def _adopt(work) -> None:
     _WORK = work
 
 
-def _fit_task(task, work=None):
+def _fit_task(task):
     kind, sets = task
-    splits, specs, positive = work or _WORK
+    splits, specs, positive = _WORK
     return _fit(specs[kind], splits, sets, positive)
 
 
 class _Fits:
-    """Fits batches of feature sets: in this process, or in a pool of
-    forked workers that the first batch with use for more than one starts.
-    Used as a context manager, which shuts the pool down."""
+    """Fits batches of feature sets, each in one pass: in this process, or in
+    a pool of forked workers that the first batch with use for more than one
+    starts. Used as a context manager, which shuts the pool down."""
 
     def __init__(self, splits: SplitBundle, learners, positive: int):
         self.learners = tuple(learners)
         self.work = splits, {spec.kind: spec for spec in learners}, positive
         self.pool = None
 
-    def batch(self, sets):
-        """The ``evaluate_learners`` maps of each of *sets*, in order, as
-        each set's fits come in."""
+    def batch(self, sets) -> list:
+        """A list of the ``evaluate_learners`` maps of each of *sets*, in
+        order: every task fitted, then each result keyed by (kind, set)."""
         workers = worker_count(len(sets) * len(self.learners))
-        tasks, owners = [], []  # in the order their results are first needed; each's (set, kind) pairs
+        tasks = []  # (kind, sets) in (set, roster) order; a GB size group at its first set
         for i, features in enumerate(sets):
             for spec in self.learners:
                 group = [j for j, f in enumerate(sets) if len(f) == len(features)] if spec.kind == "GB" else [i]
                 for chunk in range(min(workers, len(group)) if group[0] == i else 0):
-                    part = group[chunk::workers]
-                    owners.append([(j, spec.kind) for j in part])
-                    tasks.append((spec.kind, tuple(sets[j] for j in part)))
+                    tasks.append((spec.kind, tuple(sets[j] for j in group[chunk::workers])))
         if workers == 1:
-            results = map(functools.partial(_fit_task, work=self.work), tasks)
+            splits, specs, positive = self.work
+            results = [_fit(specs[kind], splits, part, positive) for kind, part in tasks]
         else:
             if self.pool is None:
                 import multiprocessing
@@ -163,14 +161,10 @@ class _Fits:
 
                 # forked, so the workers inherit the splits: only tasks and results are pickled
                 self.pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (self.work,))
-            # a fit's exception, or BrokenProcessPool when a worker dies, is raised where its result would be
+            # the first failing task's exception, or BrokenProcessPool when a worker dies, is raised as it is read
             results = self.pool.map(_fit_task, tasks)
-        results, got = zip(owners, results), {}  # got: results in, not yet taken
-        for i in range(len(sets)):  # taken in (set, roster) order, the order of one process's fits
-            while any((i, spec.kind) not in got for spec in self.learners):
-                pairs, result = next(results)
-                got.update(zip(pairs, result))
-            yield _maps(self.learners, [got.pop((i, spec.kind)) for spec in self.learners])
+        fitted = {(kind, f): fit for (kind, part), fits in zip(tasks, results) for f, fit in zip(part, fits)}
+        return [_maps(self.learners, [fitted[spec.kind, f] for spec in self.learners]) for f in sets]
 
     def __enter__(self):
         return self
@@ -218,18 +212,14 @@ def backward_eliminate(
     steps: list[StepRecord] = []
     with _Fits(splits, learners, positive) as fits:
         # the first batch: every set known before step 1's decision
-        batch = fits.batch(head + _candidates(active, min_size))
-        current = next(batch)
-        base = next(batch) if len(head) > 1 else current
+        current, *batch = fits.batch(head + _candidates(active, min_size))
+        base = batch.pop(0) if len(head) > 1 else current
         while len(active) > min_size:
-            best_removal = None  # (best-learner accuracy, -schema index) to maximize
-            for feature, scores in zip(active, batch):
-                key = (max(scores[0].values()), -schema.index_of(feature))
-                if best_removal is None or key > best_removal:
-                    best_removal, removed, kept = key, feature, scores  # only the best candidate's models
+            # the highest best-learner accuracy; a tie drops the lowest-schema-index feature
+            removed, kept = max(zip(active, batch), key=lambda c: (max(c[1][0].values()), -schema.index_of(c[0])))
             steps.append(StepRecord(tuple(active), current[0], current[1], removed, current[2]))
             active.remove(removed)
-            current = kept
+            current, batch = kept, None  # the other candidates' models go before the next batch is fitted
             batch = fits.batch(_candidates(active, min_size))
     steps.append(StepRecord(tuple(active), current[0], current[1], None, current[2]))
     if baseline:

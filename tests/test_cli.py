@@ -54,6 +54,40 @@ def test_exit_code_stage_failure(tmp_path):
     assert main(["pipeline", "--config", cfg.as_posix(), "--out", str(tmp_path / "o")]) == 4
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A config, the dataset it generates and a model trained on it."""
+    root = tmp_path_factory.mktemp("inputs")
+    config, data, model = root / "config.json", root / "data.csv", root / "model.json"
+    config.write_text(json.dumps(small_config_doc()), encoding="utf-8")
+    assert main(["generate", "--config", str(config), "--out", str(data)]) == 0
+    assert main(["train", "--input", str(data), "--learner", "GNB", "--out", str(model)]) == 0
+    return {"config": str(config), "data": str(data), "model": str(model)}
+
+
+READ_ARGS = {
+    "generate": ["--config", "{config}"],
+    "augment": ["--input", "{data}"],
+    "rank": ["--input", "{data}"],
+    "eliminate": ["--input", "{data}", "--learners", "GNB", "--min-size", "24"],
+    "train": ["--input", "{data}", "--learner", "GNB"],
+    "evaluate": ["--input", "{data}", "--model", "{model}"],
+    "mine": ["--input", "{data}"],
+    "pipeline": ["--config", "{config}"],
+}
+
+
+@pytest.mark.parametrize("command", list(READ_ARGS))
+def test_an_output_that_cannot_be_written_is_a_data_error(inputs, tmp_path, capsys, command):
+    missing = tmp_path / "missing"
+    if command == "pipeline":  # it makes a missing parent, so its output goes under a file
+        missing.write_text("", encoding="utf-8")
+    argv = [command, *(arg.format(**inputs) for arg in READ_ARGS[command]), "--out", str(missing / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_generate_refuses_a_factor_planted_on_a_one_code_feature(tmp_path, capsys):
     schema = Schema(features=(FeatureSpec("x", "discrete", (1,)), FeatureSpec("z", "binary", (0, 1))))
     save_schema(schema, tmp_path / "schema.json")

@@ -10,6 +10,8 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -145,6 +147,29 @@ def test_a_worker_that_dies_fails_the_run_and_leaves_no_process(tmp_path, monkey
     assert (code, files) == (4, None)
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'eliminate' failed: ") and "terminated abruptly" in err
+
+
+def test_in_process_eliminations_in_two_threads_share_no_state(monkeypatch):
+    _usable_cpus(monkeypatch, 1)  # every fit in this process: no thread starts a pool
+    real_validate = elimination.validate
+
+    def yielding_validate(*args):
+        time.sleep(0.001)  # hands the other thread the interpreter between fits
+        return real_validate(*args)
+
+    monkeypatch.setattr(elimination, "validate", yielding_validate)
+    cfg = config_from_dict(small_config_doc())
+    ds = generate_synthetic(cfg.generator)
+    bundles = [split_dataset(ds, cfg.ratios, seed) for seed in (1, 2)]
+
+    def run(splits):
+        return [(step.features, step.accuracies, step.removed) for step in backward_eliminate(splits, cfg.learners, 23)]
+
+    alone = [run(splits) for splits in bundles]
+    assert alone[0] != alone[1]
+    with ThreadPoolExecutor(2) as threads:
+        assert list(threads.map(run, bundles)) == alone
+    assert multiprocessing.active_children() == []
 
 
 # -- usable CPUs -> worker count -------------------------------------------------
