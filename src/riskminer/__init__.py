@@ -5,83 +5,51 @@ categorical SMOTE, ranks features with the chi-squared independence test,
 searches feature subsets by backward elimination over six native classifiers,
 reports full classification metrics with ROC/AUC, and mines high-confidence
 victim association rules with Apriori.
+
+Every export and submodule loads on first use (PEP 562), so ``import
+riskminer`` loads nothing else, and the schema and the factor catalog load
+without numpy.
 """
 
-from .chisq import ChiSqResult, chi_squared_test, contingency, rank_features
-from .classifiers import ClassifierSpec, Model, predict, score, train
-from .dataset import Dataset, SplitBundle, load_dataset, split_dataset, write_csv
-from .elimination import backward_eliminate
-from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
-from .metrics import (
-    ConfusionMatrix,
-    MetricsReport,
-    RocCurve,
-    auc,
-    classification_metrics,
-    confusion,
-    roc_auc,
-    roc_points,
-)
-from .mining import (
-    FactorMap,
-    Rule,
-    apriori,
-    default_factor_map,
-    derive_rules,
-    dissolve_dataset,
-    rule_metrics,
-)
-from .pipeline import PipelineConfig, PipelineReport, emit_report, run_pipeline
-from .schema import FeatureSpec, Schema, default_schema, load_schema, save_schema
-from .smote import knn_categorical, resolve_targets, smote_n
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChiSqResult",
-    "ClassifierSpec",
-    "ConfusionMatrix",
-    "Dataset",
-    "FactorMap",
-    "FeatureSpec",
-    "GenSpec",
-    "MetricsReport",
-    "Model",
-    "PipelineConfig",
-    "PipelineReport",
-    "PlantedFactor",
-    "PlantedRule",
-    "RocCurve",
-    "Rule",
-    "Schema",
-    "SplitBundle",
-    "apriori",
-    "auc",
-    "backward_eliminate",
-    "chi_squared_test",
-    "classification_metrics",
-    "confusion",
-    "contingency",
-    "default_factor_map",
-    "default_schema",
-    "derive_rules",
-    "dissolve_dataset",
-    "emit_report",
-    "generate_synthetic",
-    "knn_categorical",
-    "load_dataset",
-    "load_schema",
-    "predict",
-    "rank_features",
-    "resolve_targets",
-    "roc_auc",
-    "roc_points",
-    "rule_metrics",
-    "run_pipeline",
-    "save_schema",
-    "score",
-    "smote_n",
-    "split_dataset",
-    "train",
-    "write_csv",
-]
+# export -> the submodule that defines it
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "chisq": ("ChiSqResult", "chi_squared_test", "contingency", "rank_features"),
+        "classifiers": ("ClassifierSpec", "Model", "predict", "score", "train"),
+        "dataset": ("Dataset", "SplitBundle", "load_dataset", "split_dataset", "write_csv"),
+        "elimination": ("backward_eliminate",),
+        "generate": ("GenSpec", "PlantedFactor", "PlantedRule", "generate_synthetic"),
+        "metrics": ("ConfusionMatrix", "MetricsReport", "RocCurve", "auc", "classification_metrics", "confusion",
+                    "roc_auc", "roc_points"),
+        "mining": ("Rule", "apriori", "derive_rules", "dissolve_dataset", "rule_metrics"),
+        "pipeline": ("PipelineConfig", "PipelineReport", "emit_report", "run_pipeline"),
+        "schema": ("FactorMap", "FeatureSpec", "Schema", "default_factor_map", "default_schema", "load_schema",
+                   "save_schema"),
+        "smote": ("knn_categorical", "resolve_targets", "smote_n"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    """An export, imported from its submodule, or a submodule such as ``errors``."""
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    if name.isidentifier():
+        try:
+            return import_module(f".{name}", __name__)
+        except ModuleNotFoundError as exc:
+            if exc.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

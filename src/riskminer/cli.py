@@ -123,9 +123,9 @@ def cmd_eliminate(args, cfg: PipelineConfig) -> int:
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
     ds = _load_input(cfg)
-    if args.features_file:
+    if args.features_file is not None:
         features = _known_features(read_json(args.features_file, "features file").get("final_selection"), cfg.schema)
-    elif args.features:
+    elif args.features is not None:
         features = _known_features(_names(args.features), cfg.schema)
     else:
         features = list(cfg.schema.feature_names)
@@ -160,7 +160,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
     ds = _load_input(cfg)
-    features = _known_features(_names(args.features), cfg.schema) if args.features else cfg.schema.feature_names
+    features = cfg.schema.feature_names if args.features is None else _known_features(_names(args.features), cfg.schema)
     rules, descriptions, n_transactions = mine(ds, features, cfg.min_support, cfg.min_confidence, cfg.max_rules)
     write_text(args.out, rules_csv(rules, descriptions))
     print(f"mined {len(rules)} victim rules from {n_transactions} transactions")
@@ -224,8 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[data], help="train one classifier")
     p.add_argument("--learner", required=True, choices=classifiers.KINDS)
-    p.add_argument("--features")
-    p.add_argument("--features-file", dest="features_file")
+    chosen = p.add_mutually_exclusive_group()
+    chosen.add_argument("--features")
+    chosen.add_argument("--features-file", dest="features_file")
     p.add_argument("--seed", type=int, dest="learner_seed")  # RF's seed hyperparameter
     p.set_defaults(handler=cmd_train)
 

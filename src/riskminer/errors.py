@@ -3,8 +3,6 @@
 import numbers
 import sys
 
-import numpy as np
-
 
 class RiskminerError(Exception):
     """Base class for all riskminer errors.
@@ -139,9 +137,11 @@ def check_numbers(positive: bool = True, **values) -> None:
             raise ConfigError(f"{name} must be a {'positive ' * positive}finite number, got {value!r}")
 
 
-def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+def check_shape(name: str, value, shape: tuple) -> "numpy.ndarray":
     """*value* as a finite float array of *shape* (None matches any length,
-    and ``()`` is one number), or ValueError; a string or a bool is no number."""
+    and ``()`` is one number), or ValueError; a string or a bool is no number.
+    Only the learners call it, so numpy is imported here, not with the module."""
+    import numpy as np
     if isinstance(value, (np.ndarray, np.generic)):
         plain = value.dtype.kind in "iuf"
     else:  # numpy would read a numeric string or a bool in a list as a number

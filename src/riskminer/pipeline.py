@@ -30,8 +30,8 @@ from .errors import ConfigError, StageError, check_ints, check_numbers
 from .files import write_text
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from .metrics import MetricsReport, RocCurve
-from .mining import apriori, check_rule_limits, check_support, default_factor_map, derive_rules, dissolve_dataset
-from .schema import Schema, default_schema, load_schema
+from .mining import apriori, check_rule_limits, check_support, derive_rules, dissolve_dataset
+from .schema import Schema, default_factor_map, default_schema, load_schema
 from .smote import check_k, resolve_targets, smote_n
 
 DEFAULT_RATIOS = (0.75, 0.175, 0.075)

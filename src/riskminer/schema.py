@@ -1,9 +1,10 @@
-"""Survey schema: feature names, kinds, and legal integer codes.
+"""Survey schema: feature names, kinds, and legal integer codes; and the
+catalog of risk factors that rule mining dissolves the binary features into.
 
 The shipped default (``default_schema``) describes the 26 questionnaire
 attributes plus the binary "victim" goal column. All features carry small
 integer codes: binary answers are {0, 1}, the age bucket and the cybercrime
-knowledge scale are {1, 2, 3}.
+knowledge scale are {1, 2, 3}. Neither needs numpy to load.
 """
 
 from __future__ import annotations
@@ -109,3 +110,53 @@ def save_schema(schema: Schema, path) -> None:
 def default_schema() -> Schema:
     """The shipped 26-attribute questionnaire schema with goal "victim"."""
     return load_schema(resources.files("riskminer.resources") / "schema.json")
+
+
+@dataclass(frozen=True)
+class FactorEntry:
+    factor_id: int
+    feature: str
+    value: int
+    description: str
+
+
+@dataclass(frozen=True)
+class FactorMap:
+    entries: tuple[FactorEntry, ...]
+    victim_item: int = 39
+
+    def __post_init__(self):
+        ids = [e.factor_id for e in self.entries]
+        if len(set(ids)) != len(ids):
+            raise ConfigError("factor ids must be unique")
+        if self.victim_item in ids:
+            raise ConfigError("victim item id collides with a factor id")
+        per_feature: dict[str, set[int]] = {}
+        for e in self.entries:
+            per_feature.setdefault(e.feature, set()).add(e.value)
+        for feature, values in per_feature.items():
+            if values != {0, 1}:
+                raise ConfigError(f"mapped feature {feature!r} must dissolve into exactly the 0 and 1 factors")
+
+    @property
+    def features(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(e.feature for e in self.entries))
+
+    def restrict(self, features) -> "FactorMap":
+        """Keep only the entries of *features*, preserving the original ids."""
+        wanted = set(features)
+        return FactorMap(
+            entries=tuple(e for e in self.entries if e.feature in wanted),
+            victim_item=self.victim_item,
+        )
+
+
+def default_factor_map() -> FactorMap:
+    """The shipped catalog: 19 risk features dissolved into factors 1..38."""
+    doc = read_json(resources.files("riskminer.resources") / "factors.json", "factor catalog")
+    return FactorMap(
+        entries=tuple(
+            FactorEntry(e["id"], e["feature"], e["value"], e["description"]) for e in doc["factors"]
+        ),
+        victim_item=doc["victim_item"],
+    )

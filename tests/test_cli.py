@@ -123,6 +123,35 @@ def test_train_fits_a_forest_on_one_feature(config_path, tmp_path):
     assert doc["features"] == ["weak-password"]
 
 
+@pytest.mark.parametrize("command, value", [("train", ""), ("mine", ""), ("train", " "), ("mine", ",")])
+def test_an_empty_feature_list_is_a_config_error(inputs, tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    argv = [command, *(arg.format(**inputs) for arg in READ_ARGS[command]), "--features", value, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_an_empty_features_file_path_is_a_config_error(inputs, tmp_path, capsys):
+    out = tmp_path / "model.json"
+    assert main(["train", "--input", inputs["data"], "--learner", "GNB", "--features-file", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_train_takes_features_or_a_features_file_not_both(inputs, tmp_path, capsys):
+    selection = tmp_path / "selection.json"
+    selection.write_text(json.dumps({"final_selection": ["weak-password"]}), encoding="utf-8")
+    out = tmp_path / "model.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--input", inputs["data"], "--learner", "GNB", "--features", "accessed-VPN",
+              "--features-file", str(selection), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_order_is_flag_then_config_then_42(config_path, tmp_path, monkeypatch):
     monkeypatch.setenv("RISKMINER_SEED", "5")  # not a setting: it must change nothing
     doc = small_config_doc(seed=11)
