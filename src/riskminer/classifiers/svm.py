@@ -7,6 +7,51 @@ import numpy as np
 from ..errors import SingleClassError, check_flag, check_ints, check_numbers, check_shape
 from .linear import sigmoid
 
+KERNEL_CACHE_MIB = 16  # the kernel rows one fit may hold, as LIBSVM's cache_size
+
+
+def _poly(dots: np.ndarray, gamma: float, coef0: float, degree: int) -> np.ndarray:
+    """The kernel values (gamma * dots + coef0) ** degree, in place in *dots*."""
+    dots *= gamma
+    dots += coef0
+    dots **= degree
+    return dots
+
+
+class KernelRows:
+    """An LRU cache of the kernel rows of *rows*, LIBSVM's kernel cache
+    (Chang & Lin 2011, section 5.1): `cap` slots of one row each, with
+    `owner` mapping a row to its slot (-1 when not held), `held` a slot to
+    its row, and `used` each slot's last-used clock. A row is computed on a
+    miss into the least recently used slot, by the same `_poly` as
+    `PolySVCLearner._kernel`; on integer codes every dot product is exact, so
+    it has the bits of that row of the full kernel. `diag` holds the kernel's
+    diagonal. The last row fetched is never the one evicted, since cap >= 2.
+    """
+
+    def __init__(self, rows: np.ndarray, gamma: float, coef0: float, degree: int):
+        m = len(rows)
+        cap = max(2, min(m, int(KERNEL_CACHE_MIB * 2**20) // (8 * m)))
+        self.rows, self.params = rows, (gamma, coef0, degree)
+        self.slots = np.empty((cap, m))
+        self.owner = np.full(m, -1)
+        self.held = np.full(cap, -1)
+        self.used = np.zeros(cap, dtype=np.int64)
+        self.clock = 0
+        self.diag = _poly(np.einsum("ij,ij->i", rows, rows), *self.params)
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        self.clock += 1
+        s = self.owner[i]
+        if s < 0:
+            s = int(np.argmin(self.used))
+            if self.held[s] >= 0:
+                self.owner[self.held[s]] = -1
+            self.owner[i], self.held[s] = s, i
+            _poly(np.matmul(self.rows, self.rows[i], out=self.slots[s]), *self.params)
+        self.used[s] = self.clock
+        return self.slots[s]
+
 
 class PolySVCLearner:
     """Soft-margin SVC with kernel (gamma * <x, x'> + coef0) ** degree.
@@ -16,7 +61,10 @@ class PolySVCLearner:
     & Lin 2005), without shrinking: each iteration pairs the maximal KKT
     violator with the partner of largest second-order gain and solves the
     two-variable subproblem analytically. Identical (row, label) pairs share
-    one dual variable bounded by C times their count. Training stops when
+    one dual variable bounded by C times their count. The solver reads the
+    kernel a row at a time from a `KernelRows` cache of at most
+    `KERNEL_CACHE_MIB` MiB (every row while there are up to about 1,450
+    distinct rows), never the whole n x n kernel. Training stops when
     the maximal violating pair's gap is below `tol`, which certifies the KKT
     conditions within `tol`; `max_passes` caps the iterations at
     `max_passes` times the training rows, and hitting the cap leaves a
@@ -51,12 +99,7 @@ class PolySVCLearner:
         return float(self.gamma)
 
     def _kernel(self, A: np.ndarray, B: np.ndarray, gamma: float | None = None) -> np.ndarray:
-        # in place: the n x n kernel of a fit is the largest array of a run
-        K = A @ B.T
-        K *= self.gamma_value if gamma is None else gamma
-        K += self.coef0
-        K **= self.degree
-        return K
+        return _poly(A @ B.T, self.gamma_value if gamma is None else gamma, self.coef0, self.degree)
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(set(y.tolist())) < 2:
@@ -68,8 +111,8 @@ class PolySVCLearner:
         first, inverse, counts = np.unique(np.column_stack([X, y]), axis=0, return_index=True,
                                            return_inverse=True, return_counts=True)[1:]
         rows, sign, bound = X[first], np.where(y[first] == 1, 1.0, -1.0), self.C * counts
-        K = self._kernel(rows, rows, gamma)
-        diag = np.diag(K).copy()
+        K = KernelRows(rows, gamma, self.coef0, self.degree)
+        diag = K.diag
         alpha = np.zeros(len(rows))
         F = sign.copy()  # -y * G for the dual gradient G = Q alpha - 1, Q = K * y y^T
         up, low = sign > 0, sign < 0  # where y * alpha can rise, and where it can fall
@@ -83,7 +126,8 @@ class PolySVCLearner:
             # j maximizes the second-order gain b^2 / a of moving along (i, j)
             gain = F[i] - F_low
             np.maximum(gain, 0.0, out=gain)
-            curv = K[i] * -2.0
+            K_i = K[i]
+            curv = K_i * -2.0
             curv += diag
             curv += diag[i]
             np.maximum(curv, 1e-12, out=curv)
@@ -97,8 +141,10 @@ class PolySVCLearner:
             step = min((F[i] - F[j]) / curv[j], cap_i, cap_j)
             a_i = alpha[i] + sign[i] * step if step < cap_i else (bound[i] if sign[i] > 0 else 0.0)
             a_j = alpha[j] - sign[j] * step if step < cap_j else (0.0 if sign[j] > 0 else bound[j])
-            F -= K[i] * (sign[i] * (a_i - alpha[i]))
-            F -= K[j] * (sign[j] * (a_j - alpha[j]))
+            # fetching row j leaves row i's slot alone: it is the last one used
+            K_j = K[j]
+            F -= K_i * (sign[i] * (a_i - alpha[i]))
+            F -= K_j * (sign[j] * (a_j - alpha[j]))
             alpha[i], alpha[j] = a_i, a_j
             for t in (i, j):
                 below, above = alpha[t] < bound[t], alpha[t] > 0

@@ -46,6 +46,7 @@ from .pipeline import (
     run_pipeline,
     survivors,
 )
+from .schema import default_factor_map
 from .smote import resolve_targets, smote_n
 
 # the keys a flag can set: a flag's dest names its config key
@@ -160,7 +161,13 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
     ds = _load_input(cfg)
-    features = cfg.schema.feature_names if args.features is None else _known_features(_names(args.features), cfg.schema)
+    if args.features is None:
+        features = cfg.schema.feature_names
+    else:  # a named feature must have factors to mine
+        features = _known_features(_names(args.features), cfg.schema)
+        cataloged = {e.feature for e in default_factor_map().entries}
+        if missing := [n for n in features if n not in cataloged]:
+            raise ConfigError(f"features have no factor-catalog entry: {missing!r}")
     rules, descriptions, n_transactions = mine(ds, features, cfg.min_support, cfg.min_confidence, cfg.max_rules)
     write_text(args.out, rules_csv(rules, descriptions))
     print(f"mined {len(rules)} victim rules from {n_transactions} transactions")

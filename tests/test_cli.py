@@ -133,6 +133,17 @@ def test_an_empty_feature_list_is_a_config_error(inputs, tmp_path, capsys, comma
     assert not out.exists()
 
 
+def test_mine_refuses_a_feature_without_factors(inputs, tmp_path, capsys):
+    # gender is a schema feature outside the factor catalog: it has nothing to mine
+    out = tmp_path / "rules.csv"
+    argv = ["mine", "--input", inputs["data"], "--features", "weak-password,gender", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert "gender" in err and "weak-password" not in err
+    assert not out.exists()
+
+
 def test_an_empty_features_file_path_is_a_config_error(inputs, tmp_path, capsys):
     out = tmp_path / "model.json"
     assert main(["train", "--input", inputs["data"], "--learner", "GNB", "--features-file", "", "--out", str(out)]) == 2

@@ -1,18 +1,22 @@
 """The second-order SMO solver of the support vector classifier against the
 sweep SMO it replaced (kept in ``svc_oracle``): feasibility, KKT within
 ``tol``, a dual objective no worse than the oracle's, the same predictions
-on planted data, the merge of identical rows, and the memory of one fit."""
+on planted data, the merge of identical rows, and the memory of one fit.
+Its kernel-row cache against the full kernel it replaced (``FullKernelSMO``):
+the same bits, with rows evicted."""
 
 from __future__ import annotations
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from riskminer.classifiers.svm import PolySVCLearner
-from svc_oracle import SweepSMO
+from riskminer.classifiers import svm
+from riskminer.classifiers.svm import KernelRows, PolySVCLearner
+from svc_oracle import FullKernelSMO, SweepSMO
 
 
 @st.composite
@@ -120,3 +124,68 @@ def test_one_fit_holds_one_kernel_matrix():
         tracemalloc.stop()
     assert learner.converged
     assert peak <= 1.25 * 8 * len(X) ** 2
+
+
+def test_a_paper_sized_fit_holds_its_row_cache_not_its_kernel():
+    # 2,500 distinct rows, about the paper-shaped run's training part: their
+    # kernel is 50 MB, the row cache at most KERNEL_CACHE_MIB
+    rng = np.random.default_rng(0)
+    X = rng.permutation(np.unique(rng.integers(0, 3, size=(3000, 12)), axis=0)[:2500]).astype(np.float64)
+    y = (X[:, :4].sum(axis=1) > 4).astype(np.int64)
+    learner = PolySVCLearner()
+    tracemalloc.start()
+    try:
+        learner.fit(X, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert learner.converged
+    assert peak <= 0.4 * 8 * len(X) ** 2
+
+
+@settings(max_examples=80, deadline=None)
+@given(svc_problems(), st.integers(2, 3))
+def test_a_cache_of_two_or_three_rows_fits_the_bits_of_the_full_kernel(problem, cap):
+    X, y, C = problem
+    m = len(np.unique(np.column_stack([X, y]), axis=0))  # the fit's distinct (row, label) pairs
+    built = []
+
+    class Recorded(KernelRows):  # keeps the cache the fit builds
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(svm, "KERNEL_CACHE_MIB", cap * 8 * m / 2**20)
+        monkeypatch.setattr(svm, "KernelRows", Recorded)
+        learner = PolySVCLearner(C=C, max_passes=100)  # bits, not convergence, are compared
+        learner.fit(X, y)
+    oracle = FullKernelSMO(C=C, max_passes=100)
+    oracle.fit(X, y)
+    assert np.array_equal(learner.alphas_, oracle.alphas_)
+    for key in ("support_vectors", "dual_coef", "intercept", "converged"):
+        assert np.array_equal(learner.params[key], oracle.params[key]), key
+
+    (cache,) = built
+    full = learner._kernel(cache.rows, cache.rows, learner.gamma_value)
+    assert len(cache.slots) == min(cap, m)
+    assert np.array_equal(cache.diag, np.diag(full))
+    for slot, row in enumerate(cache.held):
+        if row >= 0:
+            assert cache.owner[row] == slot
+            assert np.array_equal(cache.slots[slot], full[row])
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_fetching_a_row_never_evicts_the_row_fetched_just_before(monkeypatch, cap):
+    # the solver reads row i after fetching row j, so row j's fetch must leave
+    # row i's slot alone
+    rng = np.random.default_rng(cap)
+    rows = rng.integers(0, 4, size=(12, 5)).astype(np.float64)
+    monkeypatch.setattr(svm, "KERNEL_CACHE_MIB", cap * 8 * len(rows) / 2**20)
+    cache = KernelRows(rows, 0.25, 1.0, 3)
+    full = PolySVCLearner(coef0=1.0)._kernel(rows, rows, 0.25)
+    for i, j in rng.integers(0, len(rows), size=(300, 2)):
+        row_i = cache[i]
+        row_j = cache[j]
+        assert np.array_equal(row_i, full[i]) and np.array_equal(row_j, full[j])
