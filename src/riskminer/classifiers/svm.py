@@ -26,7 +26,8 @@ class KernelRows:
     miss into the least recently used slot, by the same `_poly` as
     `PolySVCLearner._kernel`; on integer codes every dot product is exact, so
     it has the bits of that row of the full kernel. `diag` holds the kernel's
-    diagonal. The last row fetched is never the one evicted, since cap >= 2.
+    diagonal. A returned row stays valid through the next fetch: since
+    cap >= 2, the last row fetched is never the one evicted.
     """
 
     def __init__(self, rows: np.ndarray, gamma: float, coef0: float, degree: int):
@@ -141,10 +142,8 @@ class PolySVCLearner:
             step = min((F[i] - F[j]) / curv[j], cap_i, cap_j)
             a_i = alpha[i] + sign[i] * step if step < cap_i else (bound[i] if sign[i] > 0 else 0.0)
             a_j = alpha[j] - sign[j] * step if step < cap_j else (0.0 if sign[j] > 0 else bound[j])
-            # fetching row j leaves row i's slot alone: it is the last one used
-            K_j = K[j]
             F -= K_i * (sign[i] * (a_i - alpha[i]))
-            F -= K_j * (sign[j] * (a_j - alpha[j]))
+            F -= K[j] * (sign[j] * (a_j - alpha[j]))
             alpha[i], alpha[j] = a_i, a_j
             for t in (i, j):
                 below, above = alpha[t] < bound[t], alpha[t] > 0
