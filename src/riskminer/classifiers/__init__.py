@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..dataset import Dataset
-from ..errors import ConfigError, FeatureMismatchError
+from ..errors import ConfigError, DataError, FeatureMismatchError
 from ..files import read_json, write_text
 from .bayes import GaussianNBLearner
 from .boosting import GradientBoostingLearner
@@ -117,7 +117,7 @@ def train_many(spec: ClassifierSpec, ds: Dataset, feature_sets) -> list[Model]:
     """The models that ``train`` fits on *ds* over each of *feature_sets*;
     GB fits the distinct sets of each size together, in lockstep."""
     if len(ds) == 0:
-        raise ConfigError("cannot train on an empty dataset")
+        raise DataError("cannot train on an empty dataset")
     sets, models = [tuple(f) for f in feature_sets], {}
     groups = ([list(dict.fromkeys(f for f in sets if len(f) == n)) for n in {len(f) for f in sets}]
               if spec.kind == "GB" else [[f] for f in sets])

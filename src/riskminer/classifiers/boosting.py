@@ -46,7 +46,7 @@ class GradientBoostingLearner:
         each fit's tree in one grower pass, and each comes out as it would alone."""
         if len(set(y.tolist())) < 2:
             raise SingleClassError("gradient boosting")
-        grower = TreeGrower(X, refits=True, subsets=columns)
+        grower = TreeGrower(X, subsets=columns)
         y = y.astype(np.float64)
         prior = float(y.mean())
         init_score = float(np.log(prior / (1.0 - prior)))

@@ -19,38 +19,35 @@ def _poly(dots: np.ndarray, gamma: float, coef0: float, degree: int) -> np.ndarr
 
 
 class KernelRows:
-    """An LRU cache of the kernel rows of *rows*, LIBSVM's kernel cache
-    (Chang & Lin 2011, section 5.1): `cap` slots of one row each, with
-    `owner` mapping a row to its slot (-1 when not held), `held` a slot to
-    its row, and `used` each slot's last-used clock. A row is computed on a
-    miss into the least recently used slot, by the same `_poly` as
-    `PolySVCLearner._kernel`; on integer codes every dot product is exact, so
-    it has the bits of that row of the full kernel. `diag` holds the kernel's
-    diagonal. A returned row stays valid through the next fetch: since
-    cap >= 2, the last row fetched is never the one evicted.
+    """A first-in first-out cache of the kernel rows of *rows*, LIBSVM's
+    kernel cache (Chang & Lin 2011, section 5.1): `cap` slots of one row
+    each, with `owner` mapping a row to its slot (-1 when not held) and
+    `held` a slot to its row. A row is computed on a miss into the slot
+    filled longest ago, by the same `_poly` as `PolySVCLearner._kernel`; on
+    integer codes every dot product is exact, so it has the bits of that row
+    of the full kernel. `diag` holds the kernel's diagonal. A returned row
+    stays valid until the next fetch.
     """
 
     def __init__(self, rows: np.ndarray, gamma: float, coef0: float, degree: int):
         m = len(rows)
-        cap = max(2, min(m, int(KERNEL_CACHE_MIB * 2**20) // (8 * m)))
+        cap = max(1, min(m, int(KERNEL_CACHE_MIB * 2**20) // (8 * m)))
         self.rows, self.params = rows, (gamma, coef0, degree)
         self.slots = np.empty((cap, m))
         self.owner = np.full(m, -1)
         self.held = np.full(cap, -1)
-        self.used = np.zeros(cap, dtype=np.int64)
-        self.clock = 0
+        self.filled = 0  # misses so far; the next miss fills slot filled % cap
         self.diag = _poly(np.einsum("ij,ij->i", rows, rows), *self.params)
 
     def __getitem__(self, i: int) -> np.ndarray:
-        self.clock += 1
         s = self.owner[i]
         if s < 0:
-            s = int(np.argmin(self.used))
+            s = self.filled % len(self.slots)
+            self.filled += 1
             if self.held[s] >= 0:
                 self.owner[self.held[s]] = -1
             self.owner[i], self.held[s] = s, i
             _poly(np.matmul(self.rows, self.rows[i], out=self.slots[s]), *self.params)
-        self.used[s] = self.clock
         return self.slots[s]
 
 

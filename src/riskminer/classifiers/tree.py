@@ -16,8 +16,8 @@ codes of every node of the level, and a weighted one sums their victims
 (gini) or targets (Friedman MSE); every bipartition of the present codes of
 every (node, feature) pair is then scored in one vectorised pass. The
 bipartitions of a presence pattern are listed once and cached, and a grower
-that refits the same rows (boosting) reuses a level's candidates when the
-splits above it repeat.
+that refits every row (boosting) reuses a level's candidates when the splits
+above it repeat.
 
 Gains are plain IEEE arithmetic (gini squares are products, not the C
 library's ``pow``), so a fit does not depend on the C library. A node's
@@ -54,7 +54,7 @@ from ..errors import check_shape
 # more is scored in runs of nodes, so wide features cost time, not memory.
 _LEVEL_CELLS = 1 << 20
 _BITS = 1 << np.arange(63)  # a presence pattern's bit of each position
-_MEMO_LEVELS = 16  # level layouts a refitting grower keeps
+_MEMO_LEVELS = 16  # level layouts a grower keeps across refits
 
 
 def category_codes(X) -> np.ndarray:
@@ -177,13 +177,13 @@ class TreeGrower:
     the same numbers; ``size`` counts the nodes grown so far. With
     *subsets*, tree t of a ``grow`` call splits only on ``subsets[t]``'s
     columns, ranked for ties in that order; the default, one subset of every
-    column, serves every tree. With *refits*, ``grow`` is called again and
-    again on every row, as boosting does, and the grower keeps the
-    candidate layouts of its recent levels (of several trees, their roots'),
-    keyed by the splits above them.
+    column, serves every tree. A ``grow`` call that refits every row with one
+    target row per tree (a 2-D *y*, no *samples*), as boosting's rounds do,
+    keeps the candidate layouts of its recent levels (of several trees,
+    their roots'), keyed by the splits above them, for later such calls.
     """
 
-    def __init__(self, X, refits: bool = False, subsets=None):
+    def __init__(self, X, subsets=None):
         # each code's position: its rank among the codes its feature takes
         codes = category_codes(X)
         if codes.size and int(codes.min()) < 0:
@@ -195,7 +195,7 @@ class TreeGrower:
         self.codes = np.zeros((codes.shape[1], self.width), dtype=np.int64)  # each feature's code at each position
         self.codes[np.arange(codes.shape[1]), self.positions] = codes
         self.subsets = np.arange(codes.shape[1])[None] if subsets is None else np.array(subsets, dtype=np.int64)
-        self.memo = {} if refits else None  # recent levels' layouts, by the splits above them
+        self.memo = {}  # recent levels' layouts, by the splits above them
         self.levels = []  # (feature, side, n, pos, tree) of each grown level
         self.roots, self.size = [], 0
 
@@ -221,8 +221,8 @@ class TreeGrower:
         gini = criterion == "gini"
         positions, width = self.positions, self.width
         n_features = positions.shape[1]
-        memo = self.memo if samples is None else None  # a refit meets the same rows again
         y = np.asarray(y, dtype=np.int64 if gini else np.float64)
+        memo = self.memo if samples is None and y.ndim == 2 else None  # a refit meets the same rows again
         samples = [np.arange(y.shape[-1])] * len(np.atleast_2d(y)) if samples is None else samples
         stack = np.concatenate(samples)
         y = y.ravel() if y.ndim == 2 else y[stack]

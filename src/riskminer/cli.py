@@ -15,8 +15,9 @@ document (or an empty one) with the flags it was given laid over it.
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure;
 a failed stage exits by its cause. A value that cannot be used is reported
 where it is read, as a configuration error; so is a config, features,
-schema or model file that cannot be read. A dataset that cannot be read or
-an output that cannot be written is a data error.
+schema or model file that cannot be read. A dataset that cannot be read, an
+empty one to train on or mine, or an output that cannot be written is a data
+error.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from . import classifiers
 from .chisq import rank_features
@@ -88,7 +90,8 @@ def _known_features(names, schema) -> list[str]:
 def cmd_generate(args, cfg: PipelineConfig) -> int:
     if cfg.generator is None:
         raise ConfigError("config has no 'generator' section")
-    ds = generate_synthetic(cfg.generator)
+    # --seed outranks the generator's own seed as it does the top-level one
+    ds = generate_synthetic(cfg.generator if args.seed is None else replace(cfg.generator, seed=args.seed))
     write_csv(ds, args.out)
     print(f"wrote {len(ds)} records to {args.out}")
     return 0

@@ -91,8 +91,10 @@ class ClassTooSmallError(DataError):
 
 
 class TargetBelowCurrentError(ConfigError):
-    def __init__(self, label: int, target: int, current: int):
-        super().__init__(f"target {target} for class {label} is below its current count {current}")
+    def __init__(self, label: int | None, target: int, current: int):
+        # label None: *target* is smote.target_total and *current* the row count
+        super().__init__(f"smote.target_total {target} is below the row count {current}" if label is None
+                         else f"target {target} for class {label} is below its current count {current}")
 
 
 # -- feature analysis ----------------------------------------------------

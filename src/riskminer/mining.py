@@ -24,7 +24,7 @@ from itertools import combinations, groupby
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, UnmappedFeatureError, ZeroAntecedentSupportError
+from .errors import ConfigError, DataError, UnmappedFeatureError, ZeroAntecedentSupportError
 from .schema import FactorEntry, FactorMap, default_factor_map  # the catalog, also importable from here
 
 
@@ -75,7 +75,7 @@ def apriori(transactions, min_support: float) -> dict[frozenset, float]:
     the order their items are first seen, then each level in sorted order.
     """
     if not transactions:
-        raise ConfigError("no transactions to mine")
+        raise DataError("no transactions to mine")
     check_support(min_support)
     n = len(transactions)
     tidlists: dict = {}  # item -> its transaction positions, items in first-seen order

@@ -112,9 +112,9 @@ def _ratios(key: str, value) -> tuple[float, float, float]:
 
 
 # (dotted key in the config document, dataclass field, parser). config_from_dict
-# and genspec_from_dict parse by walking these tables and config_echo writes
-# the report's config from them; a key absent from the document leaves the
-# field at its dataclass default.
+# parses by walking these tables and config_echo writes the report's config
+# from them; a key absent from the document leaves the field at its dataclass
+# default, except that generator.seed defaults to the top-level seed.
 CONFIG_FIELDS = (
     ("input", "input_path", _path),
     ("seed", "seed", _integer),
@@ -226,7 +226,8 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     schema = load_schema(schema_path) if schema_path else default_schema()
     seed = _integer("seed", doc.get("seed", PipelineConfig.seed))
     generator = doc.get("generator")
-    generator = None if generator is None else genspec_from_dict(generator, schema, default_seed=seed)
+    generator = None if generator is None else _parse(GenSpec, GENERATOR_FIELDS, generator, "generator.",
+                                                     schema=schema, seed=seed)
     params, kinds = doc.get("classifier_params"), doc.get("learners", KINDS)
     if not isinstance(params, (dict, type(None))):
         raise ConfigError(f"classifier_params must be an object of objects, got {params!r}")
@@ -236,10 +237,6 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     learners = tuple(specs.get(spec.kind, spec) for spec in map(ClassifierSpec, kinds))
     own = ("schema", "generator", "learners", "classifier_params")
     return _parse(PipelineConfig, CONFIG_FIELDS, doc, own=own, schema=schema, generator=generator, learners=learners)
-
-
-def genspec_from_dict(doc: dict, schema: Schema, default_seed: int = 0) -> GenSpec:
-    return _parse(GenSpec, GENERATOR_FIELDS, doc, "generator.", schema=schema, seed=default_seed)
 
 
 def config_echo(cfg: PipelineConfig) -> dict:

@@ -77,18 +77,18 @@ def nearest_in_pool(matrix: np.ndarray, pool: np.ndarray, queries: np.ndarray, k
     return out
 
 
-def knn_categorical(ds: Dataset, index: int, k: int, same_class_only: bool = True) -> list[int]:
-    """Positions of the k records closest to ``ds.records[index]`` by Hamming
-    distance, excluding *index*; ties break toward the lower position."""
+def knn_categorical(ds: Dataset, index: int, k: int) -> list[int]:
+    """Positions of the k records of its class closest to ``ds.records[index]``
+    by Hamming distance, excluding *index*; ties break toward the lower position."""
     index = range(len(ds))[index]
-    pool = np.flatnonzero(ds.y == ds.y[index]) if same_class_only else np.arange(len(ds))
+    pool = np.flatnonzero(ds.y == ds.y[index])
     if len(pool) - 1 < k:
         raise PoolTooSmallError(k, len(pool) - 1)
     column = np.searchsorted(pool, [index])
     return nearest_in_pool(ds.codes, pool, column, k)[0].tolist()
 
 
-def smote_n(ds: Dataset, targets: dict, k: int = 5, seed: int = 0) -> Dataset:
+def smote_n(ds: Dataset, targets: dict, k: int, seed: int) -> Dataset:
     """Return *ds* with synthetic records appended until each class reaches
     its count in *targets* (label -> count). Original records come first, untouched."""
     check_k(k)
@@ -131,15 +131,10 @@ def resolve_targets(ds: Dataset, balance: bool, total: int | None) -> dict[int, 
     """Per-class targets for ``smote_n``. *balance* alone grows both classes
     to the majority size, and with *total* splits it evenly, the odd record
     to the victim class; *total* alone grows each class along its current
-    share; with neither, nothing grows."""
+    share; with neither, nothing grows. A *total* below the row count is refused."""
     counts = ds.class_counts()
-    if balance and total is None:
-        top = max(counts.values())
-        return {0: top, 1: top}
-    if balance:
-        return {0: total // 2, 1: total - total // 2}
     if total is None:
-        return counts
+        return dict.fromkeys((0, 1), max(counts.values())) if balance else counts
     if total < len(ds):
-        raise TargetBelowCurrentError(-1, total, len(ds))
-    return apportion(counts, total)
+        raise TargetBelowCurrentError(None, total, len(ds))
+    return {0: total // 2, 1: total - total // 2} if balance else apportion(counts, total)

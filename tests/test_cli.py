@@ -186,6 +186,44 @@ def test_seed_order_is_flag_then_config_then_42(config_path, tmp_path, monkeypat
     assert augmented["default"] == augmented["42"] != augmented["5"]
 
 
+def test_generate_seed_outranks_the_generators_own(tmp_path):
+    outputs = {}
+    for name, seed, argv in [("config", 7, []), ("flag", 7, ["--seed", "5"]), ("config 5", 5, [])]:
+        config, out = tmp_path / f"{name}.json", tmp_path / f"{name}.csv"
+        config.write_text(json.dumps({"generator": {"n_records": 50, "seed": seed}}), encoding="utf-8")
+        assert main(["generate", "--config", str(config), *argv, "--out", str(out)]) == 0
+        outputs[name] = out.read_bytes()
+    assert outputs["flag"] == outputs["config 5"] != outputs["config"]
+
+
+def test_generate_with_a_seed_still_needs_a_generator_section(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"input": "data.csv"}), encoding="utf-8")
+    assert main(["generate", "--config", str(config), "--seed", "5", "--out", str(tmp_path / "data.csv")]) == 2
+    assert capsys.readouterr().err == "config error: config has no 'generator' section\n"
+
+
+@pytest.mark.parametrize("command", ["train", "mine"])
+def test_an_empty_dataset_is_a_data_error(inputs, tmp_path, capsys, command):
+    with open(inputs["data"], encoding="utf-8") as f:
+        header = f.readline()
+    empty, out = tmp_path / "empty.csv", tmp_path / "out"
+    empty.write_text(header, encoding="utf-8")
+    argv = [command, *(arg.format(data=empty) for arg in READ_ARGS[command]), "--out", str(out)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("balance", ["--balance", "--no-balance"])
+def test_a_target_total_below_the_row_count_names_the_setting(inputs, tmp_path, capsys, balance):
+    # the 420 generated rows, whatever their classes
+    argv = ["augment", "--input", inputs["data"], balance, "--target-total", "10", "--out", str(tmp_path / "a.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: smote.target_total 10 is below the row count 420\n"
+
+
 @pytest.mark.parametrize("flag, value", [("--alpha", "0.1"), ("--learners", "DT"), ("--min-support", "0.3"),
                                          ("--min-confidence", "0.5")])
 def test_pipeline_takes_its_settings_from_the_config_only(tmp_path, capsys, flag, value):

@@ -47,8 +47,8 @@ def coded_datasets(draw, min_rows=2, max_rows=40):
 
 
 @settings(max_examples=150, deadline=None)
-@given(coded_datasets(), st.data())
-def test_knn_matches_oracle_for_every_member(ds, data):
+@given(coded_datasets())
+def test_knn_matches_oracle_for_every_member(ds):
     for index in range(len(ds)):
         pool = ds.class_counts()[ds.labels[index]] - 1
         for k in {1, 2, pool, pool + 1}:
@@ -61,10 +61,6 @@ def test_knn_matches_oracle_for_every_member(ds, data):
                     oracle.knn_categorical(ds, index, k)
                 continue
             assert knn_categorical(ds, index, k) == oracle.knn_categorical(ds, index, k)
-        k = data.draw(st.integers(1, len(ds) - 1))
-        assert knn_categorical(ds, index, k, same_class_only=False) == oracle.knn_categorical(
-            ds, index, k, same_class_only=False
-        )
 
 
 @settings(max_examples=150, deadline=None)

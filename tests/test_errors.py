@@ -22,6 +22,7 @@ EXAMPLES = [
     errors.PoolTooSmallError(5, 2),
     errors.ClassTooSmallError(0, 3, 5),
     errors.TargetBelowCurrentError(1, 10, 20),
+    errors.TargetBelowCurrentError(None, 10, 20),
     errors.UnknownFeatureError("no-such-feature"),
     errors.DegenerateTableError("one column left"),
     errors.SingleClassError("gradient boosting"),

@@ -26,14 +26,13 @@ def test_knn_tie_breaks_to_lower_position():
 
 def test_knn_respects_class_restriction():
     ds = toy_dataset([[0, 0, 0], [0, 0, 1], [0, 1, 0]], [1, 0, 1])
-    assert knn_categorical(ds, 0, k=1, same_class_only=True) == [2]
-    assert knn_categorical(ds, 0, k=1, same_class_only=False) == [1]
+    assert knn_categorical(ds, 0, k=1) == [2]  # position 1 is nearer, but of the other class
 
 
 def test_knn_pool_too_small():
     ds = toy_dataset([[0, 0, 0], [0, 0, 1]], [1, 0])
     with pytest.raises(PoolTooSmallError):
-        knn_categorical(ds, 0, k=1, same_class_only=True)
+        knn_categorical(ds, 0, k=1)
 
 
 def test_smote_noop_when_targets_met():
@@ -102,7 +101,7 @@ def test_resolve_targets(balance, total, want):
 
 def test_resolve_targets_refuses_a_proportional_total_below_the_current_size():
     ds = toy_dataset([[0, 0], [0, 1], [1, 1]], [0, 0, 1])
-    with pytest.raises(TargetBelowCurrentError):
+    with pytest.raises(TargetBelowCurrentError, match=r"^smote.target_total 2 is below the row count 3$"):
         resolve_targets(ds, False, 2)
 
 

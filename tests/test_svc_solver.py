@@ -176,16 +176,23 @@ def test_a_cache_of_two_or_three_rows_fits_the_bits_of_the_full_kernel(problem, 
             assert np.array_equal(cache.slots[slot], full[row])
 
 
-@pytest.mark.parametrize("cap", [2, 3])
-def test_fetching_a_row_never_evicts_the_row_fetched_just_before(monkeypatch, cap):
-    # the solver reads row i after fetching row j, so row j's fetch must leave
-    # row i's slot alone
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_the_row_cache_fills_its_slots_first_in_first_out(monkeypatch, cap):
+    # the solver is done with row i before it fetches row j, so a returned
+    # row need only hold until the next fetch; misses fill the slots in turn
     rng = np.random.default_rng(cap)
     rows = rng.integers(0, 4, size=(12, 5)).astype(np.float64)
     monkeypatch.setattr(svm, "KERNEL_CACHE_MIB", cap * 8 * len(rows) / 2**20)
     cache = KernelRows(rows, 0.25, 1.0, 3)
     full = PolySVCLearner(coef0=1.0)._kernel(rows, rows, 0.25)
-    for i, j in rng.integers(0, len(rows), size=(300, 2)):
-        row_i = cache[i]
-        row_j = cache[j]
-        assert np.array_equal(row_i, full[i]) and np.array_equal(row_j, full[j])
+    assert len(cache.slots) == cap
+    missed = []  # the rows computed, in order
+    for i in rng.integers(0, len(rows), size=300).tolist():
+        hit = cache.owner[i] >= 0
+        assert np.array_equal(cache[i], full[i])
+        if not hit:
+            missed.append(i)
+        # the last cap misses are held, miss t in slot t % cap; a hit moves nothing
+        held = range(max(0, len(missed) - cap), len(missed))
+        assert [cache.held[t % cap] for t in held] == missed[-cap:]
+        assert sorted(np.flatnonzero(cache.owner >= 0).tolist()) == sorted(missed[-cap:])

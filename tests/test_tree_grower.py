@@ -66,11 +66,14 @@ def test_regression_trees_match_the_depth_first_grower(X, data):
     rounds = data.draw(st.lists(st.lists(value, min_size=len(X), max_size=len(X)), min_size=1, max_size=3))
     max_depth = data.draw(st.integers(1, 4))
     min_samples_split = data.draw(st.integers(2, 4))
-    # a refitting grower keeps level layouts across rounds; a repeated round
-    # meets them again
-    grower = TreeGrower(X, refits=data.draw(st.booleans()))
+    # 2-D targets refit every row, so the grower keeps level layouts across
+    # rounds; a repeated round meets them again. 1-D targets keep none.
+    grower = TreeGrower(X)
     calls = [np.array(r) for r in rounds + rounds[:1]]
-    leaves = [grower.grow(r, "friedman-mse", min_samples_split=min_samples_split, max_depth=max_depth) for r in calls]
+    shape = data.draw(st.sampled_from([(len(X),), (1, len(X))]))
+    leaves = [grower.grow(r.reshape(shape), "friedman-mse", min_samples_split=min_samples_split, max_depth=max_depth)
+              for r in calls]
+    assert len(shape) == 2 or grower.memo == {}
     want, want_leaves = _oracle_record(
         [((category_codes(X), r, "friedman-mse", min_samples_split, max_depth), {}) for r in calls]
     )
