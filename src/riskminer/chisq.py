@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import ConfigError, DegenerateTableError, UnknownFeatureError
+from .errors import ConfigError, DataError, DegenerateTableError, UnknownFeatureError
 
 
 @dataclass(frozen=True)
@@ -80,9 +80,11 @@ def rank_features(ds: Dataset, alpha: float) -> list[tuple[str, float, bool]]:
     """(feature, p_value, keep) triples, ascending p, ties in schema order.
 
     Features whose contingency table is degenerate (a level or class holding
-    all the mass) get p = 1 and keep = False.
+    all the mass) get p = 1 and keep = False. An empty *ds* is refused.
     """
     check_alpha(alpha)
+    if len(ds) == 0:
+        raise DataError("cannot rank the features of an empty dataset")
     scored = []
     for idx, spec in enumerate(ds.schema.features):
         try:

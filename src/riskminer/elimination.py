@@ -22,15 +22,15 @@ not depend on the number of workers. The fits run in this process on one
 usable CPU, where the ``fork`` start method is missing, and when a function
 this module calls has been rebound since import, as a tracer or a test does
 to watch the calls: a call made in a worker is recorded there, out of its
-sight. The pool lives for one ``backward_eliminate`` call:
-``multiprocessing`` is imported when a batch first needs it, and the pool
-is shut down when the call ends, also when a fit raises or a worker dies.
+sight. A pooled batch forks its own workers and shuts them down before it
+returns, also when a fit raises or a worker dies; ``multiprocessing`` is
+imported when a batch first needs it.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from types import FunctionType
 
 from .classifiers import KINDS, design_matrix, score_rows, train, train_many
@@ -77,12 +77,6 @@ def _fit(spec, splits: SplitBundle, sets, positive: int) -> list:
     return [(entry["metrics"].accuracy, entry["auc"], model) for entry, model in zip(entries, models)]
 
 
-def _maps(learners, results) -> tuple[dict, dict, dict]:
-    """The (accuracy, AUC, model) maps keyed by learner kind of *results*,
-    one ``_fit`` result per learner in roster order."""
-    return tuple({spec.kind: result[i] for spec, result in zip(learners, results)} for i in range(3))
-
-
 def evaluate_learners(
     splits: SplitBundle,
     learners,
@@ -91,7 +85,8 @@ def evaluate_learners(
 ) -> tuple[dict, dict, dict]:
     """Train each learner on splits.train over *features*; return
     (accuracy, auc, model) maps keyed by learner kind, scored on splits.test."""
-    return _maps(learners, [_fit(spec, splits, (features,), positive)[0] for spec in learners])
+    fits = {spec.kind: _fit(spec, splits, (features,), positive)[0] for spec in learners}
+    return tuple({kind: fit[i] for kind, fit in fits.items()} for i in range(3))
 
 
 def check_min_size(min_size: int) -> None:
@@ -131,47 +126,38 @@ def _fit_task(task):
     return _fit(specs[kind], splits, sets, positive)
 
 
-class _Fits:
-    """Fits batches of feature sets, each in one pass: in this process, or in
-    a pool of forked workers that the first batch with use for more than one
-    starts. Used as a context manager, which shuts the pool down."""
+def _batch(work, learners, sets) -> list[StepRecord]:
+    """One ``StepRecord`` per set of *sets*, in order, with ``removed=None``:
+    every learner of *learners* fitted on each set in one pass, in this
+    process or in a pool of forked workers that inherit *work* (splits,
+    specs by kind, positive) and are shut down before the batch returns."""
+    workers = worker_count(len(sets) * len(learners))
+    tasks = []  # (kind, sets) in (set, roster) order; a GB size group at its first set
+    for i, features in enumerate(sets):
+        for spec in learners:
+            group = [j for j, f in enumerate(sets) if len(f) == len(features)] if spec.kind == "GB" else [i]
+            for chunk in range(min(workers, len(group)) if group[0] == i else 0):
+                tasks.append((spec.kind, tuple(sets[j] for j in group[chunk::workers])))
+    if workers == 1:
+        splits, specs, positive = work
+        results = [_fit(specs[kind], splits, part, positive) for kind, part in tasks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-    def __init__(self, splits: SplitBundle, learners, positive: int):
-        self.learners = tuple(learners)
-        self.work = splits, {spec.kind: spec for spec in learners}, positive
-        self.pool = None
-
-    def batch(self, sets) -> list:
-        """A list of the ``evaluate_learners`` maps of each of *sets*, in
-        order: every task fitted, then each result keyed by (kind, set)."""
-        workers = worker_count(len(sets) * len(self.learners))
-        tasks = []  # (kind, sets) in (set, roster) order; a GB size group at its first set
-        for i, features in enumerate(sets):
-            for spec in self.learners:
-                group = [j for j, f in enumerate(sets) if len(f) == len(features)] if spec.kind == "GB" else [i]
-                for chunk in range(min(workers, len(group)) if group[0] == i else 0):
-                    tasks.append((spec.kind, tuple(sets[j] for j in group[chunk::workers])))
-        if workers == 1:
-            splits, specs, positive = self.work
-            results = [_fit(specs[kind], splits, part, positive) for kind, part in tasks]
-        else:
-            if self.pool is None:
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-
-                # forked, so the workers inherit the splits: only tasks and results are pickled
-                self.pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (self.work,))
+        # forked, so the workers inherit the splits: only tasks and results are pickled
+        pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt, (work,))
+        try:
             # the first failing task's exception, or BrokenProcessPool when a worker dies, is raised as it is read
-            results = self.pool.map(_fit_task, tasks)
-        fitted = {(kind, f): fit for (kind, part), fits in zip(tasks, results) for f, fit in zip(part, fits)}
-        return [_maps(self.learners, [fitted[spec.kind, f] for spec in self.learners]) for f in sets]
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, failure, *_):
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=failure is not None)
+            results = list(pool.map(_fit_task, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    fitted = {(kind, f): fit for (kind, part), fits in zip(tasks, results) for f, fit in zip(part, fits)}
+    records = []
+    for f in sets:
+        accuracies, aucs, models = ({spec.kind: fitted[spec.kind, f][i] for spec in learners} for i in range(3))
+        records.append(StepRecord(f, accuracies, aucs, None, models))
+    return records
 
 
 def _candidates(active, min_size: int) -> list[tuple[str, ...]]:
@@ -209,22 +195,19 @@ def backward_eliminate(
 
     everything = schema.feature_names
     head = [tuple(active)] if not baseline or tuple(active) == everything else [tuple(active), everything]
-    steps: list[StepRecord] = []
-    with _Fits(splits, learners, positive) as fits:
-        # the first batch: every set known before step 1's decision
-        current, *batch = fits.batch(head + _candidates(active, min_size))
-        base = batch.pop(0) if len(head) > 1 else current
-        while len(active) > min_size:
-            # the highest best-learner accuracy; a tie drops the lowest-schema-index feature
-            removed, kept = max(zip(active, batch), key=lambda c: (max(c[1][0].values()), -schema.index_of(c[0])))
-            steps.append(StepRecord(tuple(active), current[0], current[1], removed, current[2]))
-            active.remove(removed)
-            current, batch = kept, None  # the other candidates' models go before the next batch is fitted
-            batch = fits.batch(_candidates(active, min_size))
-    steps.append(StepRecord(tuple(active), current[0], current[1], None, current[2]))
-    if baseline:
-        steps.insert(0, StepRecord(everything, base[0], base[1], None, base[2]))
-    return tuple(steps)
+    work = splits, {spec.kind: spec for spec in learners}, positive
+    # the first batch: every set known before step 1's decision
+    current, *batch = _batch(work, learners, head + _candidates(active, min_size))
+    base = batch.pop(0) if len(head) > 1 else current
+    steps = []
+    while len(active) > min_size:
+        # the highest best-learner accuracy; a tie drops the lowest-schema-index feature
+        removed, kept = max(zip(active, batch), key=lambda c: (max(c[1].accuracies.values()), -schema.index_of(c[0])))
+        steps.append(replace(current, removed=removed))
+        active.remove(removed)
+        current, batch = kept, None  # the other candidates' models go before the next batch is fitted
+        batch = _batch(work, learners, _candidates(active, min_size))
+    return (base, *steps, current) if baseline else (*steps, current)
 
 
 def selection_key(step: StepRecord, kind: str) -> tuple:

@@ -31,7 +31,7 @@ import random
 import numpy as np
 
 from .dataset import Dataset, apportion
-from .errors import ClassTooSmallError, ConfigError, PoolTooSmallError, TargetBelowCurrentError
+from .errors import ClassTooSmallError, ConfigError, DataError, PoolTooSmallError, TargetBelowCurrentError
 
 # Bytes a neighbour block may hold: int16 distances, a bool scratch, and the
 # int64 keys with their partitioned copy, per query row and pool member.
@@ -90,8 +90,11 @@ def knn_categorical(ds: Dataset, index: int, k: int) -> list[int]:
 
 def smote_n(ds: Dataset, targets: dict, k: int, seed: int) -> Dataset:
     """Return *ds* with synthetic records appended until each class reaches
-    its count in *targets* (label -> count). Original records come first, untouched."""
+    its count in *targets* (label -> count). Original records come first,
+    untouched. An empty *ds* is refused, even when nothing is to grow."""
     check_k(k)
+    if len(ds) == 0:
+        raise DataError("cannot augment an empty dataset")
     counts = ds.class_counts()
     grow: dict[int, int] = {}
     for label, target in sorted(targets.items()):
@@ -131,7 +134,10 @@ def resolve_targets(ds: Dataset, balance: bool, total: int | None) -> dict[int, 
     """Per-class targets for ``smote_n``. *balance* alone grows both classes
     to the majority size, and with *total* splits it evenly, the odd record
     to the victim class; *total* alone grows each class along its current
-    share; with neither, nothing grows. A *total* below the row count is refused."""
+    share; with neither, nothing grows. A *total* below the row count, and an
+    empty *ds*, are refused."""
+    if len(ds) == 0:
+        raise DataError("cannot augment an empty dataset")
     counts = ds.class_counts()
     if total is None:
         return dict.fromkeys((0, 1), max(counts.values())) if balance else counts

@@ -203,7 +203,7 @@ def test_generate_with_a_seed_still_needs_a_generator_section(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: config has no 'generator' section\n"
 
 
-@pytest.mark.parametrize("command", ["train", "mine"])
+@pytest.mark.parametrize("command", ["train", "mine", "rank", "augment"])
 def test_an_empty_dataset_is_a_data_error(inputs, tmp_path, capsys, command):
     with open(inputs["data"], encoding="utf-8") as f:
         header = f.readline()
@@ -213,6 +213,32 @@ def test_an_empty_dataset_is_a_data_error(inputs, tmp_path, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def _header_only(inputs, tmp_path):
+    """A CSV that holds the generated data's header line and no record."""
+    with open(inputs["data"], encoding="utf-8") as f:
+        header = f.readline()
+    empty = tmp_path / "empty.csv"
+    empty.write_text(header, encoding="utf-8")
+    return empty
+
+
+def test_augment_to_a_total_of_an_empty_dataset_is_a_data_error(inputs, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["augment", "--input", str(_header_only(inputs, tmp_path)), "--no-balance", "--target-total", "10",
+            "--out", str(out)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "data error: cannot augment an empty dataset\n"
+    assert not out.exists()
+
+
+def test_pipeline_on_an_empty_input_fails_in_the_augment_stage(inputs, tmp_path, capsys):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    config.write_text(json.dumps({"input": str(_header_only(inputs, tmp_path))}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: stage 'augment' failed: cannot augment an empty dataset\n"
     assert not out.exists()
 
 

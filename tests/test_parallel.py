@@ -11,7 +11,7 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
@@ -147,6 +147,33 @@ def test_a_worker_that_dies_fails_the_run_and_leaves_no_process(tmp_path, monkey
     assert (code, files) == (4, None)
     err = capsys.readouterr().err
     assert err.startswith("error: stage 'eliminate' failed: ") and "terminated abruptly" in err
+
+
+def test_each_pool_batch_starts_and_shuts_down_its_own_workers(tmp_path, monkeypatch):
+    # on 2 CPUs the doc fits two pool batches (the baseline, the start set and
+    # step 1's candidates; then step 2's) and an empty last one in process
+    events = []
+    real_init, real_map, real_shutdown = (getattr(ProcessPoolExecutor, name) for name in ("__init__", "map", "shutdown"))
+
+    def init(self, *args, **kwargs):
+        events.append(("start", multiprocessing.active_children()))
+        real_init(self, *args, **kwargs)
+
+    def map_tasks(self, *args, **kwargs):
+        events.append(("first task", None))
+        return real_map(self, *args, **kwargs)
+
+    def shutdown(self, *args, **kwargs):
+        real_shutdown(self, *args, **kwargs)
+        events.append(("shut down", multiprocessing.active_children()))
+
+    monkeypatch.setattr(ProcessPoolExecutor, "__init__", init)
+    monkeypatch.setattr(ProcessPoolExecutor, "map", map_tasks)
+    monkeypatch.setattr(ProcessPoolExecutor, "shutdown", shutdown)
+    code, files = _run(tmp_path, monkeypatch, "batches", eliminate_shaped_doc(), 2)
+    assert code == 0 and files
+    assert [event for event, _ in events] == ["start", "first task", "shut down"] * 2
+    assert [children for event, children in events if event != "first task"] == [[]] * 4
 
 
 def test_in_process_eliminations_in_two_threads_share_no_state(monkeypatch):

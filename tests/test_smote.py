@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import toy_dataset
-from riskminer.errors import ClassTooSmallError, PoolTooSmallError, TargetBelowCurrentError
+from riskminer.errors import ClassTooSmallError, DataError, PoolTooSmallError, TargetBelowCurrentError
 from riskminer.smote import knn_categorical, resolve_targets, smote_n
 
 
@@ -33,6 +33,12 @@ def test_knn_pool_too_small():
     ds = toy_dataset([[0, 0, 0], [0, 0, 1]], [1, 0])
     with pytest.raises(PoolTooSmallError):
         knn_categorical(ds, 0, k=1)
+
+
+def test_an_empty_dataset_is_refused_even_with_nothing_to_grow():
+    ds = toy_dataset([[0, 0, 0], [1, 1, 1]], [0, 1]).subset([])
+    with pytest.raises(DataError, match="cannot augment an empty dataset"):
+        smote_n(ds, {0: 0, 1: 0}, k=1, seed=0)
 
 
 def test_smote_noop_when_targets_met():
