@@ -30,7 +30,7 @@ from .errors import ConfigError, StageError, check_ints, check_numbers
 from .files import write_text
 from .generate import GenSpec, PlantedFactor, PlantedRule, generate_synthetic
 from .metrics import MetricsReport, RocCurve
-from .mining import apriori, check_rule_limits, check_support, derive_rules, dissolve_dataset
+from .mining import check_rule_limits, check_support, dataset_itemsets, derive_rules
 from .schema import Schema, default_factor_map, default_schema, load_schema
 from .smote import check_k, resolve_targets, smote_n
 
@@ -283,14 +283,13 @@ def eliminate(splits, learners, min_size: int, features, positive: int):
 
 def mine(ds: Dataset, features, min_support: float, min_confidence: float, max_rules: int):
     """Victim rules over the catalog factors of *features*: the rules, the
-    factor descriptions, and the number of transactions."""
+    factor descriptions, and the number of transactions (records)."""
     fm = default_factor_map().restrict(features)
-    transactions = dissolve_dataset(ds, fm)
-    itemsets = apriori(transactions, min_support)
+    itemsets = dataset_itemsets(ds, fm, min_support)
     rules = derive_rules(itemsets, min_confidence, frozenset((fm.victim_item,)), cap=max_rules)
     descriptions = {e.factor_id: e.description for e in fm.entries}
     descriptions[fm.victim_item] = "victim"
-    return rules, descriptions, len(transactions)
+    return rules, descriptions, len(ds)
 
 
 @dataclass

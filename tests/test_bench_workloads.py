@@ -1,5 +1,5 @@
-"""Every benchmark workload runs at its default seed and passes its own
-output check.
+"""Every benchmark workload runs at its default seed and at the held-out
+seed and passes its own output check.
 
 ``bench/workloads.py`` says how each workload makes its inputs, which CLI
 steps one run executes and how its outputs are checked. A run whose outputs
@@ -31,10 +31,15 @@ def _workloads():
 
 
 BENCH = _workloads()
+HELD_OUT_SEED = 1001  # the second seed the committed bench results are taken at
 
 
-@pytest.mark.parametrize("name", list(BENCH.WORKLOADS))
-def test_a_workload_run_passes_its_output_check(tmp_path, name):
+@pytest.mark.parametrize(
+    "name, seed",
+    [pytest.param(name, BENCH.DEFAULT_SEED, id=name) for name in BENCH.WORKLOADS]
+    + [pytest.param(name, HELD_OUT_SEED, id=f"{name}-{HELD_OUT_SEED}") for name in BENCH.WORKLOADS],
+)
+def test_a_workload_run_passes_its_output_check(tmp_path, name, seed):
     workload = BENCH.WORKLOADS[name]
     inputs, out = tmp_path / "inputs", tmp_path / "out"
     inputs.mkdir()
@@ -43,7 +48,7 @@ def test_a_workload_run_passes_its_output_check(tmp_path, name):
     def generate(step):
         assert main(step) == 0
 
-    workload.prepare(BENCH.DEFAULT_SEED, str(inputs), generate)
+    workload.prepare(seed, str(inputs), generate)
     for step in workload.steps(str(inputs), str(out)):
         assert main(step) == 0, step
     assert workload.check(riskminer, str(inputs), str(out)) == []

@@ -3,23 +3,32 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import chain, combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import data_oracle as oracle
 from conftest import toy_dataset, toy_schema
 from data_oracle import dissolve, factor_for
-from riskminer.errors import ConfigError, UnmappedFeatureError, ZeroAntecedentSupportError
+from riskminer import pipeline
+from riskminer.dataset import Dataset
+from riskminer.errors import ConfigError, DataError, UnmappedFeatureError, ZeroAntecedentSupportError
+from riskminer.generate import GenSpec, generate_synthetic
 from riskminer.mining import (
     FactorEntry,
     FactorMap,
     Rule,
     apriori,
+    dataset_itemsets,
     default_factor_map,
     derive_rules,
     dissolve_dataset,
     rule_metrics,
 )
+from riskminer.schema import default_schema
 
 
 def test_default_factor_map_catalog():
@@ -230,6 +239,12 @@ def test_rule_metrics_zero_antecedent():
         rule_metrics(Rule(frozenset({9}), frozenset({V}), 0, 0, 0), TOY)
 
 
+def test_rule_metrics_zero_consequent():
+    transactions = [frozenset({A, 3}), frozenset({A, 4}), frozenset({B, 3})]
+    with pytest.raises(DataError, match=r"consequent \[39\] occurs in no transaction"):
+        rule_metrics(Rule(frozenset({A}), frozenset({V}), 0, 0, 0), transactions)
+
+
 def test_dissolve_dataset_round_trip():
     schema = toy_schema(2)
     fm = FactorMap(
@@ -270,3 +285,98 @@ def test_planted_rule_recovery_through_mining():
     )
     match = [r for r in rules if r.antecedent == wanted]
     assert match and match[0].confidence >= 0.8
+
+
+# -- the mine stage: factor tidsets from the code matrix ---------------------
+
+def _outcome(run):
+    """What *run* returns, or the type and message of the DataError it raises."""
+    try:
+        return run()
+    except DataError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def shipped_cases(draw):
+    """A dataset of 0-60 rows over the shipped schema, at most six catalog
+    features to mine (a lattice the reference can enumerate), and a support.
+    A row's bits give its mined codes and then its label; every other column
+    holds its first legal code."""
+    schema = default_schema()
+    features = draw(st.lists(st.sampled_from(default_factor_map().features), unique=True, max_size=6))
+    columns = [schema.index_of(f) for f in features]
+    rows = draw(st.lists(st.integers(0, 2 ** (len(features) + 1) - 1), max_size=60))
+    records, labels = [], []
+    for bits in rows:
+        record = [f.values[0] for f in schema.features]
+        for j, column in enumerate(columns):
+            record[column] = bits >> j & 1
+        records.append(record)
+        labels.append(bits >> len(features))
+    support = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return Dataset(schema, records, labels), features, support
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shipped_cases(), min_confidence=st.floats(0.0, 1.0), cap=st.integers(0, 50))
+def test_the_stage_mines_what_apriori_mines_over_dissolved_transactions(case, min_confidence, cap):
+    ds, features, support = case
+    fm = default_factor_map().restrict(features)
+    stage = _outcome(lambda: dataset_itemsets(ds, fm, support))
+    reference = _outcome(lambda: apriori(dissolve_dataset(ds, fm), support))
+    assert stage == reference
+    if not ds:
+        assert reference == (DataError, "no transactions to mine")
+        assert _outcome(lambda: pipeline.mine(ds, features, support, min_confidence, cap)) == reference
+        return
+    rules, _, n_transactions = pipeline.mine(ds, features, support, min_confidence, cap)
+    assert rules == derive_rules(reference, min_confidence, frozenset({fm.victim_item}), cap=cap)
+    assert n_transactions == len(ds)
+
+
+@st.composite
+def mapped_cases(draw):
+    """A dataset of 0-60 rows whose features take codes 0-2 and a factor map
+    over some of them (and perhaps one the schema lacks), restricted again,
+    that may list a second factor for a code; a code of 2 is unmapped."""
+    schema = toy_schema(4, values=(0, 1, 2))
+    entries, next_id = [], 1
+    for feature in draw(st.lists(st.sampled_from(["f0", "f1", "f2", "f3", "ghost"]), unique=True)):
+        values = draw(st.permutations([0, 1])) + draw(st.lists(st.integers(0, 1), max_size=1))
+        for value in values:
+            entries.append(FactorEntry(next_id, feature, value, f"{feature}={value}"))
+            next_id += 1
+    fm = FactorMap(entries=tuple(entries), victim_item=next_id)
+    fm = fm.restrict(draw(st.lists(st.sampled_from(fm.features), unique=True)) if fm.features else [])
+    base = draw(st.sampled_from([2, 3]))  # 3 lets unmapped codes in
+    rows = draw(st.lists(st.integers(0, 2 * base**4 - 1), max_size=60))  # four codes, then the label
+    records = [[bits // base**j % base for j in range(4)] for bits in rows]
+    labels = [bits // base**4 for bits in rows]
+    support = draw(st.floats(0.0, 1.0, exclude_min=True))
+    return Dataset(schema, records, labels), fm, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mapped_cases())
+def test_the_stage_maps_codes_and_fails_as_the_reference_does(case):
+    ds, fm, support = case
+    stage = _outcome(lambda: dataset_itemsets(ds, fm, support))
+    assert stage == _outcome(lambda: apriori(dissolve_dataset(ds, fm), support))
+    if "ghost" not in fm.features:  # the per-record oracle meets the cells in row order
+        unmapped = _outcome(lambda: oracle.dissolve_dataset(ds, fm))
+        if isinstance(unmapped, tuple) or isinstance(stage, tuple) and stage[0] is UnmappedFeatureError:
+            assert stage == unmapped
+
+
+def test_the_mine_stage_builds_no_per_record_transactions():
+    ds = generate_synthetic(GenSpec(n_records=20_000, class_balance=0.5, seed=7))
+    features = default_factor_map().features
+    tracemalloc.start()
+    try:
+        _, _, n_transactions = pipeline.mine(ds, features, 0.25, 0.8, 10_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert n_transactions == 20_000
+    assert peak <= 4_000_000, f"mine stage peaked at {peak / 1e6:.1f} MB"
