@@ -10,14 +10,14 @@ reproduces the pipeline's outputs.
 
 Every setting flag is a config key: a subcommand's settings are one
 ``PipelineConfig``, parsed by ``config_from_dict`` from its ``--config``
-document (or an empty one) with the flags it was given laid over it.
+document (or an empty one) with the flags it was given set by ``set_key``.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 stage failure;
 a failed stage exits by its cause. A value that cannot be used is reported
 where it is read, as a configuration error; so is a config, features,
-schema or model file that cannot be read. A dataset that cannot be read, an
-empty one to train on or mine, or an output that cannot be written is a data
-error.
+schema or model file that cannot be read. A dataset that ``load_dataset``
+cannot read, an empty one to train on or mine, or an output that cannot be
+written is a data error, in every subcommand and in ``pipeline``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .pipeline import (
     roc_csv,
     rules_csv,
     run_pipeline,
+    set_key,
     survivors,
 )
 from .schema import default_factor_map
@@ -60,19 +61,8 @@ def _settings(args) -> PipelineConfig:
     doc = read_json(args.config, "config") if "config" in vars(args) else {}
     for key, value in vars(args).items():
         if key in CONFIG_KEYS and value is not None:
-            *parents, last = key.split(".")
-            node = doc
-            for part in parents:
-                node = node.setdefault(part, {})
-            node[last] = value
+            set_key(doc, key, value)
     return config_from_dict(doc)
-
-
-def _load_input(cfg: PipelineConfig):
-    try:
-        return load_dataset(cfg.input_path, cfg.schema)
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {cfg.input_path}: {exc}") from exc
 
 
 def _names(text: str) -> list[str]:
@@ -98,7 +88,7 @@ def cmd_generate(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_augment(args, cfg: PipelineConfig) -> int:
-    ds = _load_input(cfg)
+    ds = load_dataset(cfg.input_path, cfg.schema)
     out = smote_n(ds, resolve_targets(ds, cfg.smote_balance, cfg.smote_target_total), cfg.smote_k, cfg.seed)
     write_csv(out, args.out)
     print(f"wrote {len(out)} records ({len(out) - len(ds)} synthetic) to {args.out}")
@@ -106,7 +96,7 @@ def cmd_augment(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_rank(args, cfg: PipelineConfig) -> int:
-    ranking = rank_features(_load_input(cfg), cfg.alpha)
+    ranking = rank_features(load_dataset(cfg.input_path, cfg.schema), cfg.alpha)
     write_text(args.out, ranking_csv(ranking))
     kept = sum(1 for _, _, keep in ranking if keep)
     print(f"ranked {len(ranking)} features, kept {kept} at alpha={cfg.alpha}")
@@ -114,7 +104,7 @@ def cmd_rank(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_eliminate(args, cfg: PipelineConfig) -> int:
-    ds = _load_input(cfg)
+    ds = load_dataset(cfg.input_path, cfg.schema)
     splits = split_dataset(ds, cfg.ratios, cfg.seed, stratified=cfg.stratified)
     kept = survivors(rank_features(ds, cfg.alpha), cfg.schema)
     rows, steps, (chosen, _) = eliminate(splits, cfg.learners, cfg.min_size, kept, cfg.positive_class)
@@ -126,7 +116,7 @@ def cmd_eliminate(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_train(args, cfg: PipelineConfig) -> int:
-    ds = _load_input(cfg)
+    ds = load_dataset(cfg.input_path, cfg.schema)
     if args.features_file is not None:
         features = _known_features(read_json(args.features_file, "features file").get("final_selection"), cfg.schema)
     elif args.features is not None:
@@ -143,7 +133,7 @@ def cmd_train(args, cfg: PipelineConfig) -> int:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> int:
     model = classifiers.load_model(args.model)
-    ds = _load_input(cfg)
+    ds = load_dataset(cfg.input_path, cfg.schema)
     _known_features(list(model.features), ds.schema)
     entry = validate(model, ds, cfg.positive_class)
     cm = entry["confusion"]
@@ -163,7 +153,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> int:
 
 
 def cmd_mine(args, cfg: PipelineConfig) -> int:
-    ds = _load_input(cfg)
+    ds = load_dataset(cfg.input_path, cfg.schema)
     if args.features is None:
         features = cfg.schema.feature_names
     else:  # a named feature must have factors to mine

@@ -11,7 +11,8 @@ column that a cell-by-cell scan would.
 
 The only ingest format is UTF-8 comma-separated text with a mandatory
 header: the schema's feature names, in order, followed by the goal column.
-Cells parse as ``int()`` parses them.
+Cells parse as ``int()`` parses them. ``load_dataset`` reports a file it
+cannot read as a DataError, for the CLI and ``run_pipeline`` alike.
 """
 
 from __future__ import annotations
@@ -133,23 +134,25 @@ def load_dataset(path, schema: Schema) -> Dataset:
     The header must be the schema's feature names plus the goal column,
     exactly and in order. Cells must be integers within each feature's
     legal codes. Row order is preserved. Errors name the row and column
-    that a row-by-row reader stops at.
+    that a row-by-row reader stops at. A file that cannot be read (missing,
+    a directory, not UTF-8, not CSV) raises a DataError chained to the cause.
     """
     expected = list(schema.feature_names) + [schema.goal_name]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumnError(expected[0]) from None
-        for name in expected:
-            if name not in header:
-                raise MissingColumnError(name)
-        if header != expected:
-            raise HeaderMismatchError(
-                f"header must be exactly {expected!r} in order, got {header!r}"
-            )
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MissingColumnError(expected[0]) from None
+            for name in expected:
+                if name not in header:
+                    raise MissingColumnError(name)
+            if header != expected:
+                raise HeaderMismatchError(f"header must be exactly {expected!r} in order, got {header!r}")
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read dataset {path}: {exc}") from exc
     width = len(expected)
     end = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
     try:

@@ -11,20 +11,21 @@ Training is a pure function of (spec, data, features), so the fits can run
 in any order and in any process. The fits go out in batches: the first
 holds every set known before step 1's decision (the start set, the
 all-features baseline and step 1's candidates), each later one a step's
-candidates. A batch is one list of tasks in (set, roster) order, fitted in
-one pass; GB's sets of one size go out at the group's first set as one task
-per worker, which ``train_many`` boosts in lockstep. A batch of more than
-one fit runs in a pool of forked workers, one per usable CPU, which inherit
-the splits and send back each (learner, set) pair's accuracy, AUC and
-model. The first failing task raises (GB's one data error, a single class,
-fails its whole group), so the steps, every report byte and the error do
-not depend on the number of workers. The fits run in this process on one
-usable CPU, where the ``fork`` start method is missing, and when a function
-this module calls has been rebound since import, as a tracer or a test does
-to watch the calls: a call made in a worker is recorded there, out of its
-sight. A pooled batch forks its own workers and shuts them down before it
-returns, also when a fit raises or a worker dies; ``multiprocessing`` is
-imported when a batch first needs it.
+candidates, and ``evaluate_learners``'s is its one set. A batch is one list
+of tasks in (set, roster) order, fitted in one pass; GB's sets of one size
+go out at the group's first set as one task per worker, which
+``train_many`` boosts in lockstep. A batch of more than one fit runs in a
+pool of forked workers, one per usable CPU, which inherit the splits and
+send back each (learner, set) pair's accuracy, AUC and model. The first
+failing task raises (GB's one data error, a single class, fails its whole
+group), so the steps, every report byte and the error do not depend on the
+number of workers. The fits run in this process on one usable CPU, where
+the ``fork`` start method is missing, and when a function this module calls
+has been rebound since import, as a tracer or a test does to watch the
+calls: a call made in a worker is recorded there, out of its sight. A
+pooled batch forks its own workers and shuts them down before it returns,
+also when a fit raises or a worker dies; ``multiprocessing`` is imported
+when a batch first needs it.
 """
 
 from __future__ import annotations
@@ -77,16 +78,11 @@ def _fit(spec, splits: SplitBundle, sets, positive: int) -> list:
     return [(entry["metrics"].accuracy, entry["auc"], model) for entry, model in zip(entries, models)]
 
 
-def evaluate_learners(
-    splits: SplitBundle,
-    learners,
-    features,
-    positive: int = 0,
-) -> tuple[dict, dict, dict]:
-    """Train each learner on splits.train over *features*; return
-    (accuracy, auc, model) maps keyed by learner kind, scored on splits.test."""
-    fits = {spec.kind: _fit(spec, splits, (features,), positive)[0] for spec in learners}
-    return tuple({kind: fit[i] for kind, fit in fits.items()} for i in range(3))
+def evaluate_learners(splits: SplitBundle, learners, features, positive: int = 0) -> tuple[dict, dict, dict]:
+    """Train each learner on splits.train over *features*, as one ``_batch``;
+    return (accuracy, auc, model) maps keyed by learner kind, scored on splits.test."""
+    (step,) = _batch((splits, {spec.kind: spec for spec in learners}, positive), learners, [tuple(features)])
+    return step.accuracies, step.aucs, step.models
 
 
 def check_min_size(min_size: int) -> None:

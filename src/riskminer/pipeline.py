@@ -10,7 +10,8 @@ files are written for a failed run. Two runs with the same config and seed
 emit byte-identical files.
 
 The config document is read, and echoed into the report, from one table of
-(dotted config key, dataclass field, parser) entries per config dataclass. A
+(dotted config key, dataclass field, parser) entries per config dataclass;
+``set_key`` writes a dotted key for the echo and for the CLI's flags. A
 key that no table names is refused, each value's type is checked as it is
 read, and each range by the check of the stage that uses the value.
 """
@@ -207,14 +208,18 @@ def _plain(value):
     return value
 
 
+def set_key(doc: dict, key: str, value) -> None:
+    """Set the dotted config *key* (``smote.k``) of *doc* to *value*."""
+    *parents, last = key.split(".")
+    for part in parents:
+        doc = doc.setdefault(part, {})
+    doc[last] = value
+
+
 def _echo(table, obj) -> dict:
     doc: dict = {}
     for key, name, _ in table:
-        *parents, last = key.split(".")
-        node = doc
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[last] = _plain(getattr(obj, name))
+        set_key(doc, key, _plain(getattr(obj, name)))
     return doc
 
 

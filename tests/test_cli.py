@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import argparse
+import csv
 import json
 import os
 
 import pytest
 
-from riskminer.cli import main
-from riskminer.schema import FeatureSpec, Schema, save_schema
+from riskminer.cli import build_parser, main
+from riskminer.dataset import load_dataset
+from riskminer.errors import DataError
+from riskminer.pipeline import CONFIG_FIELDS
+from riskminer.schema import FeatureSpec, Schema, default_schema, save_schema
 from test_pipeline import small_config_doc
 
 
@@ -240,6 +245,67 @@ def test_pipeline_on_an_empty_input_fails_in_the_augment_stage(inputs, tmp_path,
     assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: stage 'augment' failed: cannot augment an empty dataset\n"
     assert not out.exists()
+
+
+UNREADABLE = ["not-utf8", "long-field", "directory"]
+
+
+def _unreadable(inputs, tmp_path, kind):
+    """A dataset path that cannot be read: the generated CSV with a byte that
+    is not UTF-8 after its header, a CSV with a cell longer than the csv
+    module's field limit, or a directory."""
+    path = tmp_path / "unreadable.csv"
+    if kind == "directory":
+        path.mkdir()
+        return str(path)
+    with open(inputs["data"], "rb") as f:
+        header, rest = f.readline(), f.read()
+    body = b"\xff" + rest if kind == "not-utf8" else b"1" * (csv.field_size_limit() + 1) + b"\n"
+    path.write_bytes(header + body)
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+@pytest.mark.parametrize("command", ["augment", "rank", "eliminate", "train", "evaluate", "mine"])
+def test_an_unreadable_dataset_is_a_data_error(inputs, tmp_path, capsys, command, kind):
+    data = _unreadable(inputs, tmp_path, kind)
+    argv = [command, *(arg.format(**{**inputs, "data": data}) for arg in READ_ARGS[command]),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot read dataset {data}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_pipeline_on_an_unreadable_input_fails_in_the_load_stage(inputs, tmp_path, capsys, kind):
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    data = _unreadable(inputs, tmp_path, kind)
+    config.write_text(json.dumps({"input": data}), encoding="utf-8")
+    assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage 'load' failed: cannot read dataset {data}: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_load_dataset_chains_a_read_failure_to_its_cause(inputs, tmp_path):
+    data = _unreadable(inputs, tmp_path, "not-utf8")
+    with pytest.raises(DataError, match="^cannot read dataset ") as exc:
+        load_dataset(data, default_schema())
+    assert isinstance(exc.value.__cause__, UnicodeDecodeError)
+
+
+def test_every_flag_is_a_config_key_or_read_by_its_handler():
+    # _settings lays a flag whose dest is a config key over the config; any other dest must be one a
+    # handler reads, so a new flag cannot be parsed and then ignored
+    config_keys = {key for key, _, _ in CONFIG_FIELDS} | {"schema", "learners"}
+    handled = {"config", "out", "features", "features_file", "learner", "learner_seed", "selection", "model", "roc"}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    stray = [
+        (command, action.dest) for command, parser in subparsers.choices.items() for action in parser._actions
+        if not isinstance(action, argparse._HelpAction) and action.dest not in config_keys | handled
+    ]
+    assert stray == []
 
 
 @pytest.mark.parametrize("balance", ["--balance", "--no-balance"])
